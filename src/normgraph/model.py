@@ -9,8 +9,14 @@ expected ones.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
+
+# Matches exactly the characters for which str.isspace() is true.
+_SPACE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -18,7 +24,7 @@ class Iri:
     value: str
 
     def __post_init__(self):
-        if not self.value or any(c.isspace() for c in self.value):
+        if not self.value or _SPACE.search(self.value):
             raise ValueError(f"invalid IRI: {self.value!r}")
 
 
@@ -40,9 +46,6 @@ Term = Iri | BlankNode | Literal
 
 # Deterministic total order over terms: Iri < BlankNode < Literal, then by
 # the underlying string. Used wherever output must be reproducible.
-_KIND_RANK = {Iri: 0, BlankNode: 1, Literal: 2}
-
-
 def term_key(t: Term) -> tuple[int, str]:
     if isinstance(t, Iri):
         return (0, t.value)
@@ -77,14 +80,44 @@ class Triple:
         return (term_key(self.subject), term_key(self.predicate), term_key(self.object))
 
 
+# What a lookup that misses an index level reads from; never written to.
+_NO_BUCKETS = MappingProxyType({})
+
+
+def _index(index: dict, first: Term, second: Term, third: Term, t: Triple):
+    buckets = index.get(first)
+    if buckets is None:
+        index[first] = {second: {third: t}}
+    else:
+        bucket = buckets.get(second)
+        if bucket is None:
+            buckets[second] = {third: t}
+        else:
+            bucket[third] = t
+
+
 class Graph:
-    """A set of triples with per-position indexes and a prefix map."""
+    """A set of triples with two-level indexes and a prefix map.
+
+    Three indexes map one position to a second one and then to a bucket:
+    subject to predicate, predicate to object and object to subject. A bucket
+    maps the remaining term to its triple, so a pattern with two bound
+    positions is one lookup per level and a fully bound one is a membership
+    test. Index sizes are not stored: the `*_pool` counts add up the buckets
+    when asked, which only join planning does.
+
+    Triples are only ever added, so the graph's size tells whether it has
+    changed; `memo` uses that to keep values derived from one state of the
+    graph (join plans) exactly as long as that state lasts.
+    """
 
     def __init__(self, triples: Iterable[Triple] = (), prefix_map: Optional[dict[str, str]] = None):
         self._triples: set[Triple] = set()
-        self._by_s: dict[Term, set[Triple]] = {}
-        self._by_p: dict[Term, set[Triple]] = {}
-        self._by_o: dict[Term, set[Triple]] = {}
+        self._sp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._po: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._os: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        self._memo: dict = {}
+        self._memo_size = 0
         self.prefix_map: dict[str, str] = dict(prefix_map or {})
         for t in triples:
             self.insert(t)
@@ -106,9 +139,10 @@ class Graph:
         if t in self._triples:
             return False
         self._triples.add(t)
-        self._by_s.setdefault(t.subject, set()).add(t)
-        self._by_p.setdefault(t.predicate, set()).add(t)
-        self._by_o.setdefault(t.object, set()).add(t)
+        s, p, o = t.subject, t.predicate, t.object
+        _index(self._sp, s, p, o, t)
+        _index(self._po, p, o, s, t)
+        _index(self._os, o, s, p, t)
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -117,50 +151,64 @@ class Graph:
     def copy(self) -> "Graph":
         return Graph(self._triples, self.prefix_map)
 
+    def memo(self) -> dict:
+        """A dict for values derived from the graph as it is now. It is
+        emptied on the first call after triples were added."""
+        if self._memo_size != len(self._triples):
+            self._memo.clear()
+            self._memo_size = len(self._triples)
+        return self._memo
+
     def match_iter(self, s: Optional[Term] = None, p: Optional[Term] = None,
                    o: Optional[Term] = None) -> Iterator[Triple]:
-        """Unordered match, driven by the most selective available index."""
-        pools = []
+        """Unordered match: one index lookup per bound position."""
         if s is not None:
-            pools.append(self._by_s.get(s, set()))
-        if p is not None:
-            pools.append(self._by_p.get(p, set()))
-        if o is not None:
-            pools.append(self._by_o.get(o, set()))
-        if not pools:
+            if p is not None:
+                bucket = self._sp.get(s, _NO_BUCKETS).get(p, _NO_BUCKETS)
+                if o is None:
+                    return iter(bucket.values())
+                return iter([bucket[o]] if o in bucket else ())
+            if o is not None:
+                return iter(self._os.get(o, _NO_BUCKETS).get(s, _NO_BUCKETS).values())
+            buckets = self._sp.get(s, _NO_BUCKETS)
+        elif p is not None:
+            if o is not None:
+                return iter(self._po.get(p, _NO_BUCKETS).get(o, _NO_BUCKETS).values())
+            buckets = self._po.get(p, _NO_BUCKETS)
+        elif o is not None:
+            buckets = self._os.get(o, _NO_BUCKETS)
+        else:
             return iter(self._triples)
-        base = min(pools, key=len)
-        return (t for t in base
-                if (s is None or t.subject == s)
-                and (p is None or t.predicate == p)
-                and (o is None or t.object == o))
+        return chain.from_iterable(bucket.values() for bucket in buckets.values())
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
         return sorted(self.match_iter(s, p, o), key=Triple.key)
 
     def subject_pool(self, t: Term) -> int:
-        return len(self._by_s.get(t, ()))
+        return sum(map(len, self._sp.get(t, _NO_BUCKETS).values()))
 
     def predicate_pool(self, t: Term) -> int:
-        return len(self._by_p.get(t, ()))
+        return sum(map(len, self._po.get(t, _NO_BUCKETS).values()))
 
     def object_pool(self, t: Term) -> int:
-        return len(self._by_o.get(t, ()))
+        return sum(map(len, self._os.get(t, _NO_BUCKETS).values()))
 
     def check_indexes(self) -> bool:
-        """Internal consistency: every index agrees with the triple set."""
-        from itertools import chain
-        indexed = set(chain.from_iterable(self._by_s.values()))
-        if indexed != self._triples:
-            return False
-        for t in self._triples:
-            if t not in self._by_s.get(t.subject, set()):
+        """Internal consistency: every index holds exactly the triple set,
+        each triple under its own terms."""
+        for index, order in ((self._sp, lambda t: (t.subject, t.predicate, t.object)),
+                             (self._po, lambda t: (t.predicate, t.object, t.subject)),
+                             (self._os, lambda t: (t.object, t.subject, t.predicate))):
+            entries = [(first, second, third, t)
+                       for first, buckets in index.items()
+                       for second, bucket in buckets.items()
+                       for third, t in bucket.items()]
+            if len(entries) != len(self._triples):
                 return False
-            if t not in self._by_p.get(t.predicate, set()):
-                return False
-            if t not in self._by_o.get(t.object, set()):
-                return False
+            for first, second, third, t in entries:
+                if t not in self._triples or order(t) != (first, second, third):
+                    return False
         return True
 
     def terms(self) -> set[Term]:
@@ -178,7 +226,7 @@ class Graph:
 def graph_union(*graphs: Graph) -> Graph:
     out = Graph()
     for g in graphs:
-        out.update(g.triples())
+        out.update(g._triples)
         for k, v in g.prefix_map.items():
             out.prefix_map.setdefault(k, v)
     return out
@@ -186,7 +234,7 @@ def graph_union(*graphs: Graph) -> Graph:
 
 def graph_difference(g1: Graph, g2: Graph) -> Graph:
     out = Graph(prefix_map=g1.prefix_map)
-    out.update(g1.triples() - g2.triples())
+    out.update(g1._triples - g2._triples)
     return out
 
 

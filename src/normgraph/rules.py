@@ -31,6 +31,23 @@ accumulated solutions:
     mentions an unbound variable rejects the solution;
   - BIND extends every solution with a constant.
 
+How it runs:
+
+  - Each run of adjacent triple patterns is put in a greedy join order,
+    most selective pattern first, when it is first reached. The order
+    depends on the run, the variables bound when it starts and the graph's
+    index sizes only, so it is worked out once per group, set of entry
+    variables and graph state: plans stay in the graph's memo until a
+    triple is added.
+  - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`. It
+    searches depth first with its own stack, so a long run of patterns
+    needs no Python recursion, stops at the first solution and neither
+    deduplicates nor sorts. A group that holds a BIND is still
+    evaluated in full, so a BindConflict is raised exactly when full
+    evaluation raises it.
+  - Only UNION can yield a solution twice, so only its output is
+    deduplicated; the final solutions are sorted.
+
 Blank nodes written in a WHERE group behave as fresh variables. Blank nodes
 in the template become skolem nodes named from the rule id, the blank's
 position, the solution, and the instantiation salt, so one instantiation call
@@ -535,32 +552,34 @@ def bindable_variables(gp: GroupPattern) -> set[Variable]:
 
 Binding = dict[Variable, Term]
 
-
-def _freeze(b: Binding) -> frozenset:
-    return frozenset((v.name, t) for v, t in b.items())
+_POSITIONS = ("subject", "predicate", "object")
 
 
-def _match_pattern(g: Graph, tp: TriplePattern, binding: Binding) -> list[Binding]:
-    def resolve(part: PatternTerm) -> Optional[Term]:
+def _extend(g: Graph, tp: TriplePattern, binding: Binding) -> list[Binding]:
+    """The extensions of `binding` by every graph match of `tp`. A binding
+    that the pattern adds nothing to comes back as itself."""
+    key = [tp.subject, tp.predicate, tp.object]
+    free = []  # (position, variable) of each position not yet bound
+    for i, part in enumerate(key):
         if isinstance(part, Variable):
-            return binding.get(part)
-        return part
-
-    s, p, o = resolve(tp.subject), resolve(tp.predicate), resolve(tp.object)
+            key[i] = binding.get(part)
+            if key[i] is None:
+                free.append((_POSITIONS[i], part))
+    matches = g.match_iter(*key)
+    if not free:
+        return [binding] if next(matches, None) is not None else []
+    if len(free) == 1:
+        name, var = free[0]
+        return [{**binding, var: getattr(t, name)} for t in matches]
     out = []
-    for t in g.match_iter(s, p, o):
+    for t in matches:
         new = dict(binding)
-        ok = True
-        for part, actual in ((tp.subject, t.subject), (tp.predicate, t.predicate),
-                             (tp.object, t.object)):
-            if isinstance(part, Variable):
-                bound = new.get(part)
-                if bound is None:
-                    new[part] = actual
-                elif bound != actual:
-                    ok = False
-                    break
-        if ok:
+        for name, var in free:
+            actual = getattr(t, name)
+            # a variable in two free positions must match the same term
+            if new.setdefault(var, actual) != actual:
+                break
+        else:
             out.append(new)
     return out
 
@@ -584,22 +603,16 @@ def _eval_expr(expr: Expr, binding: Binding) -> bool:
     return any(_eval_expr(item, binding) for item in expr.items)
 
 
+def _passes(expr: Expr, binding: Binding) -> bool:
+    try:
+        return _eval_expr(expr, binding)
+    except _UnboundInFilter:
+        return False
+
+
 # Assumed match count for a position held by an already-bound variable when
 # planning a join order; only the relative magnitude matters.
 _BOUND_POOL = 4
-
-
-def _pattern_cost(g: Graph, tp: TriplePattern, bound: set[Variable]) -> int:
-    pools = []
-    for part, pool_of in ((tp.subject, g.subject_pool),
-                          (tp.predicate, g.predicate_pool),
-                          (tp.object, g.object_pool)):
-        if isinstance(part, Variable):
-            if part in bound:
-                pools.append(_BOUND_POOL)
-        else:
-            pools.append(pool_of(part))
-    return min(pools) if pools else len(g) + 1
 
 
 def _pattern_vars(tp: TriplePattern):
@@ -607,86 +620,201 @@ def _pattern_vars(tp: TriplePattern):
             if isinstance(part, Variable))
 
 
+def _constant_pool(g: Graph, tp: TriplePattern) -> Optional[int]:
+    """The fewest triples any one constant of the pattern occurs in, at its
+    position; None for a pattern of variables only."""
+    pools = [pool_of(part) for part, pool_of in ((tp.subject, g.subject_pool),
+                                                 (tp.predicate, g.predicate_pool),
+                                                 (tp.object, g.object_pool))
+             if not isinstance(part, Variable)]
+    return min(pools, default=None)
+
+
 def _plan_run(g: Graph, run: list[TriplePattern], bound: set[Variable]) -> list[TriplePattern]:
     """Greedy join order for consecutive triple patterns: cheapest (most
-    selective) next, given what is bound so far. Joins commute, so this never
-    changes the solution set, only the size of the intermediate ones."""
-    remaining = list(enumerate(run))
+    selective) next, given what is bound so far, which `bound` is updated
+    with. Joins commute, so this never changes the solution set, only the
+    size of the intermediate ones.
+
+    A pattern's cost is the pool of its rarest constant, or _BOUND_POOL if
+    one of its variables is bound and that is smaller; with neither, more
+    than the graph holds. Pools cannot change while planning, so each
+    pattern's is looked up once."""
+    pools = [_constant_pool(g, tp) for tp in run]
+    variables = [tuple(_pattern_vars(tp)) for tp in run]
+
+    def cost(i: int) -> tuple[int, int]:
+        pool = pools[i]
+        if not bound.isdisjoint(variables[i]):
+            pool = _BOUND_POOL if pool is None else min(pool, _BOUND_POOL)
+        return (len(g) + 1 if pool is None else pool, i)
+
+    remaining = list(range(len(run)))
     ordered = []
-    bound = set(bound)
     while remaining:
-        index, best = min(remaining,
-                          key=lambda iv: (_pattern_cost(g, iv[1], bound), iv[0]))
-        remaining.remove((index, best))
-        ordered.append(best)
-        bound.update(_pattern_vars(best))
+        best = min(remaining, key=cost)
+        remaining.remove(best)
+        ordered.append(run[best])
+        bound.update(variables[best])
     return ordered
 
 
-def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None) -> list[Binding]:
+class _Run:
+    """A run of adjacent triple patterns with the variables bound when it
+    starts. It is join-planned when first reached, so a run after an
+    element that left no solutions is never planned."""
+
+    __slots__ = ("patterns", "bound", "order")
+
+    def __init__(self, patterns: list[TriplePattern], bound: frozenset):
+        self.patterns = patterns
+        self.bound = bound
+        self.order: Optional[list[TriplePattern]] = None
+
+
+class _Slot:
+    """The pattern at position `index` of a run's join order: one step of a
+    plan."""
+
+    __slots__ = ("run", "index")
+
+    def __init__(self, run: _Run, index: int):
+        self.run = run
+        self.index = index
+
+    def pattern(self, g: Graph) -> TriplePattern:
+        run = self.run
+        if run.order is None:
+            run.order = _plan_run(g, run.patterns, set(run.bound))
+        return run.order[self.index]
+
+
+def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, bool]:
+    """The group's elements with each run of adjacent triple patterns made
+    into one `_Slot` per pattern, for a seed binding the variables `seeded`,
+    and whether the group holds a BIND anywhere.
+
+    A run's join order depends only on its patterns, the variables bound
+    when it starts and the graph's index sizes, so the plan is kept in the
+    graph's memo until the graph changes. The memo is keyed by the group's
+    id and holds the group itself, so the id cannot be reused by another
+    group while the entry lives.
+    """
+    key = (id(gp), frozenset(seeded))
+    memo = g.memo()
+    if key not in memo:
+        bound = set(key[1])
+        steps: list = []
+        run: list[TriplePattern] = []
+        for el in (*gp.elements, None):
+            if isinstance(el, TriplePattern):
+                run.append(el)
+                continue
+            if run:
+                shared = _Run(run, frozenset(bound))
+                steps += (_Slot(shared, i) for i in range(len(run)))
+                bound.update(v for tp in run for v in _pattern_vars(tp))
+                run = []
+            if isinstance(el, Union):
+                bound |= bindable_variables(el.left) | bindable_variables(el.right)
+            elif isinstance(el, Bind):
+                bound.add(el.var)
+            if el is not None:
+                steps.append(el)
+        memo[key] = (gp, (tuple(steps), _has_bind(gp)))
+    return memo[key][1]
+
+
+def _has_bind(gp: GroupPattern) -> bool:
+    """Whether a BIND occurs anywhere in the group, nested groups included."""
+    pending = [gp]
+    while pending:
+        for el in pending.pop().elements:
+            if isinstance(el, Bind):
+                return True
+            if isinstance(el, Union):
+                pending += (el.left, el.right)
+            elif isinstance(el, NotExists):
+                pending.append(el.inner)
+    return False
+
+
+def _unique(acc: list[Binding]) -> list[Binding]:
+    seen: dict[frozenset, Binding] = {}
+    for b in acc:
+        seen.setdefault(frozenset(b.items()), b)
+    return list(seen.values())
+
+
+def _probe(g: Graph, steps: tuple, seed: Binding, limit: int) -> list[Binding]:
+    """Up to `limit` solutions of a planned group, depth first, with no
+    dedupe and no sort. The search keeps its own stack, one iterator of
+    bindings per step, so a long run of patterns costs no Python recursion;
+    the bindings of the top iterator have been through `len(stack) - 1`
+    steps."""
+    found: list[Binding] = []
+    stack = [iter((seed,))]
+    while stack and len(found) < limit:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+        elif len(stack) > len(steps):
+            found.append(b)
+        else:
+            el = steps[len(stack) - 1]
+            if isinstance(el, _Slot):
+                stack.append(iter(_extend(g, el.pattern(g), b)))
+            elif isinstance(el, NotExists):
+                stack.append(iter(() if evaluate_where(g, el.inner, b, limit=1) else (b,)))
+            elif isinstance(el, Filter):
+                stack.append(iter((b,) if _passes(el.expr, b) else ()))
+            else:  # Union; a group holding a BIND is never probed
+                stack.append(iter(evaluate_where(g, el.left, b) + evaluate_where(g, el.right, b)))
+    return found
+
+
+def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
+                   limit: Optional[int] = None) -> list[Binding]:
     """All solution bindings of the group over the graph, seeded with `seed`.
 
     The result is a set (no duplicate bindings) in a deterministic order.
     Elements keep their left-to-right semantics; runs of adjacent triple
     patterns are join-planned by selectivity first.
+
+    With `limit`, at most that many solutions come back, in no particular
+    order: an existence probe, as NOT EXISTS asks it. A group that holds a
+    BIND is still evaluated in full, so that a BindConflict is raised
+    whenever the full evaluation would raise it.
     """
-    acc: list[Binding] = [dict(seed) if seed else {}]
-    bound: set[Variable] = set(seed) if seed else set()
-    elements = list(gp.elements)
-    position = 0
-    while position < len(elements):
-        el = elements[position]
+    seed = dict(seed) if seed else {}
+    steps, has_bind = _plan(g, gp, seed)
+    if limit is not None and not has_bind:
+        return _probe(g, steps, seed, limit)
+    acc: list[Binding] = [seed]
+    for el in steps:
         if not acc:
             break
-        if isinstance(el, TriplePattern):
-            run = [el]
-            while position + 1 < len(elements) and isinstance(elements[position + 1],
-                                                              TriplePattern):
-                position += 1
-                run.append(elements[position])
-            for tp in _plan_run(g, run, bound):
-                acc = [nb for b in acc for nb in _match_pattern(g, tp, b)]
-                bound.update(_pattern_vars(tp))
-                if not acc:
-                    break
+        if isinstance(el, _Slot):
+            tp = el.pattern(g)
+            acc = [nb for b in acc for nb in _extend(g, tp, b)]
         elif isinstance(el, Union):
-            nxt: list[Binding] = []
-            for b in acc:
-                nxt.extend(evaluate_where(g, el.left, b))
-                nxt.extend(evaluate_where(g, el.right, b))
-            acc = nxt
-            bound |= bindable_variables(el.left) | bindable_variables(el.right)
+            # the only element whose solutions can repeat: both branches
+            # may give the same binding
+            acc = _unique([nb for b in acc for branch in (el.left, el.right)
+                           for nb in evaluate_where(g, branch, b)])
         elif isinstance(el, NotExists):
-            acc = [b for b in acc if not evaluate_where(g, el.inner, b)]
+            acc = [b for b in acc if not evaluate_where(g, el.inner, b, limit=1)]
         elif isinstance(el, Filter):
-            kept = []
-            for b in acc:
-                try:
-                    if _eval_expr(el.expr, b):
-                        kept.append(b)
-                except _UnboundInFilter:
-                    pass
-            acc = kept
+            acc = [b for b in acc if _passes(el.expr, b)]
         elif isinstance(el, Bind):
             for b in acc:
                 if el.var in b:
                     raise BindConflict(f"variable ?{el.var.name} is already bound")
                 b[el.var] = el.value
-            bound.add(el.var)
         else:  # pragma: no cover - parser only emits the kinds above
             raise TypeError(f"unknown pattern element {el!r}")
-        # set semantics
-        seen: set[frozenset] = set()
-        unique: list[Binding] = []
-        for b in acc:
-            key = _freeze(b)
-            if key not in seen:
-                seen.add(key)
-                unique.append(b)
-        acc = unique
-        position += 1
     acc.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
-    return acc
+    return acc if limit is None else acc[:limit]
 
 
 # --- Instantiation -----------------------------------------------------------
