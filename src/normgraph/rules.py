@@ -34,19 +34,19 @@ accumulated solutions:
 How it runs:
 
   - Each run of adjacent triple patterns is put in a greedy join order,
-    most selective pattern first, when it is first reached. The order
-    depends on the run, the variables bound when it starts and the graph's
-    index sizes only, so it is worked out once per group, set of entry
-    variables and graph state: plans stay in the graph's memo until a
-    triple is added.
-  - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`. It
-    searches depth first with its own stack, so a long run of patterns
-    needs no Python recursion, stops at the first solution and neither
-    deduplicates nor sorts. A group that holds a BIND is still
-    evaluated in full, so a BindConflict is raised exactly when full
-    evaluation raises it.
-  - Only UNION can yield a solution twice, so only its output is
-    deduplicated; the final solutions are sorted.
+    most selective pattern first. The order depends on the run, the
+    variables bound when it starts and the graph's index sizes only, so it
+    is worked out once per group, set of entry variables and graph state:
+    plans stay in the graph's memo until a triple is added.
+  - A planned group is searched depth first with its own stack, so a long
+    run of patterns needs no Python recursion.
+  - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
+    search stops at the first solution and neither deduplicates nor sorts.
+    A group that holds a BIND is still searched in full, so a BindConflict
+    is raised exactly when full evaluation raises it.
+  - A full evaluation deduplicates and sorts its solutions once, at the
+    end. UNION branches may bind different variables, so two different
+    solutions of a UNION can become one after a later pattern.
 
 Blank nodes written in a WHERE group behave as fresh variables. Blank nodes
 in the template become skolem nodes named from the rule id, the blank's
@@ -632,16 +632,16 @@ def _constant_pool(g: Graph, tp: TriplePattern) -> Optional[int]:
 
 def _plan_run(g: Graph, run: list[TriplePattern], bound: set[Variable]) -> list[TriplePattern]:
     """Greedy join order for consecutive triple patterns: cheapest (most
-    selective) next, given what is bound so far, which `bound` is updated
-    with. Joins commute, so this never changes the solution set, only the
-    size of the intermediate ones.
+    selective) next, given what is bound so far. Joins commute, so this never
+    changes the solution set, only the size of the intermediate ones.
 
     A pattern's cost is the pool of its rarest constant, or _BOUND_POOL if
     one of its variables is bound and that is smaller; with neither, more
-    than the graph holds. Pools cannot change while planning, so each
-    pattern's is looked up once."""
+    than the graph holds. A pool is a sum over index buckets, and pools
+    cannot change while planning, so each pattern's is looked up once."""
     pools = [_constant_pool(g, tp) for tp in run]
     variables = [tuple(_pattern_vars(tp)) for tp in run]
+    bound = set(bound)
 
     def cost(i: int) -> tuple[int, int]:
         pool = pools[i]
@@ -659,40 +659,10 @@ def _plan_run(g: Graph, run: list[TriplePattern], bound: set[Variable]) -> list[
     return ordered
 
 
-class _Run:
-    """A run of adjacent triple patterns with the variables bound when it
-    starts. It is join-planned when first reached, so a run after an
-    element that left no solutions is never planned."""
-
-    __slots__ = ("patterns", "bound", "order")
-
-    def __init__(self, patterns: list[TriplePattern], bound: frozenset):
-        self.patterns = patterns
-        self.bound = bound
-        self.order: Optional[list[TriplePattern]] = None
-
-
-class _Slot:
-    """The pattern at position `index` of a run's join order: one step of a
-    plan."""
-
-    __slots__ = ("run", "index")
-
-    def __init__(self, run: _Run, index: int):
-        self.run = run
-        self.index = index
-
-    def pattern(self, g: Graph) -> TriplePattern:
-        run = self.run
-        if run.order is None:
-            run.order = _plan_run(g, run.patterns, set(run.bound))
-        return run.order[self.index]
-
-
 def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, bool]:
-    """The group's elements with each run of adjacent triple patterns made
-    into one `_Slot` per pattern, for a seed binding the variables `seeded`,
-    and whether the group holds a BIND anywhere.
+    """The group's elements with each run of adjacent triple patterns put in
+    join order, for a seed binding the variables `seeded`, and whether the
+    group holds a BIND anywhere.
 
     A run's join order depends only on its patterns, the variables bound
     when it starts and the graph's index sizes, so the plan is kept in the
@@ -711,8 +681,7 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple
                 run.append(el)
                 continue
             if run:
-                shared = _Run(run, frozenset(bound))
-                steps += (_Slot(shared, i) for i in range(len(run)))
+                steps += _plan_run(g, run, bound)
                 bound.update(v for tp in run for v in _pattern_vars(tp))
                 run = []
             if isinstance(el, Union):
@@ -739,38 +708,69 @@ def _has_bind(gp: GroupPattern) -> bool:
     return False
 
 
+def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int]) -> list[Binding]:
+    """The solutions of a planned group, depth first, up to `limit` of them,
+    with neither dedupe nor sort.
+
+    The search keeps its own stack, one iterator of bindings per step, so a
+    long run of patterns costs no Python recursion; the bindings of the top
+    iterator have been through `len(stack) - 1` steps, and what the last
+    step gives is a solution. A BindConflict is raised as the
+    element-by-element evaluation would raise it: at the first step any
+    binding conflicts at, for the first binding to reach that step. So
+    after a conflict the search goes on above that step only.
+    """
+    if not steps:
+        return [seed]
+    found: list[Binding] = []
+    end = len(steps)
+    conflict: Optional[BindConflict] = None
+    stack = [iter((seed,))]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            continue
+        depth = len(stack) - 1
+        el = steps[depth]
+        try:
+            if isinstance(el, TriplePattern):
+                nxt = _extend(g, el, b)
+            elif isinstance(el, NotExists):
+                nxt = () if evaluate_where(g, el.inner, b, limit=1) else (b,)
+            elif isinstance(el, Filter):
+                nxt = (b,) if _passes(el.expr, b) else ()
+            elif isinstance(el, Union):
+                # both branches may give the same binding: each later step
+                # would repeat its work on the copy
+                nxt = _unique(evaluate_where(g, el.left, b) + evaluate_where(g, el.right, b))
+            elif isinstance(el, Bind):
+                if el.var in b:
+                    raise BindConflict(f"variable ?{el.var.name} is already bound")
+                nxt = ({**b, el.var: el.value},)
+            else:  # pragma: no cover - parser only emits the kinds above
+                raise TypeError(f"unknown pattern element {el!r}")
+        except BindConflict as err:
+            # any later conflict is at a shallower step, and wins
+            conflict, end = err, depth
+            del stack[depth:]
+            continue
+        if depth + 1 == end:
+            found += nxt
+            if limit is not None and len(found) >= limit:
+                break
+        elif nxt:
+            stack.append(iter(nxt))
+    if conflict is not None:
+        raise conflict
+    return found
+
+
 def _unique(acc: list[Binding]) -> list[Binding]:
     seen: dict[frozenset, Binding] = {}
     for b in acc:
         seen.setdefault(frozenset(b.items()), b)
     return list(seen.values())
-
-
-def _probe(g: Graph, steps: tuple, seed: Binding, limit: int) -> list[Binding]:
-    """Up to `limit` solutions of a planned group, depth first, with no
-    dedupe and no sort. The search keeps its own stack, one iterator of
-    bindings per step, so a long run of patterns costs no Python recursion;
-    the bindings of the top iterator have been through `len(stack) - 1`
-    steps."""
-    found: list[Binding] = []
-    stack = [iter((seed,))]
-    while stack and len(found) < limit:
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-        elif len(stack) > len(steps):
-            found.append(b)
-        else:
-            el = steps[len(stack) - 1]
-            if isinstance(el, _Slot):
-                stack.append(iter(_extend(g, el.pattern(g), b)))
-            elif isinstance(el, NotExists):
-                stack.append(iter(() if evaluate_where(g, el.inner, b, limit=1) else (b,)))
-            elif isinstance(el, Filter):
-                stack.append(iter((b,) if _passes(el.expr, b) else ()))
-            else:  # Union; a group holding a BIND is never probed
-                stack.append(iter(evaluate_where(g, el.left, b) + evaluate_where(g, el.right, b)))
-    return found
 
 
 def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
@@ -783,38 +783,17 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
 
     With `limit`, at most that many solutions come back, in no particular
     order: an existence probe, as NOT EXISTS asks it. A group that holds a
-    BIND is still evaluated in full, so that a BindConflict is raised
+    BIND is still searched in full, so that a BindConflict is raised
     whenever the full evaluation would raise it.
     """
     seed = dict(seed) if seed else {}
     steps, has_bind = _plan(g, gp, seed)
-    if limit is not None and not has_bind:
-        return _probe(g, steps, seed, limit)
-    acc: list[Binding] = [seed]
-    for el in steps:
-        if not acc:
-            break
-        if isinstance(el, _Slot):
-            tp = el.pattern(g)
-            acc = [nb for b in acc for nb in _extend(g, tp, b)]
-        elif isinstance(el, Union):
-            # the only element whose solutions can repeat: both branches
-            # may give the same binding
-            acc = _unique([nb for b in acc for branch in (el.left, el.right)
-                           for nb in evaluate_where(g, branch, b)])
-        elif isinstance(el, NotExists):
-            acc = [b for b in acc if not evaluate_where(g, el.inner, b, limit=1)]
-        elif isinstance(el, Filter):
-            acc = [b for b in acc if _passes(el.expr, b)]
-        elif isinstance(el, Bind):
-            for b in acc:
-                if el.var in b:
-                    raise BindConflict(f"variable ?{el.var.name} is already bound")
-                b[el.var] = el.value
-        else:  # pragma: no cover - parser only emits the kinds above
-            raise TypeError(f"unknown pattern element {el!r}")
-    acc.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
-    return acc if limit is None else acc[:limit]
+    found = _search(g, steps, seed, None if has_bind else limit)
+    if limit is not None:
+        return found[:limit]
+    found = _unique(found)
+    found.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
+    return found
 
 
 # --- Instantiation -----------------------------------------------------------

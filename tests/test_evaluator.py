@@ -76,11 +76,15 @@ class _Groups:
         elements = [self.pattern() for _ in range(rnd.randrange(0 if depth else 1, 3))]
         if rnd.random() < 0.4:
             shared = self.pattern()
-            left = GroupPattern((shared, TriplePattern(shared.object, rnd.choice(self.preds),
-                                                       V("v3"))))
+            tail = TriplePattern(shared.object, rnd.choice(self.preds), V("v3"))
+            left = GroupPattern((shared, tail))
             right = GroupPattern((TriplePattern(shared.object, shared.predicate,
                                                 shared.subject),))
             elements.append(Union(left, right))
+            if rnd.random() < 0.3:
+                # binds ?v3 after the right branch too: a solution of each
+                # branch can become the same solution
+                elements.append(tail)
             if rnd.random() < 0.5:
                 # ?v3 is bound by the left branch only; ?v4 is fresh
                 elements.append(Bind(rnd.choice(self.iris), rnd.choice([V("v3"), V("v4")])))
@@ -111,7 +115,7 @@ def test_evaluator_matches_oracle_on_random_groups():
     rnd = random.Random(8128)
     groups = _Groups(rnd)
     seen = {"nonempty": 0, "empty": 0, "raised": 0}
-    for case in range(600):
+    for case in range(800):
         g, gp, seed = groups.graph(), groups.group(0), groups.seed()
         want = _outcome(oracle.evaluate_where, g, gp, seed)
         got = _outcome(evaluate_where, g, gp, seed)
@@ -136,6 +140,31 @@ def test_bind_after_union_conflicts_exactly_like_oracle():
     fresh = GroupPattern((union, Bind(c, V("w"))))
     assert evaluate_where(g, fresh) == oracle.evaluate_where(g, fresh)
     assert len(evaluate_where(g, fresh)) == 3
+
+
+def test_union_branches_that_bind_different_variables_give_each_solution_once():
+    a, b, c, p, q = (Iri(EX + x) for x in "abcpq")
+    g = Graph([Triple(a, p, b), Triple(b, q, c)])
+    xy, yz = TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), q, V("z"))
+    gp = GroupPattern((Union(GroupPattern((xy, yz)), GroupPattern((xy,))), yz))
+    want = [{V("x"): a, V("y"): b, V("z"): c}]
+    assert oracle.evaluate_where(g, gp) == want
+    assert evaluate_where(g, gp) == want
+
+
+def test_bind_conflict_is_raised_at_the_first_element_any_solution_conflicts_at():
+    a, b, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "p")
+    g = Graph([Triple(a, p, b)])
+    # the left branch reaches the BIND of ?x first, depth first; the right
+    # branch conflicts one element earlier, at the BIND of ?z
+    union = Union(GroupPattern((TriplePattern(V("x"), p, V("y")),)),
+                  GroupPattern((TriplePattern(V("z"), p, V("w")),)))
+    gp = GroupPattern((union, Bind(a, V("z")), Bind(b, V("x"))))
+    want = _outcome(oracle.evaluate_where, g, gp)
+    assert want == ("raised", "BindConflict", "variable ?z is already bound")
+    for outer in (gp, GroupPattern((NotExists(gp),)), GroupPattern((Union(gp, gp),))):
+        assert _outcome(evaluate_where, g, outer) == want
+        assert _outcome(evaluate_where, g, outer, limit=1) == want
 
 
 def _fixture_graphs():
