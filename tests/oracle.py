@@ -1,22 +1,31 @@
-"""A frozen copy of the naive WHERE evaluator, kept as a test oracle.
+"""A frozen copy of the naive WHERE evaluator and fixpoint, kept as a test oracle.
 
-This is the evaluator as it stood before NOT EXISTS became an existence
-probe, join plans were cached per graph snapshot and the graph got
+`evaluate_where` is the evaluator as it stood before NOT EXISTS became an
+existence probe, join plans were cached per graph snapshot and the graph got
 two-level indexes: every NOT EXISTS runs the whole inner group, every call
 re-plans its runs of triple patterns, and every element's solutions are
 deduplicated. It reads the graph only through `match_iter` and the three
 `*_pool` sizes. Do not optimise it: the tests compare the engine's
 evaluator against it, solution list for solution list.
+
+`run_fixpoint` is the naive snapshot fixpoint over that evaluator, with the
+`instantiate` and skolem labels it calls: every iteration evaluates every
+rule in full against the graph as it stood when the iteration began. The
+tests compare the engine's graph, provenance, trace and iteration count
+against it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import hashlib
+from typing import Iterable, Optional
 
-from normgraph.model import Graph, Term, term_key
+from normgraph.engine import EngineConfig, MaxIterationsExceeded, RuleSet, RunResult, TraceRecord
+from normgraph.model import BlankNode, Graph, Term, Triple, render_term, term_key
 from normgraph.rules import (
     Bind, BindConflict, Comparison, ExprAnd, Filter, GroupPattern, NotExists,
-    TriplePattern, Union, Variable, bindable_variables,
+    RuleQuery, TemplateBlank, TriplePattern, UnboundTemplateVariable, Union, Variable,
+    bindable_variables,
 )
 
 Binding = dict[Variable, Term]
@@ -161,3 +170,65 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None) -
         position += 1
     acc.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
     return acc
+
+
+def _skolem_label(rule_id: str, index: int, salt: str, signature: str) -> str:
+    digest = hashlib.sha1(
+        f"{rule_id}\x00{index}\x00{salt}\x00{signature}".encode()).hexdigest()[:12]
+    return f"skolem:{rule_id}:{index}:{digest}"
+
+
+def _solution_signature(binding: Binding) -> str:
+    return ",".join(f"{v.name}={render_term(t)}"
+                    for v, t in sorted(binding.items(), key=lambda kv: kv[0].name))
+
+
+def instantiate(rq: RuleQuery, solutions: Iterable[Binding], salt: str = "") -> Graph:
+    out = Graph()
+    for binding in solutions:
+        signature = _solution_signature(binding)
+        blanks: dict[int, BlankNode] = {}
+
+        def resolve(part):
+            if isinstance(part, Variable):
+                if part not in binding:
+                    raise UnboundTemplateVariable(
+                        f"rule '{rq.rule_id}': ?{part.name} unbound at instantiation")
+                return binding[part]
+            if isinstance(part, TemplateBlank):
+                if part.index not in blanks:
+                    blanks[part.index] = BlankNode(
+                        _skolem_label(rq.rule_id, part.index, salt, signature))
+                return blanks[part.index]
+            return part
+
+        for tt in rq.construct_template:
+            out.insert(Triple(resolve(tt.subject), resolve(tt.predicate), resolve(tt.object)))
+    return out
+
+
+def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None) -> RunResult:
+    cfg = cfg or EngineConfig()
+    graph = data.copy()
+    provenance: dict[Triple, tuple[str, int]] = {}
+    trace: list[TraceRecord] = []
+    for iteration in range(1, cfg.max_iterations + 1):
+        pending: list[Triple] = []
+        pending_set: set[Triple] = set()
+        for entry in rules:
+            solutions = evaluate_where(graph, entry.query.where_clause)
+            produced = instantiate(entry.query, solutions, f"i{iteration}")
+            added = 0
+            for t in produced:
+                if t in graph or t in pending_set:
+                    continue
+                pending.append(t)
+                pending_set.add(t)
+                provenance[t] = (entry.rule_id, iteration)
+                added += 1
+            if cfg.trace_enabled:
+                trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), added))
+        if not pending:
+            return RunResult(graph, iteration, provenance, trace)
+        graph.update(pending)
+    raise MaxIterationsExceeded(cfg.max_iterations, len(pending))
