@@ -1,8 +1,8 @@
 """Command-line entry point: parse inputs, run the fixpoint, report findings.
 
-Exit codes: 0 clean, 1 error (syntax, missing rule body, no fixpoint),
-2 findings of a --fail-on kind present (check only). Reports go to stdout,
-diagnostics to stderr.
+Exit codes: 0 clean, 1 error (syntax, missing rule body, BIND of a bound
+variable, no fixpoint), 2 findings of a --fail-on kind present (check only).
+Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .ontology import (
     LAYER_NAMES, UnknownLayer, builtin_ruleset, catalog_entries, vocabulary,
 )
 from .report import extract_findings, render
-from .rules import RuleSyntaxError, UnboundTemplateVariable
+from .rules import BindConflict, RuleSyntaxError, UnboundTemplateVariable
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 
 _FAIL_ON_KINDS = {
@@ -32,7 +32,7 @@ _FAIL_ON_KINDS = {
 }
 
 _USER_ERRORS = (TurtleSyntaxError, RuleSyntaxError, UnboundTemplateVariable,
-                MissingRuleBody, MaxIterationsExceeded, UnknownLayer,
+                BindConflict, MissingRuleBody, MaxIterationsExceeded, UnknownLayer,
                 ValueError, OSError)
 
 

@@ -1,12 +1,42 @@
 """Fixpoint application of rule sets over a graph.
 
-Scheduling is naive and snapshot-scoped: every iteration evaluates every rule
-against the graph as it stood at the start of the iteration, then merges all
-produced triples at once. That buys rule-order independence (together with
-deterministic skolemization) at the cost of a few extra passes, which the
-small graphs this engine targets never notice. Semi-naive evaluation (joining
-each rule against the previous iteration's delta) is the natural upgrade if
-graphs ever outgrow this.
+Every iteration evaluates the rules against the graph as it stood at the
+start of the iteration, then merges all produced triples at once. That buys
+rule-order independence (together with deterministic skolemization). Blank
+nodes in a template are salted with the iteration, so a rule without a NOT
+EXISTS guard mints a new individual on every pass.
+
+From the second iteration on, a rule is not re-evaluated when none of the
+triples the previous iteration added can give it a new solution:
+
+  - The graph only grows. A solution that is new in iteration i therefore
+    matches a triple added in iteration i-1 with one of its top-level triple
+    patterns, or passes a top-level NOT EXISTS that failed in iteration
+    i-1. In the second case the inner group lost every solution it had
+    under that binding, each to a NOT EXISTS of its own whose group gained
+    a new solution, and the same argument applies to that one, two levels
+    deeper. So only a triple that matches a pattern under an even number of
+    NOT EXISTS (0, 2, ...), UNION branches included, can give a rule a new
+    solution: these patterns are the rule's anchors. `NOT EXISTS` is
+    antimonotone one level deep only: a test on the top-level patterns
+    alone would miss the `violated-by` solution that `sketty-necessity`
+    gains in iteration 3 from a triple two NOT EXISTS deep.
+  - An added triple wakes an anchor only if each pattern of the anchor's
+    enclosing groups that shares a variable with it still has a match in
+    the graph under the triple's binding. A NOT EXISTS group shares a
+    variable with its parent only where a triple pattern before the group
+    binds it; every other variable is renamed apart. Dropping constraints
+    this way only makes the test wake more rules.
+  - A rule that is not woken has as solutions the previous iteration's that
+    still pass each top-level NOT EXISTS. Each group is probed again under
+    the variables bound by the top-level triple patterns before it, which
+    are the variables the full evaluation probes it under.
+
+Only rules with no BIND anywhere and no top-level UNION are skipped; the
+others run in full. A skipped rule is instantiated like any other, with the
+same solutions in the same order and the same salt, so the graph, the
+skolem labels, the provenance and the trace are the ones full evaluation
+gives.
 
 The engine is conflict-blind by construction: nothing branches on the
 abnormality predicates, so contradictions and conflicts accumulate in the
@@ -18,13 +48,20 @@ rules that mint fresh individuals without a guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from itertools import count
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 
 from .model import (
     BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, RDF_TYPE,
     Term, Triple, graph_difference, term_key,
 )
-from .rules import RuleQuery, RuleSyntaxError, SkolemPolicy, evaluate_where, instantiate, parse_rule
+from . import rules as _rules
+from .rules import (
+    Binding, GroupPattern, NotExists, RuleQuery, RuleSyntaxError, SkolemPolicy, TriplePattern,
+    Union, Variable, evaluate_where, has_bind, instantiate, parse_rule, pattern_variables,
+)
 
 
 class MissingRuleBody(Exception):
@@ -40,11 +77,184 @@ class MaxIterationsExceeded(Exception):
         self.last_added = last_added
 
 
+class _Anchor(NamedTuple):
+    """A triple pattern under an even number of NOT EXISTS, as a test on the
+    triples an iteration added.
+
+    The test reads the tuple `(s, p, o, *constants)` of an added triple:
+    the pairs of positions in `equal` must hold the same term, and each
+    neighbour's match key is read off it by a getter. A key position is one
+    of the anchor's, `constants[0]` (None) for a variable the anchor does
+    not bind, or one of the constants."""
+
+    # the constant predicate, and object, the added triples are looked up
+    # by; None for a variable (the object too when the predicate is one)
+    predicate: Optional[Term]
+    object: Optional[Term]
+    equal: tuple               # position pairs that must hold the same term
+    constants: tuple
+    per_predicate: tuple       # key getters of neighbours that read the predicate only
+    per_triple: tuple          # key getters of the other neighbours
+
+
+class _Added:
+    """The triples one iteration added, by predicate and by predicate and
+    object, and the graph they were added to."""
+
+    def __init__(self, graph: Graph, triples: list[Triple]):
+        self.graph = graph
+        self._by_predicate: dict[Term, list[Triple]] = {}
+        self._by_predicate_object: dict[tuple[Term, Term], list[Triple]] = {}
+        for t in triples:
+            self._by_predicate.setdefault(t.predicate, []).append(t)
+            self._by_predicate_object.setdefault((t.predicate, t.object), []).append(t)
+        self._matched: dict[tuple, bool] = {}
+
+    def candidates(self, anchor: _Anchor) -> Iterable[tuple[Term, list[Triple]]]:
+        """The added triples that have the anchor's constant predicate and
+        object, grouped by predicate."""
+        if anchor.predicate is None:
+            return self._by_predicate.items()
+        if anchor.object is None:
+            return ((anchor.predicate, self._by_predicate.get(anchor.predicate, ())),)
+        return ((anchor.predicate,
+                 self._by_predicate_object.get((anchor.predicate, anchor.object), ())),)
+
+    def matched(self, key: tuple) -> bool:
+        """Whether the graph has a triple that matches the key (None is a
+        wildcard); each key is looked up once."""
+        hit = self._matched.get(key)
+        if hit is None:
+            hit = self._matched[key] = next(self.graph.match_iter(*key), None) is not None
+        return hit
+
+
+class WakeTest(NamedTuple):
+    """Decides whether a rule can gain a solution from the triples the last
+    iteration added, and gives its solutions when it cannot."""
+
+    anchors: tuple[_Anchor, ...]
+    # each top-level NOT EXISTS group and the variables bound before it
+    probes: tuple[tuple[GroupPattern, tuple[Variable, ...]], ...]
+
+    def wakes(self, added: _Added) -> bool:
+        for anchor in self.anchors:
+            for predicate, triples in added.candidates(anchor):
+                if anchor.per_predicate:
+                    head = (None, predicate, None) + anchor.constants
+                    if not all(added.matched(get(head)) for get in anchor.per_predicate):
+                        continue
+                for t in triples:
+                    parts = (t.subject, predicate, t.object) + anchor.constants
+                    if all(parts[i] == parts[j] for i, j in anchor.equal) and all(
+                            added.matched(get(parts)) for get in anchor.per_triple):
+                        return True
+        return False
+
+    def kept(self, graph: Graph, solutions: list[Binding]) -> list[Binding]:
+        """The solutions that still pass every top-level NOT EXISTS. The
+        probes go through `rules.evaluate_where`, like those of a full
+        evaluation."""
+        return [b for b in solutions
+                if not any(_rules.evaluate_where(graph, inner, {v: b[v] for v in bound}, limit=1)
+                           for inner, bound in self.probes)]
+
+
+def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
+    """The rule's wake test; None for a rule with a BIND anywhere or a
+    top-level UNION, which is always evaluated in full."""
+    if has_bind(where) or any(isinstance(el, Union) for el in where.elements):
+        return None
+    anchors: list[_Anchor] = []
+    probes: list[tuple[GroupPattern, tuple[Variable, ...]]] = []
+    tags = count(1)
+
+    def walk(gp: GroupPattern, depth: int, names: dict[Variable, Variable], tag: int,
+             scope: set[Variable], enclosing: list[TriplePattern]):
+        """Adds the anchors of the group and of the groups nested in it,
+        and the probes of the top-level group.
+
+        Variables are renamed apart across the rule: `names` holds the names
+        a NOT EXISTS group inherits from its parent, and its other variables
+        get the group's `tag`. UNION branches share their parent's names.
+        `scope` holds the variables a triple pattern before the group binds,
+        and `enclosing` the renamed triple patterns of the groups around this
+        one, all of which a solution of this group needs matched."""
+        def name(v: Variable) -> Variable:
+            return names.get(v) or Variable(f"{v.name}#{tag}")
+
+        own = [TriplePattern(*(name(part) if isinstance(part, Variable) else part
+                               for part in (el.subject, el.predicate, el.object)))
+               for el in gp.elements if isinstance(el, TriplePattern)]
+        enclosing = enclosing + own
+        if depth % 2 == 0:
+            for k in range(len(enclosing) - len(own), len(enclosing)):
+                anchors.append(_anchor(enclosing[k], enclosing[:k] + enclosing[k + 1:]))
+        bound = set(scope)
+        for el in gp.elements:
+            if isinstance(el, TriplePattern):
+                bound.update(pattern_variables(el))
+            elif isinstance(el, Union):
+                walk(el.left, depth, names, tag, bound, enclosing)
+                walk(el.right, depth, names, tag, bound, enclosing)
+            elif isinstance(el, NotExists):
+                if gp is where:
+                    probes.append((el.inner, tuple(bound)))
+                walk(el.inner, depth + 1, {v: name(v) for v in bound}, next(tags), bound,
+                     enclosing)
+
+    walk(where, 0, {}, 0, set(), [])
+    return WakeTest(tuple(anchors), tuple(probes))
+
+
+def _anchor(tp: TriplePattern, neighbours: list[TriplePattern]) -> _Anchor:
+    """The anchor `tp`, checked against those of the `neighbours` that
+    share a variable with it."""
+    constants: list = [None]
+
+    def constant(term: Term) -> int:
+        if term not in constants:
+            constants.append(term)
+        return 3 + constants.index(term)
+
+    predicate = None if isinstance(tp.predicate, Variable) else tp.predicate
+    # the added triples are looked up by constant predicate and object
+    looked_up = (1,) if predicate is None else (1, 2)
+    position: dict[Variable, int] = {}
+    equal = []
+    for i, part in enumerate((tp.subject, tp.predicate, tp.object)):
+        if not isinstance(part, Variable):
+            if i not in looked_up:
+                equal.append((i, constant(part)))
+        elif part in position:
+            equal.append((position[part], i))
+        else:
+            position[part] = i
+    per_predicate: dict[tuple, None] = {}
+    per_triple: dict[tuple, None] = {}
+    for other in neighbours:
+        picks = tuple(position.get(part, 3) if isinstance(part, Variable) else constant(part)
+                      for part in (other.subject, other.predicate, other.object))
+        reads = {i for i in picks if i < 3}
+        if reads:
+            (per_predicate if reads == {1} else per_triple)[picks] = None
+    obj = None if predicate is None or isinstance(tp.object, Variable) else tp.object
+    return _Anchor(predicate, obj, tuple(equal), tuple(constants),
+                   tuple(itemgetter(*picks) for picks in per_predicate),
+                   tuple(itemgetter(*picks) for picks in per_triple))
+
+
 @dataclass(frozen=True)
 class RuleEntry:
     rule_id: str
     query: RuleQuery
     layer: str = "user"
+
+    @cached_property
+    def wake(self) -> Optional[WakeTest]:
+        """None for a rule that is always evaluated in full. Worked out the
+        first time a fixpoint asks, in its second iteration, and kept."""
+        return _wake_test(self.query.where_clause)
 
 
 class RuleSet:
@@ -153,11 +363,17 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
     graph = data.copy()
     provenance: dict[Triple, tuple[str, int]] = {}
     trace: list[TraceRecord] = []
+    last: dict[int, list[Binding]] = {}  # each rule's solutions in the last iteration
+    delta: Optional[_Added] = None  # what the last iteration added
     for iteration in range(1, cfg.max_iterations + 1):
         pending: list[Triple] = []
         pending_set: set[Triple] = set()
-        for entry in rules:
-            solutions = evaluate_where(graph, entry.query.where_clause)
+        for position, entry in enumerate(rules):
+            if delta is None or entry.wake is None or entry.wake.wakes(delta):
+                solutions = evaluate_where(graph, entry.query.where_clause)
+            else:
+                solutions = entry.wake.kept(graph, last[position])
+            last[position] = solutions
             produced = instantiate(entry.query, solutions, SkolemPolicy(salt=f"i{iteration}"))
             added = 0
             for t in produced:
@@ -172,6 +388,7 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
         if not pending:
             return RunResult(graph, iteration, provenance, trace)
         graph.update(pending)
+        delta = _Added(graph, pending)
     raise MaxIterationsExceeded(cfg.max_iterations, len(pending))
 
 

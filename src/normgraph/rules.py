@@ -16,7 +16,8 @@ frozen subset of SPARQL 1.1:
                  '&&', '||', and parentheses
 
 Keywords are case-insensitive and whitespace is free-form; `a` abbreviates
-rdf:type; `.` statement separators are optional between elements. Anything
+rdf:type; `.` statement separators are optional between elements. Braces,
+brackets and parentheses nest at most MAX_NESTING (100) levels deep. Anything
 outside this grammar is a syntax error: the evaluator would rather fail
 loudly than silently mis-evaluate a rule.
 
@@ -27,8 +28,12 @@ accumulated solutions:
   - UNION contributes the solutions of both branches;
   - NOT EXISTS keeps a solution iff the inner group has no solution under it
     (outer bindings substitute into the inner pattern);
-  - FILTER keeps solutions whose expression is true; a comparison that
-    mentions an unbound variable rejects the solution;
+  - FILTER keeps solutions whose expression is true. It is evaluated left
+    to right and stops once the result is known: `&&` at the first false
+    item, `||` at the first true one. A comparison that is reached and
+    mentions an unbound variable rejects the solution. With ?z unbound,
+    `FILTER(?y = :b || ?z = :c)` passes a solution with ?y = :b, but
+    `FILTER(?z = :c || ?y = :b)` rejects it; SPARQL 1.1 passes both;
   - BIND extends every solution with a constant.
 
 How it runs:
@@ -269,6 +274,12 @@ def _tokenize(text: str, rule_id: str) -> list[_Token]:
 
 # --- Parser ------------------------------------------------------------------
 
+# The deepest nesting of braces, brackets and parentheses a rule may have.
+# The parser, the evaluator and the fixpoint's rule analysis recurse once or
+# a few times per level; evaluation runs out of Python stack at ~475 nested
+# NOT EXISTS.
+MAX_NESTING = 100
+
 
 class _RuleParser:
     def __init__(self, rule_id: str, text: str, prefixes: dict[str, str]):
@@ -279,6 +290,7 @@ class _RuleParser:
         self.prefixes.update(prefixes)
         self.blank_count = 0       # template blanks
         self.where_blank_count = 0  # fresh variables for [] in WHERE
+        self.depth = 0              # braces, brackets and parentheses now open
 
     def error(self, message: str) -> RuleSyntaxError:
         pos = self.tokens[self.i].pos if self.i < len(self.tokens) else -1
@@ -303,6 +315,13 @@ class _RuleParser:
         tok = self.next()
         if tok.kind != "keyword" or tok.value != value:
             raise RuleSyntaxError(f"expected {value.upper()}", tok.pos, self.rule_id)
+
+    def opened(self):
+        """Counts the opening token just read as one more level of nesting."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise RuleSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  self.tokens[self.i - 1].pos, self.rule_id)
 
     def at_punct(self, value: str) -> bool:
         tok = self.peek()
@@ -364,6 +383,7 @@ class _RuleParser:
         raise RuleSyntaxError(f"unexpected token {tok.value!r}", tok.pos, self.rule_id)
 
     def parse_property_list_node(self, acc: list, in_template: bool):
+        self.opened()
         if in_template:
             node: TemplateTerm = TemplateBlank(self.blank_count)
             self.blank_count += 1
@@ -375,6 +395,7 @@ class _RuleParser:
         if not self.at_punct("]"):
             self.parse_predicate_objects(node, acc, in_template)
         self.expect_punct("]")
+        self.depth -= 1
         return node
 
     def parse_predicate_objects(self, subject, acc: list, in_template: bool):
@@ -413,6 +434,9 @@ class _RuleParser:
     # WHERE parsing --------------------------------------------------------
 
     def parse_group(self) -> GroupPattern:
+        """The elements up to the closing brace of the group whose opening
+        brace was just read."""
+        self.opened()
         elements: list = []
         while True:
             tok = self.peek()
@@ -471,6 +495,7 @@ class _RuleParser:
             patterns: list = []
             self.parse_triples_block(patterns, in_template=False)
             elements.extend(patterns)
+        self.depth -= 1
         return GroupPattern(tuple(elements))
 
     def parse_expr(self) -> Expr:
@@ -490,10 +515,12 @@ class _RuleParser:
     def parse_primary(self) -> Expr:
         if self.at_punct("("):
             self.next()
+            self.opened()
             inner = self.parse_expr()
             # "(expr)" or "(operand op operand)" both arrive here; a closing
             # paren after a full expr ends the primary.
             self.expect_punct(")")
+            self.depth -= 1
             return inner
         left = self.parse_operand()
         tok = self.next()
@@ -615,7 +642,7 @@ def _passes(expr: Expr, binding: Binding) -> bool:
 _BOUND_POOL = 4
 
 
-def _pattern_vars(tp: TriplePattern):
+def pattern_variables(tp: TriplePattern):
     return (part for part in (tp.subject, tp.predicate, tp.object)
             if isinstance(part, Variable))
 
@@ -640,7 +667,7 @@ def _plan_run(g: Graph, run: list[TriplePattern], bound: set[Variable]) -> list[
     than the graph holds. A pool is a sum over index buckets, and pools
     cannot change while planning, so each pattern's is looked up once."""
     pools = [_constant_pool(g, tp) for tp in run]
-    variables = [tuple(_pattern_vars(tp)) for tp in run]
+    variables = [tuple(pattern_variables(tp)) for tp in run]
     bound = set(bound)
 
     def cost(i: int) -> tuple[int, int]:
@@ -682,7 +709,7 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple
                 continue
             if run:
                 steps += _plan_run(g, run, bound)
-                bound.update(v for tp in run for v in _pattern_vars(tp))
+                bound.update(v for tp in run for v in pattern_variables(tp))
                 run = []
             if isinstance(el, Union):
                 bound |= bindable_variables(el.left) | bindable_variables(el.right)
@@ -690,11 +717,11 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple
                 bound.add(el.var)
             if el is not None:
                 steps.append(el)
-        memo[key] = (gp, (tuple(steps), _has_bind(gp)))
+        memo[key] = (gp, (tuple(steps), has_bind(gp)))
     return memo[key][1]
 
 
-def _has_bind(gp: GroupPattern) -> bool:
+def has_bind(gp: GroupPattern) -> bool:
     """Whether a BIND occurs anywhere in the group, nested groups included."""
     pending = [gp]
     while pending:
@@ -787,8 +814,8 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     whenever the full evaluation would raise it.
     """
     seed = dict(seed) if seed else {}
-    steps, has_bind = _plan(g, gp, seed)
-    found = _search(g, steps, seed, None if has_bind else limit)
+    steps, binds = _plan(g, gp, seed)
+    found = _search(g, steps, seed, None if binds else limit)
     if limit is not None:
         return found[:limit]
     found = _unique(found)

@@ -226,3 +226,31 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     main(["reason", *_inputs(paths), "--layers", "dts,compliance", "-o", str(out1)])
     main(["reason", *_inputs(paths), "--layers", "dts,compliance", "-o", str(out2)])
     assert out1.read_text(encoding="utf-8") == out2.read_text(encoding="utf-8")
+
+
+def _check_rule(tmp_path, where: str) -> Path:
+    """A one-triple input with one user rule of the given WHERE body."""
+    path = tmp_path / "rule.ttl"
+    path.write_text('soa:a soa:p soa:b.\n[a :InferenceRule; :has-sparql-code """'
+                    f'CONSTRUCT{{?x soa:r ?y}} WHERE{{{where}}}"""].\n', encoding="utf-8")
+    return path
+
+
+def _assert_one_error_line(capsys, kind: str):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_check_deeply_nested_rule_is_one_error_line(tmp_path, capsys):
+    where = "?x soa:p ?y " + "NOT EXISTS{" * 600 + "?x soa:p ?y" + "}" * 600
+    code = main(["check", "-i", str(_check_rule(tmp_path, where)), "--layers", "core"])
+    assert code == 1
+    _assert_one_error_line(capsys, "RuleSyntaxError")
+
+
+def test_check_bind_of_a_bound_variable_is_one_error_line(tmp_path, capsys):
+    code = main(["check", "-i", str(_check_rule(tmp_path, "?x soa:p ?y. BIND(soa:c AS ?y)")),
+                 "--layers", "core"])
+    assert code == 1
+    _assert_one_error_line(capsys, "BindConflict")

@@ -471,3 +471,38 @@ def test_instantiate_checks_bound_variables():
     rq = parse_rule("ok", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist}")
     with pytest.raises(UnboundTemplateVariable):
         instantiate(rq, [{}], SkolemPolicy())
+
+
+def test_filter_short_circuits_left_to_right_over_unbound_variables():
+    # an unbound variable rejects the solution only where the evaluation
+    # reaches its comparison: the order of the || items matters
+    import oracle
+
+    g = _graph(Triple(soa("a"), soa("p"), soa("b")))
+    for expr, want in (("?y = soa:b || ?z = soa:c", [{V("x"): soa("a"), V("y"): soa("b")}]),
+                       ("?z = soa:c || ?y = soa:b", [])):
+        rq = parse_rule("f", f"CONSTRUCT{{?x a :Rexist}}WHERE{{?x soa:p ?y FILTER({expr})}}")
+        assert evaluate_where(g, rq.where_clause) == want, expr
+        assert oracle.evaluate_where(g, rq.where_clause) == want, expr
+
+
+def test_nesting_deeper_than_the_limit_is_a_syntax_error_with_an_offset():
+    from normgraph.rules import MAX_NESTING
+
+    def where(depth: int) -> str:
+        # the WHERE braces are one level, each NOT EXISTS one more
+        return ("CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist "
+                + "NOT EXISTS{?x :not ?y " * (depth - 1) + "}" * depth)
+
+    assert len(parse_rule("deep", where(MAX_NESTING)).where_clause.elements) == 2
+    text = where(MAX_NESTING + 1)
+    with pytest.raises(RuleSyntaxError, match="nesting deeper") as err:
+        parse_rule("deep", text)
+    # the offset of the opening brace one level too deep
+    assert err.value.pos == [i for i, c in enumerate(text) if c == "{"][MAX_NESTING + 1]
+    for text in ("CONSTRUCT{?x :p " + "[:q " * (MAX_NESTING + 1) + ":z"
+                 + "]" * (MAX_NESTING + 1) + "}WHERE{?x :p ?y}",
+                 "CONSTRUCT{?x :p ?y}WHERE{?x :p ?y FILTER(" + "(" * MAX_NESTING
+                 + "?x = ?y" + ")" * MAX_NESTING + ")}"):
+        with pytest.raises(RuleSyntaxError, match="nesting deeper"):
+            parse_rule("deep", text)
