@@ -20,16 +20,13 @@ from .model import Graph, graph_union
 from .ontology import (
     LAYER_NAMES, UnknownLayer, builtin_ruleset, catalog_entries, vocabulary,
 )
-from .report import extract_findings, render
+from .report import KIND_LABEL, KIND_ORDER, extract_findings, render
 from .rules import BindConflict, RuleSyntaxError, UnboundTemplateVariable
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 
-_FAIL_ON_KINDS = {
-    "contradiction": "Contradiction",
-    "conflict": "Conflict",
-    "violation": "Violation",
-    "necessary-violation": "NecessaryViolation",
-}
+# Every kind but compliance can fail a check; --fail-on names a kind by its
+# label in lower case.
+_FAIL_ON_KINDS = {KIND_LABEL[kind].lower(): kind for kind in KIND_ORDER if kind != "Compliance"}
 
 _USER_ERRORS = (TurtleSyntaxError, RuleSyntaxError, UnboundTemplateVariable,
                 BindConflict, MissingRuleBody, MaxIterationsExceeded, UnknownLayer,
@@ -164,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--fail-on", default=None,
                        help="comma-separated finding kinds that cause exit 2 "
-                            "(default: contradiction,conflict,violation,necessary-violation)")
+                            f"(default: {','.join(_FAIL_ON_KINDS)})")
     check.set_defaults(func=cmd_check)
 
     findings = sub.add_parser("findings", help="re-extract findings from an inferred graph")

@@ -59,7 +59,7 @@ from .model import (
 )
 from . import rules as _rules
 from .rules import (
-    Binding, GroupPattern, NotExists, RuleQuery, RuleSyntaxError, SkolemPolicy, TriplePattern,
+    Binding, GroupPattern, NotExists, RuleQuery, SkolemPolicy, TriplePattern,
     Union, Variable, evaluate_where, has_bind, instantiate, parse_rule, pattern_variables,
 )
 
@@ -332,15 +332,10 @@ def load_rules(g: Graph, layer: str = "user") -> RuleSet:
     for subject in subjects:
         bodies = [t.object for t in g.match_iter(s=subject, p=HAS_SPARQL_CODE)]
         literals = [b for b in bodies if isinstance(b, Literal)]
-        if not literals:
-            raise MissingRuleBody(
-                f"inference rule {_rule_id_for_subject(subject)} has no rule body")
         rule_id = _rule_id_for_subject(subject)
-        try:
-            query = parse_rule(rule_id, literals[0].value, g.prefix_map)
-        except RuleSyntaxError as err:
-            raise RuleSyntaxError(f"{err} (from {_rule_id_for_subject(subject)})") from err
-        out.add(RuleEntry(rule_id, query, layer))
+        if not literals:
+            raise MissingRuleBody(f"inference rule {rule_id} has no rule body")
+        out.add(RuleEntry(rule_id, parse_rule(rule_id, literals[0].value, g.prefix_map), layer))
     return out
 
 

@@ -10,6 +10,7 @@ ASCII; the JSON renderer emits a stable, versioned schema.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,7 @@ from .model import (
     RDF_SUBJECT, RDF_TYPE, REXIST, THEMATIC_ROLE, TRUE, Term, term_key,
 )
 
+# The five finding kinds, in report order.
 KIND_BY_PREDICATE = {
     IS_IN_CONTRADICTION_WITH: "Contradiction",
     IS_IN_CONFLICT_WITH: "Conflict",
@@ -29,7 +31,10 @@ KIND_BY_PREDICATE = {
     IS_NECESSARILY_VIOLATED_BY: "NecessaryViolation",
 }
 
-KIND_ORDER = ("Contradiction", "Conflict", "Violation", "Compliance", "NecessaryViolation")
+KIND_ORDER = tuple(KIND_BY_PREDICATE.values())
+
+# The text report's name of each kind: "NecessaryViolation" is "NECESSARY-VIOLATION".
+KIND_LABEL = {kind: re.sub(r"\B(?=[A-Z])", "-", kind).upper() for kind in KIND_ORDER}
 
 _TRUTH_CLASSES = (TRUE, FALSE, HOLD, NECESSARY, POSSIBLE)
 
@@ -178,19 +183,10 @@ def describe_view(g: Graph, view: StatementView) -> str:
             f"({_describe_eventuality(g, view.subject)}, {_local(view.object)})")
 
 
-_KIND_LABEL = {
-    "Contradiction": "CONTRADICTION",
-    "Conflict": "CONFLICT",
-    "Violation": "VIOLATION",
-    "Compliance": "COMPLIANCE",
-    "NecessaryViolation": "NECESSARY-VIOLATION",
-}
-
-
 def render_text(report: Report, graph: Graph) -> str:
     lines = []
     for f in report.findings:
-        line = (f"{_KIND_LABEL[f.kind]}: {describe_view(graph, f.left)}"
+        line = (f"{KIND_LABEL[f.kind]}: {describe_view(graph, f.left)}"
                 f" vs {describe_view(graph, f.right)}")
         if f.rule_id is not None:
             line += f" -- rule {f.rule_id}@iter{f.iteration}"

@@ -274,10 +274,10 @@ def _tokenize(text: str, rule_id: str) -> list[_Token]:
 
 # --- Parser ------------------------------------------------------------------
 
-# The deepest nesting of braces, brackets and parentheses a rule may have.
-# The parser, the evaluator and the fixpoint's rule analysis recurse once or
-# a few times per level; evaluation runs out of Python stack at ~475 nested
-# NOT EXISTS.
+# The deepest nesting of braces, brackets and parentheses a rule may have,
+# and of `[ ... ]` property lists in Turtle. The parsers, the evaluator and
+# the fixpoint's rule analysis recurse once or a few times per level;
+# evaluation runs out of Python stack at ~475 nested NOT EXISTS.
 MAX_NESTING = 100
 
 

@@ -5,14 +5,25 @@ blank-node property lists `[ ... ]` (nested), explicit `_:label` blank nodes,
 short (double-quoted) and long (triple-double-quoted) string literals, and
 `#` comments. Long strings preserve their inner text byte-for-byte, which is
 what lets rule bodies travel inside `has-sparql-code` literals. No
-collections, no numeric literals, no datatypes.
+collections, no numeric literals, no datatypes. Property lists nest at most
+`rules.MAX_NESTING` (100) levels deep; the `[` one level deeper is a syntax
+error, so deep input cannot exhaust the Python stack.
+
+The reader keeps one piece of state, its offset into the text. A
+`TurtleSyntaxError` works out its line and column from that offset when it is
+raised: columns count characters from 1, and only a line feed starts a line.
+The reader and the writer share one definition of a name (`_NAME`), which
+never ends in `.`.
 """
 
 from __future__ import annotations
 
+import re
+
 from .model import (
     BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
 )
+from .rules import MAX_NESTING
 
 
 class TurtleSyntaxError(Exception):
@@ -26,59 +37,50 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, message: str) -> TurtleSyntaxError:
-        return TurtleSyntaxError(message, self.line, self.col)
+        line = self.text.count("\n", 0, self.pos) + 1
+        return TurtleSyntaxError(message, line, self.pos - self.text.rfind("\n", 0, self.pos))
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def advance(self, n: int = 1) -> str:
         chunk = self.text[self.pos:self.pos + n]
-        for c in chunk:
-            if c == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+        # Never past the end, so an error there reports the end's column.
+        self.pos += len(chunk)
         return chunk
 
     def skip_ws(self):
-        while not self.eof():
-            c = self.peek()
-            if c in " \t\r\n":
-                self.advance()
-            elif c == "#":
-                while not self.eof() and self.peek() != "\n":
-                    self.advance()
-            else:
-                break
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def startswith(self, s: str) -> bool:
         return self.text.startswith(s, self.pos)
 
+    def until(self, end: str, what: str) -> str:
+        """The text up to the next `end`, which is consumed too."""
+        stop = self.text.find(end, self.pos)
+        if stop < 0:
+            self.pos = len(self.text)
+            raise self.error(f"unterminated {what}")
+        value = self.text[self.pos:stop]
+        self.pos = stop + len(end)
+        return value
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+
+_WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+# A name never ends in '.': a trailing dot terminates the statement.
+_NAME = re.compile(r"(?:[\w.-]*[\w-])?", re.ASCII)
 _SHORT_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
 def _read_string(sc: _Scanner) -> str:
     if sc.startswith('"""'):
         sc.advance(3)
-        start = sc.pos
-        while not sc.startswith('"""'):
-            if sc.eof():
-                raise sc.error("unterminated long string")
-            sc.advance()
-        value = sc.text[start:sc.pos]
-        sc.advance(3)
-        return value
+        return sc.until('"""', "long string")
     sc.advance()  # opening quote
     out = []
     while True:
@@ -101,16 +103,9 @@ def _read_string(sc: _Scanner) -> str:
 
 
 def _read_name(sc: _Scanner) -> str:
-    start = sc.pos
-    while not sc.eof() and sc.peek() in _NAME_CHARS:
-        sc.advance()
-    name = sc.text[start:sc.pos]
-    # A trailing dot belongs to the statement terminator, not the name.
-    while name.endswith("."):
-        name = name[:-1]
-        sc.pos -= 1
-        sc.col -= 1
-    return name
+    match = _NAME.match(sc.text, sc.pos)
+    sc.pos = match.end()
+    return match.group()
 
 
 class _Parser:
@@ -119,6 +114,7 @@ class _Parser:
         self.prefixes = dict(DEFAULT_PREFIXES)
         self.graph = Graph(prefix_map=self.prefixes)
         self._blank_counter = 0
+        self.depth = 0  # open '[' around the current position
         self._label_prefix = f"parse:{scope}:" if scope else "parse:"
 
     def fresh_blank(self) -> BlankNode:
@@ -152,13 +148,7 @@ class _Parser:
         if sc.peek() != "<":
             raise sc.error("expected IRI in @prefix directive")
         sc.advance()
-        start = sc.pos
-        while not sc.eof() and sc.peek() != ">":
-            sc.advance()
-        if sc.eof():
-            raise sc.error("unterminated IRI")
-        iri = sc.text[start:sc.pos]
-        sc.advance()
+        iri = sc.until(">", "IRI")
         sc.skip_ws()
         if sc.peek() == ".":
             sc.advance()
@@ -175,14 +165,7 @@ class _Parser:
         c = sc.peek()
         if c == "<":
             sc.advance()
-            start = sc.pos
-            while not sc.eof() and sc.peek() != ">":
-                sc.advance()
-            if sc.eof():
-                raise sc.error("unterminated IRI")
-            value = sc.text[start:sc.pos]
-            sc.advance()
-            return Iri(value)
+            return Iri(sc.until(">", "IRI"))
         if c == '"':
             if as_subject:
                 raise sc.error("literal cannot be a subject")
@@ -201,31 +184,34 @@ class _Parser:
                 sc.advance()
                 label += ":" + _read_name(sc)
             return BlankNode(f"{self._label_prefix}id:{label}")
-        if c == ":" or c in _NAME_CHARS:
-            if c == ":":
-                sc.advance()
-                return self.expand("", _read_name(sc))
-            name = _read_name(sc)
-            if sc.peek() == ":":
-                sc.advance()
-                return self.expand(name, _read_name(sc))
-            if name == "a":
-                return RDF_TYPE
-            raise sc.error(f"unexpected token {name!r}")
-        raise sc.error(f"unexpected character {c!r}")
+        if c == ":":
+            sc.advance()
+            return self.expand("", _read_name(sc))
+        name = _read_name(sc)
+        # An empty name: c is no name character, or it begins a run of dots.
+        if not name and c != ".":
+            raise sc.error(f"unexpected character {c!r}")
+        if sc.peek() == ":":
+            sc.advance()
+            return self.expand(name, _read_name(sc))
+        if name == "a":
+            return RDF_TYPE
+        raise sc.error(f"unexpected token {name!r}")
 
     def parse_bnode_property_list(self) -> BlankNode:
         sc = self.sc
+        if self.depth == MAX_NESTING:
+            raise sc.error(f"nesting deeper than {MAX_NESTING} levels")
         sc.advance()  # '['
         node = self.fresh_blank()
         sc.skip_ws()
-        if sc.peek() == "]":
-            sc.advance()
-            return node
-        self.parse_predicate_object_list(node)
-        sc.skip_ws()
         if sc.peek() != "]":
-            raise sc.error("expected ']'")
+            self.depth += 1
+            self.parse_predicate_object_list(node)
+            self.depth -= 1
+            sc.skip_ws()
+            if sc.peek() != "]":
+                raise sc.error("expected ']'")
         sc.advance()
         return node
 
@@ -259,7 +245,7 @@ class _Parser:
         subject = self.parse_term(as_subject=True)
         sc.skip_ws()
         # A bare property list such as "[ ... ]." is a complete statement.
-        if not (isinstance(subject, BlankNode) and (sc.peek() in (".", "") or sc.eof())):
+        if not (isinstance(subject, BlankNode) and sc.peek() in (".", "")):
             self.parse_predicate_object_list(subject)
         sc.skip_ws()
         if sc.peek() == ".":
@@ -281,7 +267,7 @@ def _compress(iri: Iri, prefixes: dict[str, str]) -> str:
     for prefix, ns in prefixes.items():
         if iri.value.startswith(ns) and (best is None or len(ns) > best[0]):
             local = iri.value[len(ns):]
-            if local and all(c in _NAME_CHARS for c in local) and not local.endswith("."):
+            if local and _NAME.fullmatch(local):
                 best = (len(ns), prefix, local)
     if best is None:
         return f"<{iri.value}>"

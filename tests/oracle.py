@@ -13,6 +13,11 @@ evaluator against it, solution list for solution list.
 rule in full against the graph as it stood when the iteration began. The
 tests compare the engine's graph, provenance, trace and iteration count
 against it.
+
+`_Parser` is the Turtle reader, with its `_Scanner`, `_read_string` and
+`_read_name`, as it stood when it kept `line` and `col` in step with `pos`
+one character at a time. The tests compare the reader's triples, prefix map
+and errors (message, line and column) against it.
 """
 
 from __future__ import annotations
@@ -21,12 +26,16 @@ import hashlib
 from typing import Iterable, Optional
 
 from normgraph.engine import EngineConfig, MaxIterationsExceeded, RuleSet, RunResult, TraceRecord
-from normgraph.model import BlankNode, Graph, Term, Triple, render_term, term_key
+from normgraph.model import (
+    BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple, render_term,
+    term_key,
+)
 from normgraph.rules import (
     Bind, BindConflict, Comparison, ExprAnd, Filter, GroupPattern, NotExists,
     RuleQuery, TemplateBlank, TriplePattern, UnboundTemplateVariable, Union, Variable,
     bindable_variables,
 )
+from normgraph.turtle import TurtleSyntaxError
 
 Binding = dict[Variable, Term]
 
@@ -232,3 +241,249 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
             return RunResult(graph, iteration, provenance, trace)
         graph.update(pending)
     raise MaxIterationsExceeded(cfg.max_iterations, len(pending))
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str) -> TurtleSyntaxError:
+        return TurtleSyntaxError(message, self.line, self.col)
+
+    def eof(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self, n: int = 1) -> str:
+        chunk = self.text[self.pos:self.pos + n]
+        for c in chunk:
+            if c == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+        self.pos += n
+        return chunk
+
+    def skip_ws(self):
+        while not self.eof():
+            c = self.peek()
+            if c in " \t\r\n":
+                self.advance()
+            elif c == "#":
+                while not self.eof() and self.peek() != "\n":
+                    self.advance()
+            else:
+                break
+
+    def startswith(self, s: str) -> bool:
+        return self.text.startswith(s, self.pos)
+
+
+_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+_SHORT_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def _read_string(sc: _Scanner) -> str:
+    if sc.startswith('"""'):
+        sc.advance(3)
+        start = sc.pos
+        while not sc.startswith('"""'):
+            if sc.eof():
+                raise sc.error("unterminated long string")
+            sc.advance()
+        value = sc.text[start:sc.pos]
+        sc.advance(3)
+        return value
+    sc.advance()  # opening quote
+    out = []
+    while True:
+        if sc.eof():
+            raise sc.error("unterminated string")
+        c = sc.peek()
+        if c == "\n":
+            raise sc.error("newline in short string")
+        if c == '"':
+            sc.advance()
+            return "".join(out)
+        if c == "\\":
+            sc.advance()
+            esc = sc.advance()
+            if esc not in _SHORT_ESCAPES:
+                raise sc.error(f"unknown escape \\{esc}")
+            out.append(_SHORT_ESCAPES[esc])
+        else:
+            out.append(sc.advance())
+
+
+def _read_name(sc: _Scanner) -> str:
+    start = sc.pos
+    while not sc.eof() and sc.peek() in _NAME_CHARS:
+        sc.advance()
+    name = sc.text[start:sc.pos]
+    # A trailing dot belongs to the statement terminator, not the name.
+    while name.endswith("."):
+        name = name[:-1]
+        sc.pos -= 1
+        sc.col -= 1
+    return name
+
+
+class _Parser:
+    def __init__(self, text: str, scope: str = ""):
+        self.sc = _Scanner(text)
+        self.prefixes = dict(DEFAULT_PREFIXES)
+        self.graph = Graph(prefix_map=self.prefixes)
+        self._blank_counter = 0
+        self._label_prefix = f"parse:{scope}:" if scope else "parse:"
+
+    def fresh_blank(self) -> BlankNode:
+        # Anonymous "[ ... ]" nodes get a reserved sub-namespace so they can
+        # never collide with explicit "_:label" nodes from the same document.
+        self._blank_counter += 1
+        return BlankNode(f"{self._label_prefix}anon:{self._blank_counter}")
+
+    def parse(self) -> Graph:
+        sc = self.sc
+        while True:
+            sc.skip_ws()
+            if sc.eof():
+                break
+            if sc.startswith("@prefix"):
+                self.parse_prefix()
+                continue
+            self.parse_statement()
+        self.graph.prefix_map = dict(self.prefixes)
+        return self.graph
+
+    def parse_prefix(self):
+        sc = self.sc
+        sc.advance(len("@prefix"))
+        sc.skip_ws()
+        name = _read_name(sc)
+        if sc.peek() != ":":
+            raise sc.error("expected ':' in @prefix directive")
+        sc.advance()
+        sc.skip_ws()
+        if sc.peek() != "<":
+            raise sc.error("expected IRI in @prefix directive")
+        sc.advance()
+        start = sc.pos
+        while not sc.eof() and sc.peek() != ">":
+            sc.advance()
+        if sc.eof():
+            raise sc.error("unterminated IRI")
+        iri = sc.text[start:sc.pos]
+        sc.advance()
+        sc.skip_ws()
+        if sc.peek() == ".":
+            sc.advance()
+        self.prefixes[name] = iri
+
+    def expand(self, prefix: str, local: str) -> Iri:
+        if prefix not in self.prefixes:
+            raise self.sc.error(f"undeclared prefix '{prefix}:'")
+        return Iri(self.prefixes[prefix] + local)
+
+    def parse_term(self, as_subject: bool = False) -> Term:
+        sc = self.sc
+        sc.skip_ws()
+        c = sc.peek()
+        if c == "<":
+            sc.advance()
+            start = sc.pos
+            while not sc.eof() and sc.peek() != ">":
+                sc.advance()
+            if sc.eof():
+                raise sc.error("unterminated IRI")
+            value = sc.text[start:sc.pos]
+            sc.advance()
+            return Iri(value)
+        if c == '"':
+            if as_subject:
+                raise sc.error("literal cannot be a subject")
+            return Literal(_read_string(sc))
+        if c == "[":
+            return self.parse_bnode_property_list()
+        if sc.startswith("_:"):
+            sc.advance(2)
+            label = _read_name(sc)
+            if not label:
+                raise sc.error("empty blank node label")
+            # Extend the legal label alphabet with ':' so serialized
+            # skolem/parse labels survive a round trip. Explicit labels get
+            # their own sub-namespace, disjoint from anonymous "[ ... ]" ones.
+            while not sc.eof() and sc.peek() == ":":
+                sc.advance()
+                label += ":" + _read_name(sc)
+            return BlankNode(f"{self._label_prefix}id:{label}")
+        if c == ":" or c in _NAME_CHARS:
+            if c == ":":
+                sc.advance()
+                return self.expand("", _read_name(sc))
+            name = _read_name(sc)
+            if sc.peek() == ":":
+                sc.advance()
+                return self.expand(name, _read_name(sc))
+            if name == "a":
+                return RDF_TYPE
+            raise sc.error(f"unexpected token {name!r}")
+        raise sc.error(f"unexpected character {c!r}")
+
+    def parse_bnode_property_list(self) -> BlankNode:
+        sc = self.sc
+        sc.advance()  # '['
+        node = self.fresh_blank()
+        sc.skip_ws()
+        if sc.peek() == "]":
+            sc.advance()
+            return node
+        self.parse_predicate_object_list(node)
+        sc.skip_ws()
+        if sc.peek() != "]":
+            raise sc.error("expected ']'")
+        sc.advance()
+        return node
+
+    def parse_predicate_object_list(self, subject: Term):
+        sc = self.sc
+        while True:
+            sc.skip_ws()
+            predicate = self.parse_term()
+            if not isinstance(predicate, Iri):
+                raise sc.error("predicate must be an IRI")
+            while True:
+                obj = self.parse_term()
+                self.graph.insert(Triple(subject, predicate, obj))
+                sc.skip_ws()
+                if sc.peek() == ",":
+                    sc.advance()
+                    continue
+                break
+            sc.skip_ws()
+            if sc.peek() == ";":
+                sc.advance()
+                sc.skip_ws()
+                # A ';' may legally be followed by the list terminator.
+                if sc.peek() in ("]", ".", ""):
+                    return
+                continue
+            return
+
+    def parse_statement(self):
+        sc = self.sc
+        subject = self.parse_term(as_subject=True)
+        sc.skip_ws()
+        # A bare property list such as "[ ... ]." is a complete statement.
+        if not (isinstance(subject, BlankNode) and (sc.peek() in (".", "") or sc.eof())):
+            self.parse_predicate_object_list(subject)
+        sc.skip_ws()
+        if sc.peek() == ".":
+            sc.advance()
+        elif not sc.eof():
+            raise sc.error("expected '.' after statement")

@@ -254,3 +254,22 @@ def test_check_bind_of_a_bound_variable_is_one_error_line(tmp_path, capsys):
                  "--layers", "core"])
     assert code == 1
     _assert_one_error_line(capsys, "BindConflict")
+
+
+def test_check_deeply_nested_turtle_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.ttl"
+    path.write_text("soa:a soa:p " + "[soa:q " * 400 + "soa:b" + "]" * 400 + ".\n")
+    code = main(["check", "-i", str(path), "--layers", "core"])
+    assert code == 1
+    _assert_one_error_line(capsys, "TurtleSyntaxError")
+
+
+def test_rule_syntax_error_names_the_rule_once(tmp_path, capsys):
+    path = tmp_path / "rule.ttl"
+    path.write_text('soa:stray-brace a :InferenceRule; :has-sparql-code """CONSTRUCT{?x soa:q ?y} '
+                    'WHERE{?x soa:p ?y}}""".\n')
+    code = main(["check", "-i", str(path), "--layers", "core"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RuleSyntaxError: ") and err.count("\n") == 1
+    assert err.count("stray-brace") == 1, err

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import pytest
 
+import normgraph
+import oracle
 from normgraph.model import (
     BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, RDF_TYPE,
     REXIST, Triple, isomorphic,
 )
+from normgraph.ontology import _VOCABULARY_TTL, FIXTURES
 from normgraph.turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
-from conftest import random_graph, soa
+from conftest import random_graph, run_fixture, soa
 
 
 def test_parse_abbreviated_statement():
@@ -85,6 +90,27 @@ def test_unterminated_string_reports_position():
     assert err.value.line == 1
 
 
+def test_error_position_counts_lines_and_columns_from_the_last_newline():
+    doc = '# comment with "quotes" and [\nsoa:a soa:p """one\ntwo""" soa:x.\n'
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(doc)
+    assert str(err.value) == "expected '.' after statement (line 3, column 8)"
+    assert (err.value.line, err.value.column) == (3, 8)
+
+
+def test_nesting_deeper_than_the_limit_is_an_error_at_the_bracket():
+    from normgraph.rules import MAX_NESTING
+
+    def nested(depth: int) -> str:
+        return "soa:a soa:p\n" + "[soa:q " * depth + "soa:b" + "]" * depth + "."
+
+    assert len(parse_turtle(nested(MAX_NESTING))) == MAX_NESTING + 1
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(nested(MAX_NESTING + 1))
+    assert str(err.value).startswith(f"nesting deeper than {MAX_NESTING} levels")
+    assert (err.value.line, err.value.column) == (2, 7 * MAX_NESTING + 1)
+
+
 def test_unterminated_long_string():
     with pytest.raises(TurtleSyntaxError):
         parse_turtle('soa:a soa:p """oops.')
@@ -134,6 +160,67 @@ def test_round_trip_awkward_literals():
     assert isomorphic(g, again)
 
 
+def test_round_trip_iris_whose_local_part_is_no_name():
+    g = Graph()
+    for i, local in enumerate(["ends.", "a/b", "x#y", "caf\u00e9", "two..dots", "-_."]):
+        g.insert(Triple(soa(f"s{i}"), soa("p"), Iri(soa("").value + local)))
+    assert set(parse_turtle(serialize_turtle(g)).triples()) == set(g.triples())
+
+
 def test_serialization_is_deterministic(rng):
     g = random_graph(rng)
     assert serialize_turtle(g) == serialize_turtle(g.copy())
+
+
+def _read_both(text: str, scope: str = ""):
+    """What the reader and the frozen reference make of one text: the triple
+    set and prefix map, or the exception's class, message, line and column."""
+    def outcome(parse):
+        try:
+            g = parse()
+        except Exception as err:  # compared, whatever it is
+            return (type(err), str(err), getattr(err, "line", None),
+                    getattr(err, "column", None))
+        return set(g.triples()), g.prefix_map
+    return (outcome(lambda: parse_turtle(text, scope)),
+            outcome(lambda: oracle._Parser(text, scope).parse()))
+
+
+def _mutations(rng, text: str, count: int):
+    alphabet = list('[]<>"#:.;,\\_@a \r\n') + ['"""', "_:", "@prefix", "soa:"]
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield text[:at] + rng.choice(alphabet) + text[at:]
+        elif kind == 1:
+            yield text[:at] + text[at + rng.randrange(1, 8):]
+        else:
+            yield text[:at]
+
+
+_EDGE_CASES = [
+    'soa:a soa:p "ends in a backslash\\', 'soa:a soa:p "\\', "soa:a soa:p <https://x",
+    "<", 'soa:a soa:p """never closed\nover lines', '"""', "@prefix", "@prefix ex",
+    "@prefix ex:", "@prefix ex: <https://e/", "@prefix ex: <https://e/> .",
+    "soa:a... soa:p soa:b...", "soa:a soa:p soa:b...\nsoa:c soa:p soa:d.", "...",
+    "soa:a soa:p ...:x.", "soa:a soa:p soa:b.c...", "_:x... soa:p soa:b.",
+    "soa:a soa:p soa:b.\n# trailing comment", "[", "[].", "[ soa:p [ soa:q ] ",
+    'soa:a soa:p "x\\q".', 'soa:a soa:p "x\ny".', "soa:a soa:p soa:b ;",
+    "soa:a soa:p soa:b.\r\n\tsoa:c soa:p soa:d\r\nsoa:e",
+]
+
+
+def test_reader_matches_the_frozen_reader(rng):
+    fixture_dir = Path(normgraph.__file__).parent / "fixtures"
+    texts = [path.read_text(encoding="utf-8") for path in sorted(fixture_dir.glob("*/*.ttl"))]
+    texts.append(_VOCABULARY_TTL)
+    texts += [serialize_turtle(run_fixture(name).result.graph)
+              for name, info in sorted(FIXTURES.items()) if not info.expects_error]
+    cases = list(_EDGE_CASES)
+    for text in texts:
+        cases.append(text)
+        cases.extend(_mutations(rng, text, 10))
+    for text in cases:
+        new, frozen = _read_both(text, scope="in0")
+        assert new == frozen, text
