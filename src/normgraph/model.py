@@ -84,16 +84,19 @@ class Triple:
 _NO_BUCKETS = MappingProxyType({})
 
 
-def _index(index: dict, first: Term, second: Term, third: Term, t: Triple):
+def _index(index: dict, first: Term, second: Term, third: Term, t: Triple) -> bool:
+    """Files `t` under first, second and third; True iff that made a new
+    bucket for (first, second)."""
     buckets = index.get(first)
     if buckets is None:
         index[first] = {second: {third: t}}
-    else:
-        bucket = buckets.get(second)
-        if bucket is None:
-            buckets[second] = {third: t}
-        else:
-            bucket[third] = t
+        return True
+    bucket = buckets.get(second)
+    if bucket is None:
+        buckets[second] = {third: t}
+        return True
+    bucket[third] = t
+    return False
 
 
 class Graph:
@@ -103,8 +106,10 @@ class Graph:
     subject to predicate, predicate to object and object to subject. A bucket
     maps the remaining term to its triple, so a pattern with two bound
     positions is one lookup per level and a fully bound one is a membership
-    test. Index sizes are not stored: the `*_pool` counts add up the buckets
-    when asked, which only join planning does.
+    test. `insert` also keeps two counts per predicate, its triples and its
+    distinct subjects; its distinct objects are the size of its p→o entry.
+    Join planning reads these through `count` and `distinct` in O(1), except
+    that a constant subject or object alone adds up its buckets.
 
     Triples are only ever added, so the graph's size tells whether it has
     changed; `memo` uses that to keep values derived from one state of the
@@ -116,6 +121,8 @@ class Graph:
         self._sp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._po: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._os: dict[Term, dict[Term, dict[Term, Triple]]] = {}
+        # predicate -> [triples, distinct subjects]
+        self._counts: dict[Term, list[int]] = {}
         self._memo: dict = {}
         self._memo_size = 0
         self.prefix_map: dict[str, str] = dict(prefix_map or {})
@@ -140,7 +147,12 @@ class Graph:
             return False
         self._triples.add(t)
         s, p, o = t.subject, t.predicate, t.object
-        _index(self._sp, s, p, o, t)
+        counts = self._counts.get(p)
+        if counts is None:
+            counts = self._counts[p] = [0, 0]
+        counts[0] += 1
+        if _index(self._sp, s, p, o, t):
+            counts[1] += 1
         _index(self._po, p, o, s, t)
         _index(self._os, o, s, p, t)
         return True
@@ -149,7 +161,16 @@ class Graph:
         return sum(1 for t in triples if self.insert(t))
 
     def copy(self) -> "Graph":
-        return Graph(self._triples, self.prefix_map)
+        """An independent graph with the same triples and prefix map. The
+        indexes are copied level by level, which hashes no term again."""
+        out = Graph(prefix_map=self.prefix_map)
+        out._triples = set(self._triples)
+        out._sp, out._po, out._os = (
+            {first: {second: dict(bucket) for second, bucket in buckets.items()}
+             for first, buckets in index.items()}
+            for index in (self._sp, self._po, self._os))
+        out._counts = {p: list(counts) for p, counts in self._counts.items()}
+        return out
 
     def memo(self) -> dict:
         """A dict for values derived from the graph as it is now. It is
@@ -189,14 +210,52 @@ class Graph:
         return sum(map(len, self._sp.get(t, _NO_BUCKETS).values()))
 
     def predicate_pool(self, t: Term) -> int:
-        return sum(map(len, self._po.get(t, _NO_BUCKETS).values()))
+        return self._counts.get(t, (0,))[0]
 
     def object_pool(self, t: Term) -> int:
         return sum(map(len, self._os.get(t, _NO_BUCKETS).values()))
 
+    def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
+              o: Optional[Term] = None) -> int:
+        """How many triples `match_iter(s, p, o)` gives, without visiting
+        them; only a subject or an object bound alone adds up buckets."""
+        if p is not None:
+            if s is None and o is None:
+                return self.predicate_pool(p)
+            if o is None:
+                return len(self._sp.get(s, _NO_BUCKETS).get(p, _NO_BUCKETS))
+            if s is None:
+                return len(self._po.get(p, _NO_BUCKETS).get(o, _NO_BUCKETS))
+            return int(o in self._sp.get(s, _NO_BUCKETS).get(p, _NO_BUCKETS))
+        if s is not None:
+            if o is None:
+                return self.subject_pool(s)
+            return len(self._os.get(o, _NO_BUCKETS).get(s, _NO_BUCKETS))
+        if o is not None:
+            return self.object_pool(o)
+        return len(self._triples)
+
+    def distinct(self, p: Optional[Term] = None) -> tuple[int, int, int]:
+        """The number of distinct subjects, predicates and objects among the
+        triples with predicate `p`, or among all triples for None."""
+        if p is None:
+            return len(self._sp), len(self._po), len(self._os)
+        objects = self._po.get(p)
+        if objects is None:
+            return 0, 0, 0
+        return self._counts[p][1], 1, len(objects)
+
     def check_indexes(self) -> bool:
         """Internal consistency: every index holds exactly the triple set,
-        each triple under its own terms."""
+        each triple under its own terms, and the per-predicate counts are
+        those of the triple set."""
+        counts: dict[Term, list] = {}
+        for t in self._triples:
+            entry = counts.setdefault(t.predicate, [0, set()])
+            entry[0] += 1
+            entry[1].add(t.subject)
+        if {p: [n, len(subjects)] for p, (n, subjects) in counts.items()} != self._counts:
+            return False
         for index, order in ((self._sp, lambda t: (t.subject, t.predicate, t.object)),
                              (self._po, lambda t: (t.predicate, t.object, t.subject)),
                              (self._os, lambda t: (t.object, t.subject, t.predicate))):
@@ -224,8 +283,10 @@ class Graph:
 
 
 def graph_union(*graphs: Graph) -> Graph:
-    out = Graph()
-    for g in graphs:
+    if not graphs:
+        return Graph()
+    out = graphs[0].copy()
+    for g in graphs[1:]:
         out.update(g._triples)
         for k, v in g.prefix_map.items():
             out.prefix_map.setdefault(k, v)

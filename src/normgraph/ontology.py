@@ -80,9 +80,15 @@ _VOCABULARY_TTL = """
 """
 
 
-def vocabulary() -> Graph:
-    """The declaration triples for every built-in class and property."""
+@lru_cache(maxsize=None)
+def _parsed_vocabulary() -> Graph:
     return parse_turtle(_VOCABULARY_TTL)
+
+
+def vocabulary() -> Graph:
+    """The declaration triples for every built-in class and property: a
+    copy of the one parse, so a caller may change it."""
+    return _parsed_vocabulary().copy()
 
 
 @dataclass(frozen=True)

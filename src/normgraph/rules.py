@@ -38,11 +38,25 @@ accumulated solutions:
 
 How it runs:
 
-  - Each run of adjacent triple patterns is put in a greedy join order,
-    most selective pattern first. The order depends on the run, the
-    variables bound when it starts and the graph's index sizes only, so it
-    is worked out once per group, set of entry variables and graph state:
-    plans stay in the graph's memo until a triple is added.
+  - A group is planned in segments, the stretches between UNION and BIND,
+    which nothing moves across. In a segment the triple patterns are put
+    in a greedy join order, fewest expected matches per binding first,
+    estimated from the graph's per-predicate counts (triples, distinct
+    subjects and objects) and exact counts for constants.
+  - Each FILTER and NOT EXISTS of a segment runs right after the pattern
+    that binds the last of its variables bound where it is written, and
+    never after a pattern that binds one it mentions that is unbound
+    there, so it sees the values it would see in place and the solutions
+    do not change. Guards that become ready together run FILTER first,
+    then NOT EXISTS by nesting depth, then by their number of patterns. In
+    a group that holds a BIND anywhere, guards stay where they are written
+    and only runs of adjacent patterns are ordered, so a BindConflict is
+    raised exactly as without planning.
+  - What does not depend on the graph (segments, each guard's needed and
+    forbidden variables, its rank) is worked out once per group and set of
+    seeded variables and kept on the group. The join order depends on the
+    graph's counts too, so plans stay in the graph's memo until a triple
+    is added.
   - A planned group is searched depth first with its own stack, so a long
     run of patterns needs no Python recursion.
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
@@ -64,7 +78,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional
 
 from .model import (
     BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
@@ -144,6 +159,12 @@ class Bind:
 @dataclass(frozen=True)
 class GroupPattern:
     elements: tuple
+
+    @cached_property
+    def analyses(self) -> dict:
+        """The graph-independent part of this group's plans, per set of
+        seeded variables; filled by `_plan`. It lives as long as the group."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -637,102 +658,228 @@ def _passes(expr: Expr, binding: Binding) -> bool:
         return False
 
 
-# Assumed match count for a position held by an already-bound variable when
-# planning a join order; only the relative magnitude matters.
-_BOUND_POOL = 4
-
-
 def pattern_variables(tp: TriplePattern):
     return (part for part in (tp.subject, tp.predicate, tp.object)
             if isinstance(part, Variable))
 
 
-def _constant_pool(g: Graph, tp: TriplePattern) -> Optional[int]:
-    """The fewest triples any one constant of the pattern occurs in, at its
-    position; None for a pattern of variables only."""
-    pools = [pool_of(part) for part, pool_of in ((tp.subject, g.subject_pool),
-                                                 (tp.predicate, g.predicate_pool),
-                                                 (tp.object, g.object_pool))
-             if not isinstance(part, Variable)]
-    return min(pools, default=None)
-
-
-def _plan_run(g: Graph, run: list[TriplePattern], bound: set[Variable]) -> list[TriplePattern]:
-    """Greedy join order for consecutive triple patterns: cheapest (most
-    selective) next, given what is bound so far. Joins commute, so this never
-    changes the solution set, only the size of the intermediate ones.
-
-    A pattern's cost is the pool of its rarest constant, or _BOUND_POOL if
-    one of its variables is bound and that is smaller; with neither, more
-    than the graph holds. A pool is a sum over index buckets, and pools
-    cannot change while planning, so each pattern's is looked up once."""
-    pools = [_constant_pool(g, tp) for tp in run]
-    variables = [tuple(pattern_variables(tp)) for tp in run]
-    bound = set(bound)
-
-    def cost(i: int) -> tuple[int, int]:
-        pool = pools[i]
-        if not bound.isdisjoint(variables[i]):
-            pool = _BOUND_POOL if pool is None else min(pool, _BOUND_POOL)
-        return (len(g) + 1 if pool is None else pool, i)
-
-    remaining = list(range(len(run)))
-    ordered = []
-    while remaining:
-        best = min(remaining, key=cost)
-        remaining.remove(best)
-        ordered.append(run[best])
-        bound.update(variables[best])
-    return ordered
-
-
-def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, bool]:
-    """The group's elements with each run of adjacent triple patterns put in
-    join order, for a seed binding the variables `seeded`, and whether the
-    group holds a BIND anywhere.
-
-    A run's join order depends only on its patterns, the variables bound
-    when it starts and the graph's index sizes, so the plan is kept in the
-    graph's memo until the graph changes. The memo is keyed by the group's
-    id and holds the group itself, so the id cannot be reused by another
-    group while the entry lives.
-    """
-    key = (id(gp), frozenset(seeded))
-    memo = g.memo()
-    if key not in memo:
-        bound = set(key[1])
-        steps: list = []
-        run: list[TriplePattern] = []
-        for el in (*gp.elements, None):
-            if isinstance(el, TriplePattern):
-                run.append(el)
-                continue
-            if run:
-                steps += _plan_run(g, run, bound)
-                bound.update(v for tp in run for v in pattern_variables(tp))
-                run = []
+def _nested(gp: GroupPattern):
+    """Every element of the group and of the groups inside it, each with the
+    number of NOT EXISTS between it and the group."""
+    pending = [(gp, 0)]
+    while pending:
+        group, depth = pending.pop()
+        for el in group.elements:
+            yield el, depth
             if isinstance(el, Union):
-                bound |= bindable_variables(el.left) | bindable_variables(el.right)
-            elif isinstance(el, Bind):
-                bound.add(el.var)
-            if el is not None:
-                steps.append(el)
-        memo[key] = (gp, (tuple(steps), has_bind(gp)))
-    return memo[key][1]
+                pending += ((el.left, depth), (el.right, depth))
+            elif isinstance(el, NotExists):
+                pending.append((el.inner, depth + 1))
 
 
 def has_bind(gp: GroupPattern) -> bool:
     """Whether a BIND occurs anywhere in the group, nested groups included."""
-    pending = [gp]
-    while pending:
-        for el in pending.pop().elements:
-            if isinstance(el, Bind):
-                return True
-            if isinstance(el, Union):
-                pending += (el.left, el.right)
-            elif isinstance(el, NotExists):
-                pending.append(el.inner)
-    return False
+    return any(isinstance(el, Bind) for el, _ in _nested(gp))
+
+
+def _expr_variables(expr: Expr):
+    if isinstance(expr, Comparison):
+        return {part for part in (expr.left, expr.right) if isinstance(part, Variable)}
+    return set().union(*map(_expr_variables, expr.items))
+
+
+def _mentioned(el: Filter | NotExists) -> set[Variable]:
+    """The variables whose values can decide what a guard does. A guard is
+    only moved in a group with no BIND anywhere, so none is looked for."""
+    if isinstance(el, Filter):
+        return _expr_variables(el.expr)
+    out: set[Variable] = set()
+    for inner, _ in _nested(el.inner):
+        if isinstance(inner, TriplePattern):
+            out.update(pattern_variables(inner))
+        elif isinstance(inner, Filter):
+            out |= _expr_variables(inner.expr)
+    return out
+
+
+def _guard_rank(el: Filter | NotExists, index: int) -> tuple:
+    """FILTER first, then NOT EXISTS by nesting depth, then by the number of
+    triple patterns inside, then in written order."""
+    if isinstance(el, Filter):
+        return (0, 0, 0, index)
+    inside = list(_nested(el.inner))
+    depth = 1 + max((d + 1 for inner, d in inside if isinstance(inner, NotExists)), default=0)
+    return (1, depth, sum(isinstance(inner, TriplePattern) for inner, _ in inside), index)
+
+
+class _Guard(NamedTuple):
+    element: Filter | NotExists
+    needed: frozenset     # bound by patterns written before it: it runs after them
+    forbidden: frozenset  # unbound where it is written: it runs before what binds them
+
+
+class _Segment(NamedTuple):
+    """The triple patterns and guards of a group between two barriers."""
+    patterns: tuple   # in written order
+    variables: tuple  # the variables of each pattern, a tuple each
+    guards: tuple     # of _Guard, in rank order
+    entry: frozenset  # the variables that may be bound when it starts
+
+
+def _segment(elements: list, entry: set[Variable], sure: set[Variable]) -> _Segment:
+    """`sure` are the variables bound for every binding that reaches the
+    segment; `entry` also holds those only some of them bind."""
+    patterns = [el for el in elements if isinstance(el, TriplePattern)]
+    variables = tuple(tuple(pattern_variables(tp)) for tp in patterns)
+    everywhere = {v for pattern in variables for v in pattern}
+    before: set[Variable] = set()  # bound by the patterns written so far
+    guards = []
+    for index, el in enumerate(elements):
+        if isinstance(el, TriplePattern):
+            before.update(pattern_variables(el))
+            continue
+        mentioned = _mentioned(el) - sure
+        guards.append((_guard_rank(el, index),
+                       _Guard(el, frozenset(mentioned & before),
+                              frozenset(mentioned & (everywhere - before)))))
+    guards.sort(key=lambda rank_guard: rank_guard[0])
+    return _Segment(tuple(patterns), variables, tuple(guard for _, guard in guards),
+                    frozenset(entry))
+
+
+def _analyse(gp: GroupPattern, seeded: frozenset) -> tuple[tuple, bool]:
+    """The part of the group's plan that does not depend on the graph, for a
+    seed binding the variables `seeded`: a tuple of parts, each a _Segment
+    to order against the graph or a tuple of steps in their final order, and
+    whether the group holds a BIND anywhere.
+
+    UNION and BIND are barriers that nothing moves across. In a group that
+    holds a BIND anywhere, FILTER and NOT EXISTS are barriers too, so
+    elements keep their written order and a BindConflict comes where it
+    would without planning. A segment with at most one pattern has one
+    order whatever the graph holds, so it is ordered here.
+    """
+    binds = has_bind(gp)
+    movable = (TriplePattern,) if binds else (TriplePattern, Filter, NotExists)
+    parts: list = []
+    entry, sure = set(seeded), set(seeded)
+    elements: list = []
+    for el in (*gp.elements, None):
+        if isinstance(el, movable):
+            elements.append(el)
+            continue
+        if elements:
+            segment = _segment(elements, entry, sure)
+            parts.append(segment if len(segment.patterns) > 1 else tuple(_order(segment)))
+            bound = {v for variables in segment.variables for v in variables}
+            entry |= bound
+            sure |= bound
+            elements = []
+        if isinstance(el, Union):
+            entry |= bindable_variables(el.left) | bindable_variables(el.right)
+        elif isinstance(el, Bind):
+            entry.add(el.var)
+            sure.add(el.var)
+        if el is not None:
+            parts.append((el,))
+    return tuple(parts), binds
+
+
+def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
+    """The segment's steps: its patterns in greedy order, each guard right
+    after the pattern that binds the last of its needed variables, and the
+    guards that become ready together in rank order.
+
+    `estimates` holds each pattern's expected matches with nothing bound and
+    the factor that binding each of its variables divides them by (see
+    `_estimate`). The next pattern is the one with the fewest expected
+    matches per binding, the first written on a tie; without estimates it is
+    the first written. A pattern is not taken while a waiting guard forbids
+    one of its variables. The written order satisfies every guard, so the
+    first written pattern left is always allowed."""
+    bound = set(segment.entry)
+    cost = []
+    for matches, factors in estimates or ():
+        for var, factor in factors:
+            if var in bound:
+                matches /= factor
+        cost.append(matches)
+    steps: list = []
+    placed: set[Variable] = set()  # the variables of the patterns taken
+    waiting = list(segment.guards)
+    remaining = list(range(len(segment.patterns)))
+    while True:
+        if waiting:
+            steps += (guard.element for guard in waiting if guard.needed <= placed)
+            waiting = [guard for guard in waiting if not guard.needed <= placed]
+        if not remaining:
+            return steps
+        allowed = remaining
+        if waiting:
+            blocked = frozenset().union(*(guard.forbidden for guard in waiting))
+            allowed = [i for i in remaining if blocked.isdisjoint(segment.variables[i])]
+        best = min(allowed, key=cost.__getitem__) if cost else allowed[0]
+        remaining.remove(best)
+        steps.append(segment.patterns[best])
+        placed.update(segment.variables[best])
+        if cost:
+            fresh = [v for v in segment.variables[best] if v not in bound]
+            bound.update(fresh)
+            for i in remaining:
+                for var, factor in estimates[i][1]:
+                    if var in fresh:
+                        cost[i] /= factor
+
+
+def _estimate(g: Graph, tp: TriplePattern) -> tuple[int, list]:
+    """A pattern's matches with none of its variables bound, and for each
+    variable the factor that binding it divides them by: the number of
+    distinct terms at its position, among the triples of the pattern's
+    predicate if that is a constant (System R's selectivity). Constants are
+    looked up exactly."""
+    parts = (tp.subject, tp.predicate, tp.object)
+    constants = [None if isinstance(part, Variable) else part for part in parts]
+    distinct = g.distinct(constants[1])
+    return g.count(*constants), [(part, max(distinct[i], 1)) for i, part in enumerate(parts)
+                                 if constants[i] is None]
+
+
+def _plan_run(g: Graph, segment: _Segment) -> list:
+    """Puts a segment in order for the graph as it is: patterns by expected
+    matches per binding, guards as early as their variables allow (see
+    `_order`). Joins commute, and a guard sees the same values of the
+    variables it mentions wherever it runs in the segment, so the order
+    never changes the solutions, only how much work finds them.
+
+    Each pattern's estimate is read once; a greedy round then costs O(1)
+    per pattern."""
+    return _order(segment, [_estimate(g, tp) for tp in segment.patterns])
+
+
+def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, bool]:
+    """The group's steps in the order to search them, for a seed binding
+    the variables `seeded`, and whether the group holds a BIND anywhere.
+
+    The analysis that does not depend on the graph (`_analyse`) is kept on
+    the group, one per set of seeded variables. The order of each segment
+    depends on the graph's counts too, so the plan is kept in the graph's
+    memo until the graph changes. The memo is keyed by the group's id and
+    holds the group itself, so the id cannot be reused by another group
+    while the entry lives.
+    """
+    seeded = frozenset(seeded)
+    key = (id(gp), seeded)
+    memo = g.memo()
+    if key not in memo:
+        analyses = gp.analyses
+        if seeded not in analyses:
+            analyses[seeded] = _analyse(gp, seeded)
+        parts, binds = analyses[seeded]
+        steps: list = []
+        for part in parts:
+            steps += _plan_run(g, part) if isinstance(part, _Segment) else part
+        memo[key] = (gp, (tuple(steps), binds))
+    return memo[key][1]
 
 
 def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int]) -> list[Binding]:
@@ -805,8 +952,8 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     """All solution bindings of the group over the graph, seeded with `seed`.
 
     The result is a set (no duplicate bindings) in a deterministic order.
-    Elements keep their left-to-right semantics; runs of adjacent triple
-    patterns are join-planned by selectivity first.
+    Elements keep their left-to-right semantics; the search runs them in
+    the planned order (see `_plan`), which gives the same solutions.
 
     With `limit`, at most that many solutions come back, in no particular
     order: an existence probe, as NOT EXISTS asks it. A group that holds a

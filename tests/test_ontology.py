@@ -42,6 +42,19 @@ def test_vocabulary_is_inert_under_all_layers():
     assert isomorphic(result.graph, v)
 
 
+def test_vocabulary_is_parsed_once_and_each_caller_gets_its_own_graph():
+    first = vocabulary()
+    assert first.triples() == vocabulary().triples()
+    assert first.prefix_map == vocabulary().prefix_map
+    size = len(first)
+    first.insert(Triple(TRUE, RDF_TYPE, FALSE))
+    first.prefix_map["x"] = "https://example.org/"
+    second = vocabulary()
+    assert len(second) == size and Triple(TRUE, RDF_TYPE, FALSE) not in second
+    assert "x" not in second.prefix_map
+    assert second.check_indexes()
+
+
 def test_layer_sizes():
     assert len(catalog_entries("core")) == 11
     assert len(catalog_entries("pragmatics")) == 1
