@@ -7,36 +7,43 @@ nodes in a template are salted with the iteration, so a rule without a NOT
 EXISTS guard mints a new individual on every pass.
 
 From the second iteration on, a rule is not re-evaluated when none of the
-triples the previous iteration added can give it a new solution:
+triples the previous iteration added can give it a new solution. The test
+works on the rule's branches, the conjunctive groups its UNIONs distribute
+into (see `GroupPattern.branches`), whose solutions are the rule's:
 
-  - The graph only grows. A solution that is new in iteration i therefore
-    matches a triple added in iteration i-1 with one of its top-level triple
-    patterns, or passes a top-level NOT EXISTS that failed in iteration
-    i-1. In the second case the inner group lost every solution it had
-    under that binding, each to a NOT EXISTS of its own whose group gained
-    a new solution, and the same argument applies to that one, two levels
-    deeper. So only a triple that matches a pattern under an even number of
-    NOT EXISTS (0, 2, ...), UNION branches included, can give a rule a new
-    solution: these patterns are the rule's anchors. `NOT EXISTS` is
-    antimonotone one level deep only: a test on the top-level patterns
-    alone would miss the `violated-by` solution that `sketty-necessity`
-    gains in iteration 3 from a triple two NOT EXISTS deep.
+  - The graph only grows. A solution of a branch that is new in iteration
+    i therefore matches a triple added in iteration i-1 with one of the
+    branch's triple patterns, or passes one of its NOT EXISTS that failed in
+    iteration i-1. In the second case the inner group lost every solution it
+    had under that binding, each to a NOT EXISTS of its own whose group
+    gained a new solution, and the same argument applies to that one, two
+    levels deeper. So only a triple that matches a pattern under an even
+    number of NOT EXISTS (0, 2, ...) can give a rule a new solution: these
+    patterns are the rule's anchors. A test on the top-level patterns alone
+    would miss the `violated-by` solution that `sketty-necessity` gains in
+    iteration 3 from a triple two NOT EXISTS deep.
   - An added triple wakes an anchor only if each pattern of the anchor's
-    enclosing groups that shares a variable with it still has a match in
-    the graph under the triple's binding. A NOT EXISTS group shares a
-    variable with its parent only where a triple pattern before the group
+    branch and enclosing branches that shares a variable with it still has
+    a match in the graph under the triple's binding. A NOT EXISTS group
+    shares a variable with its parent only where a step before the group
     binds it; every other variable is renamed apart. Dropping constraints
     this way only makes the test wake more rules.
-  - A rule that is not woken has as solutions the previous iteration's that
-    still pass each top-level NOT EXISTS. Each group is probed again under
-    the variables bound by the top-level triple patterns before it, which
-    are the variables the full evaluation probes it under.
+  - A rule that is not woken keeps the previous iteration's solutions that
+    still pass each NOT EXISTS of the branch that gave them, probed under
+    the variables bound before it where it is written, as the full
+    evaluation probes it. By the same argument one level down, a NOT
+    EXISTS gains a solution only from a triple that matches a pattern under
+    an odd number of NOT EXISTS (a guard); when none does, the solutions
+    are kept as they are. A solution's branch is the one binding exactly
+    its variables; where sibling branches bind the same ones, as `{?e :not
+    ?ne} UNION {?ne :not ?e}` does, a rule with solutions whose guard an
+    added triple matches is evaluated in full instead.
 
-Only rules with no BIND anywhere and no top-level UNION are skipped; the
-others run in full. A skipped rule is instantiated like any other, with the
-same solutions in the same order and the same salt, so the graph, the
-skolem labels, the provenance and the trace are the ones full evaluation
-gives.
+Every rule is skipped this way except one where a BIND may rebind a bound
+variable, which raises BindConflict when full evaluation reaches it. A
+skipped rule is instantiated like any other, with the same solutions in the
+same order and the same salt, so the graph, the skolem labels, the
+provenance and the trace are the ones full evaluation gives.
 
 The engine is conflict-blind by construction: nothing branches on the
 abnormality predicates, so contradictions and conflicts accumulate in the
@@ -59,8 +66,8 @@ from .model import (
 )
 from . import rules as _rules
 from .rules import (
-    Binding, GroupPattern, NotExists, RuleQuery, SkolemPolicy, TriplePattern,
-    Union, Variable, evaluate_where, has_bind, instantiate, parse_rule, pattern_variables,
+    Binding, GroupPattern, NotExists, RuleQuery, SkolemPolicy, TriplePattern, Variable,
+    evaluate_where, instantiate, parse_rule, rebinds,
 )
 
 
@@ -78,8 +85,8 @@ class MaxIterationsExceeded(Exception):
 
 
 class _Anchor(NamedTuple):
-    """A triple pattern under an even number of NOT EXISTS, as a test on the
-    triples an iteration added.
+    """A triple pattern of a rule, as a test on the triples an iteration
+    added.
 
     The test reads the tuple `(s, p, o, *constants)` of an added triple:
     the pairs of positions in `equal` must hold the same term, and each
@@ -129,87 +136,111 @@ class _Added:
         return hit
 
 
+def _matches(anchors: tuple[_Anchor, ...], added: _Added) -> bool:
+    """Whether an added triple matches one of the anchors."""
+    for anchor in anchors:
+        for predicate, triples in added.candidates(anchor):
+            if anchor.per_predicate:
+                head = (None, predicate, None) + anchor.constants
+                if not all(added.matched(get(head)) for get in anchor.per_predicate):
+                    continue
+            for t in triples:
+                parts = (t.subject, predicate, t.object) + anchor.constants
+                if all(parts[i] == parts[j] for i, j in anchor.equal) and all(
+                        added.matched(get(parts)) for get in anchor.per_triple):
+                    return True
+    return False
+
+
 class WakeTest(NamedTuple):
     """Decides whether a rule can gain a solution from the triples the last
     iteration added, and gives its solutions when it cannot."""
 
-    anchors: tuple[_Anchor, ...]
-    # each top-level NOT EXISTS group and the variables bound before it
-    probes: tuple[tuple[GroupPattern, tuple[Variable, ...]], ...]
+    anchors: tuple[_Anchor, ...]  # the patterns under an even number of NOT EXISTS
+    guards: tuple[_Anchor, ...]   # and those under an odd number
+    # the NOT EXISTS groups of each top-level branch, by the branch's
+    # variables, each with the variables bound before it; None when two
+    # branches bind the same variables
+    probes: Optional[dict[frozenset, tuple[tuple[GroupPattern, tuple[Variable, ...]], ...]]]
 
-    def wakes(self, added: _Added) -> bool:
-        for anchor in self.anchors:
-            for predicate, triples in added.candidates(anchor):
-                if anchor.per_predicate:
-                    head = (None, predicate, None) + anchor.constants
-                    if not all(added.matched(get(head)) for get in anchor.per_predicate):
-                        continue
-                for t in triples:
-                    parts = (t.subject, predicate, t.object) + anchor.constants
-                    if all(parts[i] == parts[j] for i, j in anchor.equal) and all(
-                            added.matched(get(parts)) for get in anchor.per_triple):
-                        return True
-        return False
-
-    def kept(self, graph: Graph, solutions: list[Binding]) -> list[Binding]:
-        """The solutions that still pass every top-level NOT EXISTS. The
+    def kept(self, graph: Graph, solutions: list[Binding], added: _Added) -> Optional[list]:
+        """The solutions that still pass each NOT EXISTS of their branch, or
+        None when a probe is needed and the branches are not known. The
         probes go through `rules.evaluate_where`, like those of a full
         evaluation."""
+        if not solutions or not _matches(self.guards, added):
+            return solutions
+        if self.probes is None:
+            return None
         return [b for b in solutions
                 if not any(_rules.evaluate_where(graph, inner, {v: b[v] for v in bound}, limit=1)
-                           for inner, bound in self.probes)]
+                           for inner, bound in self.probes[frozenset(b)])]
 
 
 def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
-    """The rule's wake test; None for a rule with a BIND anywhere or a
-    top-level UNION, which is always evaluated in full."""
-    if has_bind(where) or any(isinstance(el, Union) for el in where.elements):
+    """The rule's wake test; None for a rule where a BIND may rebind a
+    variable, which is always evaluated in full."""
+    if rebinds(where):
         return None
-    anchors: list[_Anchor] = []
-    probes: list[tuple[GroupPattern, tuple[Variable, ...]]] = []
+    # the anchors of each parity, once each: branches share patterns
+    anchors: dict[tuple, None] = {}
+    guards: dict[tuple, None] = {}
+    probes: dict[frozenset, tuple] = {}
     tags = count(1)
 
     def walk(gp: GroupPattern, depth: int, names: dict[Variable, Variable], tag: int,
              scope: set[Variable], enclosing: list[TriplePattern]):
-        """Adds the anchors of the group and of the groups nested in it,
-        and the probes of the top-level group.
+        """Adds the anchors of each branch of the group and of the groups
+        nested in it, and the probes of the top-level branches.
 
         Variables are renamed apart across the rule: `names` holds the names
         a NOT EXISTS group inherits from its parent, and its other variables
-        get the group's `tag`. UNION branches share their parent's names.
-        `scope` holds the variables a triple pattern before the group binds,
-        and `enclosing` the renamed triple patterns of the groups around this
-        one, all of which a solution of this group needs matched."""
+        get the group's `tag`. `scope` holds the variables bound before the
+        group, and `enclosing` the renamed triple patterns of the groups
+        around this one, all of which a solution of this group needs
+        matched. A NOT EXISTS in several branches is walked once, with what
+        all of them bind before it and the patterns all of them hold."""
         def name(v: Variable) -> Variable:
             return names.get(v) or Variable(f"{v.name}#{tag}")
 
-        own = [TriplePattern(*(name(part) if isinstance(part, Variable) else part
-                               for part in (el.subject, el.predicate, el.object)))
-               for el in gp.elements if isinstance(el, TriplePattern)]
-        enclosing = enclosing + own
-        if depth % 2 == 0:
-            for k in range(len(enclosing) - len(own), len(enclosing)):
-                anchors.append(_anchor(enclosing[k], enclosing[:k] + enclosing[k + 1:]))
-        bound = set(scope)
-        for el in gp.elements:
-            if isinstance(el, TriplePattern):
-                bound.update(pattern_variables(el))
-            elif isinstance(el, Union):
-                walk(el.left, depth, names, tag, bound, enclosing)
-                walk(el.right, depth, names, tag, bound, enclosing)
-            elif isinstance(el, NotExists):
-                if gp is where:
-                    probes.append((el.inner, tuple(bound)))
-                walk(el.inner, depth + 1, {v: name(v) for v in bound}, next(tags), bound,
-                     enclosing)
+        nested: dict[int, tuple] = {}
+        for branch in gp.branches:
+            own = [TriplePattern(*(name(part) if isinstance(part, Variable) else part
+                                   for part in (el.subject, el.predicate, el.object)))
+                   for el in branch.elements if isinstance(el, TriplePattern)]
+            around = enclosing + own
+            for k in range(len(enclosing), len(around)):
+                (guards if depth % 2 else anchors)[
+                    _anchor(around[k], around[:k] + around[k + 1:])] = None
+            bound = set(scope)
+            groups = []
+            for place, el in zip(branch.places, branch.elements):
+                bound.update(_rules._binds(el))
+                if isinstance(el, NotExists):
+                    groups.append((el.inner, tuple(bound)))
+                    _, before, common = nested.get(place, (el, bound, own))
+                    nested[place] = (el, before & bound, [tp for tp in common if tp in own])
+            if gp is where:
+                probes[frozenset(bound)] = tuple(groups)
+        for el, bound, common in nested.values():
+            walk(el.inner, depth + 1, {v: name(v) for v in bound}, next(tags), bound,
+                 enclosing + common)
 
     walk(where, 0, {}, 0, set(), [])
-    return WakeTest(tuple(anchors), tuple(probes))
+
+    def built(fields) -> tuple[_Anchor, ...]:
+        return tuple(_Anchor(*head, *(tuple(itemgetter(*picks) for picks in getters)
+                                      for getters in (per_predicate, per_triple)))
+                     for *head, per_predicate, per_triple in fields)
+
+    return WakeTest(built(anchors), built(guards),
+                    probes if len(probes) == len(where.branches) else None)
 
 
-def _anchor(tp: TriplePattern, neighbours: list[TriplePattern]) -> _Anchor:
+def _anchor(tp: TriplePattern, neighbours: list[TriplePattern]) -> tuple:
     """The anchor `tp`, checked against those of the `neighbours` that
-    share a variable with it."""
+    share a variable with it: the fields of an _Anchor, with the positions
+    each getter picks in place of the getter."""
     constants: list = [None]
 
     def constant(term: Term) -> int:
@@ -233,15 +264,14 @@ def _anchor(tp: TriplePattern, neighbours: list[TriplePattern]) -> _Anchor:
     per_predicate: dict[tuple, None] = {}
     per_triple: dict[tuple, None] = {}
     for other in neighbours:
-        picks = tuple(position.get(part, 3) if isinstance(part, Variable) else constant(part)
-                      for part in (other.subject, other.predicate, other.object))
-        reads = {i for i in picks if i < 3}
+        parts = (other.subject, other.predicate, other.object)
+        reads = {position[part] for part in parts if part in position}
         if reads:
+            picks = tuple(position.get(part, 3) if isinstance(part, Variable) else constant(part)
+                          for part in parts)
             (per_predicate if reads == {1} else per_triple)[picks] = None
     obj = None if predicate is None or isinstance(tp.object, Variable) else tp.object
-    return _Anchor(predicate, obj, tuple(equal), tuple(constants),
-                   tuple(itemgetter(*picks) for picks in per_predicate),
-                   tuple(itemgetter(*picks) for picks in per_triple))
+    return predicate, obj, tuple(equal), tuple(constants), tuple(per_predicate), tuple(per_triple)
 
 
 @dataclass(frozen=True)
@@ -364,10 +394,11 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
         pending: list[Triple] = []
         pending_set: set[Triple] = set()
         for position, entry in enumerate(rules):
-            if delta is None or entry.wake is None or entry.wake.wakes(delta):
+            wake, solutions = entry.wake, None
+            if delta is not None and wake is not None and not _matches(wake.anchors, delta):
+                solutions = wake.kept(graph, last[position], delta)
+            if solutions is None:
                 solutions = evaluate_where(graph, entry.query.where_clause)
-            else:
-                solutions = entry.wake.kept(graph, last[position])
             last[position] = solutions
             produced = instantiate(entry.query, solutions, SkolemPolicy(salt=f"i{iteration}"))
             added = 0

@@ -38,34 +38,34 @@ accumulated solutions:
 
 How it runs:
 
-  - A group is planned in segments, the stretches between UNION and BIND,
-    which nothing moves across. In a segment the triple patterns are put
-    in a greedy join order, fewest expected matches per binding first,
-    estimated from the graph's per-predicate counts (triples, distinct
-    subjects and objects) and exact counts for constants.
-  - Each FILTER and NOT EXISTS of a segment runs right after the pattern
-    that binds the last of its variables bound where it is written, and
-    never after a pattern that binds one it mentions that is unbound
-    there, so it sees the values it would see in place and the solutions
-    do not change. Guards that become ready together run FILTER first,
-    then NOT EXISTS by nesting depth, then by their number of patterns. In
-    a group that holds a BIND anywhere, guards stay where they are written
-    and only runs of adjacent patterns are ordered, so a BindConflict is
-    raised exactly as without planning.
-  - What does not depend on the graph (segments, each guard's needed and
-    forbidden variables, its rank) is worked out once per group and set of
-    seeded variables and kept on the group. The join order depends on the
-    graph's counts too, so plans stay in the graph's memo until a triple
-    is added.
-  - A planned group is searched depth first with its own stack, so a long
-    run of patterns needs no Python recursion.
+  - Each group is put in a normal form once, kept on it: every UNION is
+    distributed into it, so it becomes a tuple of conjunctive branches
+    (Pérez, Arenas & Gutierrez, TODS 2009); `{A} UNION {B} {C} UNION {D}`
+    has the branches AC, AD, BC, BD. The group's solutions are those of its
+    branches, and a NOT EXISTS fails when any branch of its group has a
+    solution. A group has at most MAX_BRANCHES (64) branches.
+  - Every binding that reaches an element of a branch binds the same
+    variables, so whether a BIND rebinds a variable is known from the
+    seeded variables. Where a BIND of a branch, or of a NOT EXISTS group
+    under one, does, the group is searched in full and in written order,
+    and raises the BindConflict at the first element, in written order,
+    that a binding reaches. Elsewhere a BIND is a one-row join.
+  - A branch is planned as one unit: its triple patterns and BINDs in a
+    greedy join order, fewest expected matches per binding first, from the
+    graph's per-predicate counts and exact counts for constants. Each
+    FILTER and NOT EXISTS runs right after the step that binds the last of
+    its variables bound where it is written, and never after a step that
+    binds one it mentions that is unbound there, so it sees the values it
+    would see in place. Guards that become ready together run FILTER
+    first, then NOT EXISTS by nesting depth, then by number of patterns.
+  - What does not depend on the graph is worked out once per group and set
+    of seeded variables and kept on the group; plans stay in the graph's
+    memo until a triple is added. A branch is searched depth first with its
+    own stack, so a long run of patterns needs no Python recursion.
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
-    search stops at the first solution and neither deduplicates nor sorts.
-    A group that holds a BIND is still searched in full, so a BindConflict
-    is raised exactly when full evaluation raises it.
-  - A full evaluation deduplicates and sorts its solutions once, at the
-    end. UNION branches may bind different variables, so two different
-    solutions of a UNION can become one after a later pattern.
+    search stops at the first solution. A full evaluation sorts its
+    solutions once, at the end; one branch never gives a solution twice,
+    so only a group with several branches deduplicates them.
 
 Blank nodes written in a WHERE group behave as fresh variables. Blank nodes
 in the template become skolem nodes named from the rule id, the blank's
@@ -156,15 +156,48 @@ class Bind:
     var: Variable
 
 
+class _Branch(NamedTuple):
+    elements: tuple  # triple patterns, FILTER, NOT EXISTS and BIND, in written order
+    places: tuple    # each element's number in the written order of the group
+
+
 @dataclass(frozen=True)
 class GroupPattern:
     elements: tuple
+
+    @cached_property
+    def branches(self) -> tuple[_Branch, ...]:
+        """The group with every UNION distributed into it: the branches
+        whose solutions together are the group's."""
+        return tuple(_Branch(*branch) for branch in _distribute(self, 0)[0])
 
     @cached_property
     def analyses(self) -> dict:
         """The graph-independent part of this group's plans, per set of
         seeded variables; filled by `_plan`. It lives as long as the group."""
         return {}
+
+    @cached_property
+    def rebinding(self) -> dict:
+        """`rebinds`, per set of seeded variables."""
+        return {}
+
+
+def _distribute(gp: GroupPattern, place: int) -> tuple[list, int]:
+    """The branches of the group as (elements, places), numbering its
+    elements and those of its UNION groups from `place` in written order;
+    and the next number."""
+    branches = [((), ())]
+    for el in gp.elements:
+        if isinstance(el, Union):
+            left, place = _distribute(el.left, place)
+            right, place = _distribute(el.right, place)
+            alternatives = left + right
+        else:
+            alternatives, place = [((el,), (place,))], place + 1
+        branches = [(elements + more, places + at)
+                    for elements, places in branches for more, at in alternatives]
+    return branches, place
 
 
 @dataclass(frozen=True)
@@ -195,8 +228,23 @@ class RuleQuery:
 # --- Tokenizer ---------------------------------------------------------------
 
 _KEYWORDS = {"construct", "where", "union", "not", "exists", "filter", "bind", "as"}
-_PUNCT = ("&&", "||", "!=", "=", "{", "}", "(", ")", "[", "]", ";", ",", ".")
-_NAME_RE = re.compile(r"[A-Za-z0-9_\-]+")
+_NAME = r"[A-Za-z0-9_\-]"
+# Each token kind is one alternative; a string, IRI or variable that does
+# not end as it should matches the one after it, which names the error.
+_TOKEN_RE = re.compile(rf"""
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
+  | (?P<long>\"\"\"(?:(?!\"\"\").)*\"\"\") | (?P<open_long>\"\"\")
+  | (?P<string>"(?:\\.|[^"\\])*") | (?P<open_string>")
+  | (?P<punct>&&|\|\||!=|[{{}}()\[\];,=.])
+  | (?P<var>\?{_NAME}+) | (?P<bad_var>\?)
+  | (?P<iri><[^>]*>) | (?P<open_iri><)
+  | (?P<pname>{_NAME}*:{_NAME}*)
+  | (?P<word>{_NAME}+)
+  | (?P<other>.)
+""", re.S | re.X)
+_ERRORS = {"open_long": "unterminated long string", "open_string": "unterminated string",
+           "bad_var": "bad variable name", "open_iri": "unterminated IRI"}
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
 @dataclass
@@ -208,88 +256,29 @@ class _Token:
 
 def _tokenize(text: str, rule_id: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m[0], m.start()
+        if kind == "skip":
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith('"""', i):
-            end = text.find('"""', i + 3)
-            if end < 0:
-                raise RuleSyntaxError("unterminated long string", i, rule_id)
-            tokens.append(_Token("literal", text[i + 3:end], i))
-            i = end + 3
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append({"n": "\n", "t": "\t", "r": "\r"}.get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise RuleSyntaxError("unterminated string", i, rule_id)
-            tokens.append(_Token("literal", "".join(out), i))
-            i = j + 1
-            continue
-        two = text[i:i + 2]
-        if two in ("&&", "||", "!="):
-            tokens.append(_Token("punct", two, i))
-            i += 2
-            continue
-        if c in "{}()[];,=.":
-            tokens.append(_Token("punct", c, i))
-            i += 1
-            continue
-        if c == "?":
-            m = _NAME_RE.match(text, i + 1)
-            if not m:
-                raise RuleSyntaxError("bad variable name", i, rule_id)
-            tokens.append(_Token("var", m.group(0), i))
-            i = m.end()
-            continue
-        if c == "<":
-            end = text.find(">", i)
-            if end < 0:
-                raise RuleSyntaxError("unterminated IRI", i, rule_id)
-            tokens.append(_Token("iri", text[i + 1:end], i))
-            i = end + 1
-            continue
-        if c == ":":
-            m = _NAME_RE.match(text, i + 1)
-            local = m.group(0) if m else ""
-            tokens.append(_Token("pname", ("", local), i))
-            i = (m.end() if m else i + 1)
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            j = m.end()
-            if j < n and text[j] == ":":
-                m2 = _NAME_RE.match(text, j + 1)
-                local = m2.group(0) if m2 else ""
-                tokens.append(_Token("pname", (word, local), i))
-                i = (m2.end() if m2 else j + 1)
-                continue
-            lowered = word.lower()
-            if lowered in _KEYWORDS:
-                tokens.append(_Token("keyword", lowered, i))
-            elif word == "a":
-                tokens.append(_Token("a", "a", i))
-            else:
-                raise RuleSyntaxError(f"unknown keyword {word!r}", i, rule_id)
-            i = j
-            continue
-        raise RuleSyntaxError(f"unexpected character {c!r}", i, rule_id)
+        if kind in _ERRORS:
+            raise RuleSyntaxError(_ERRORS[kind], pos, rule_id)
+        if kind == "long":
+            kind, value = "literal", value[3:-3]
+        elif kind == "string":
+            kind, value = "literal", re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]),
+                                            value[1:-1], flags=re.S)
+        elif kind in ("var", "iri"):
+            value = value[1:] if kind == "var" else value[1:-1]
+        elif kind == "pname":
+            value = tuple(value.split(":", 1))
+        elif kind == "word" and value.lower() in _KEYWORDS:
+            kind, value = "keyword", value.lower()
+        elif kind == "word" and value == "a":
+            kind = "a"
+        elif kind != "punct":
+            problem = "unknown keyword" if kind == "word" else "unexpected character"
+            raise RuleSyntaxError(f"{problem} {value!r}", pos, rule_id)
+        tokens.append(_Token(kind, value, pos))
     return tokens
 
 
@@ -300,6 +289,9 @@ def _tokenize(text: str, rule_id: str) -> list[_Token]:
 # the fixpoint's rule analysis recurse once or a few times per level;
 # evaluation runs out of Python stack at ~475 nested NOT EXISTS.
 MAX_NESTING = 100
+# The most branches a WHERE group may have once its UNIONs are distributed
+# (see GroupPattern.branches); each is planned and searched on its own.
+MAX_BRANCHES = 64
 
 
 class _RuleParser:
@@ -362,9 +354,7 @@ class _RuleParser:
         self.expect_punct("{")
         template = self.parse_triples_until_close(in_template=True)
         self.expect_keyword("where")
-        self.expect_punct("{")
-        where = self.parse_group()
-        self.expect_punct("}")
+        where, _ = self.braced()
         if self.peek() is not None:
             raise self.error("trailing tokens after WHERE clause")
         rq = RuleQuery(self.rule_id, tuple(template), where)
@@ -454,11 +444,18 @@ class _RuleParser:
 
     # WHERE parsing --------------------------------------------------------
 
-    def parse_group(self) -> GroupPattern:
+    def braced(self) -> tuple[GroupPattern, int]:
+        self.expect_punct("{")
+        group = self.parse_group()
+        self.expect_punct("}")
+        return group
+
+    def parse_group(self) -> tuple[GroupPattern, int]:
         """The elements up to the closing brace of the group whose opening
-        brace was just read."""
+        brace was just read, and the number of branches the group has."""
         self.opened()
         elements: list = []
+        width = 1
         while True:
             tok = self.peek()
             if tok is None or (tok.kind == "punct" and tok.value == "}"):
@@ -467,29 +464,24 @@ class _RuleParser:
                 self.next()
                 continue
             if tok.kind == "punct" and tok.value == "{":
-                self.next()
-                left = self.parse_group()
-                self.expect_punct("}")
-                if not self.at_keyword("union"):
-                    # a bare braced group just flattens into the sequence
-                    elements.extend(left.elements)
-                    continue
+                left, alternatives = self.braced()
                 union: Union | None = None
                 while self.at_keyword("union"):
                     self.next()
-                    self.expect_punct("{")
-                    right = self.parse_group()
-                    self.expect_punct("}")
+                    right, more = self.braced()
                     union = Union(left if union is None else GroupPattern((union,)), right)
-                elements.append(union)
+                    alternatives += more
+                width *= alternatives
+                if width > MAX_BRANCHES:
+                    raise RuleSyntaxError(f"more than {MAX_BRANCHES} UNION branches in a group",
+                                          tok.pos, self.rule_id)
+                # a bare braced group just flattens into the sequence
+                elements += (union,) if union else left.elements
                 continue
             if tok.kind == "keyword" and tok.value == "not":
                 self.next()
                 self.expect_keyword("exists")
-                self.expect_punct("{")
-                inner = self.parse_group()
-                self.expect_punct("}")
-                elements.append(NotExists(inner))
+                elements.append(NotExists(self.braced()[0]))
                 continue
             if tok.kind == "keyword" and tok.value == "filter":
                 self.next()
@@ -517,7 +509,7 @@ class _RuleParser:
             self.parse_triples_block(patterns, in_template=False)
             elements.extend(patterns)
         self.depth -= 1
-        return GroupPattern(tuple(elements))
+        return GroupPattern(tuple(elements)), width
 
     def parse_expr(self) -> Expr:
         items = [self.parse_and()]
@@ -570,30 +562,15 @@ def parse_rule(rule_id: str, text: str, prefixes: Optional[dict[str, str]] = Non
 
 
 def template_variables(rq: RuleQuery) -> set[Variable]:
-    out: set[Variable] = set()
-    for tt in rq.construct_template:
-        for part in (tt.subject, tt.predicate, tt.object):
-            if isinstance(part, Variable):
-                out.add(part)
-    return out
+    return {part for tt in rq.construct_template for part in (tt.subject, tt.predicate, tt.object)
+            if isinstance(part, Variable)}
 
 
 def bindable_variables(gp: GroupPattern) -> set[Variable]:
     """Variables that can carry a binding out of the group: triple-pattern
-    positions and BIND targets, looking through UNION branches but not into
+    positions and BIND targets of any of its branches, not those inside
     NOT EXISTS or FILTER."""
-    out: set[Variable] = set()
-    for el in gp.elements:
-        if isinstance(el, TriplePattern):
-            for part in (el.subject, el.predicate, el.object):
-                if isinstance(part, Variable):
-                    out.add(part)
-        elif isinstance(el, Union):
-            out |= bindable_variables(el.left)
-            out |= bindable_variables(el.right)
-        elif isinstance(el, Bind):
-            out.add(el.var)
-    return out
+    return {v for branch in gp.branches for el in branch.elements for v in _binds(el)}
 
 
 # --- Evaluation --------------------------------------------------------------
@@ -658,28 +635,24 @@ def _passes(expr: Expr, binding: Binding) -> bool:
         return False
 
 
-def pattern_variables(tp: TriplePattern):
-    return (part for part in (tp.subject, tp.predicate, tp.object)
-            if isinstance(part, Variable))
+def _binds(el) -> tuple:
+    """The variables a step of a branch binds."""
+    if isinstance(el, TriplePattern):
+        return tuple(part for part in (el.subject, el.predicate, el.object)
+                     if isinstance(part, Variable))
+    return (el.var,) if isinstance(el, Bind) else ()
 
 
 def _nested(gp: GroupPattern):
-    """Every element of the group and of the groups inside it, each with the
-    number of NOT EXISTS between it and the group."""
+    """Every element of the group's branches and of the groups inside them,
+    once each, with the number of NOT EXISTS between it and the group."""
     pending = [(gp, 0)]
     while pending:
         group, depth = pending.pop()
-        for el in group.elements:
+        for el in {p: e for b in group.branches for p, e in zip(b.places, b.elements)}.values():
             yield el, depth
-            if isinstance(el, Union):
-                pending += ((el.left, depth), (el.right, depth))
-            elif isinstance(el, NotExists):
+            if isinstance(el, NotExists):
                 pending.append((el.inner, depth + 1))
-
-
-def has_bind(gp: GroupPattern) -> bool:
-    """Whether a BIND occurs anywhere in the group, nested groups included."""
-    return any(isinstance(el, Bind) for el, _ in _nested(gp))
 
 
 def _expr_variables(expr: Expr):
@@ -689,16 +662,13 @@ def _expr_variables(expr: Expr):
 
 
 def _mentioned(el: Filter | NotExists) -> set[Variable]:
-    """The variables whose values can decide what a guard does. A guard is
-    only moved in a group with no BIND anywhere, so none is looked for."""
+    """The variables whose values can decide what a guard does: for a NOT
+    EXISTS, those of its patterns, FILTERs and BINDs at any depth."""
     if isinstance(el, Filter):
         return _expr_variables(el.expr)
     out: set[Variable] = set()
     for inner, _ in _nested(el.inner):
-        if isinstance(inner, TriplePattern):
-            out.update(pattern_variables(inner))
-        elif isinstance(inner, Filter):
-            out |= _expr_variables(inner.expr)
+        out.update(_expr_variables(inner.expr) if isinstance(inner, Filter) else _binds(inner))
     return out
 
 
@@ -714,89 +684,89 @@ def _guard_rank(el: Filter | NotExists, index: int) -> tuple:
 
 class _Guard(NamedTuple):
     element: Filter | NotExists
-    needed: frozenset     # bound by patterns written before it: it runs after them
+    needed: frozenset     # bound by steps written before it: it runs after them
     forbidden: frozenset  # unbound where it is written: it runs before what binds them
 
 
 class _Segment(NamedTuple):
-    """The triple patterns and guards of a group between two barriers."""
-    patterns: tuple   # in written order
-    variables: tuple  # the variables of each pattern, a tuple each
+    """A branch to put in order: its binding steps and its guards."""
+    binders: tuple    # triple patterns and BINDs, in written order
+    variables: tuple  # the variables each binder binds, a tuple each
     guards: tuple     # of _Guard, in rank order
-    entry: frozenset  # the variables that may be bound when it starts
+    entry: frozenset  # the seeded variables
 
 
-def _segment(elements: list, entry: set[Variable], sure: set[Variable]) -> _Segment:
-    """`sure` are the variables bound for every binding that reaches the
-    segment; `entry` also holds those only some of them bind."""
-    patterns = [el for el in elements if isinstance(el, TriplePattern)]
-    variables = tuple(tuple(pattern_variables(tp)) for tp in patterns)
-    everywhere = {v for pattern in variables for v in pattern}
-    before: set[Variable] = set()  # bound by the patterns written so far
+def _segment(elements: tuple, seeded: frozenset) -> _Segment:
+    binders = [el for el in elements if isinstance(el, (TriplePattern, Bind))]
+    variables = tuple(map(_binds, binders))
+    everywhere = {v for binds in variables for v in binds}
+    before: set[Variable] = set()  # bound by the binders written so far
     guards = []
     for index, el in enumerate(elements):
-        if isinstance(el, TriplePattern):
-            before.update(pattern_variables(el))
+        if isinstance(el, (TriplePattern, Bind)):
+            before.update(_binds(el))
             continue
-        mentioned = _mentioned(el) - sure
+        mentioned = _mentioned(el) - seeded
         guards.append((_guard_rank(el, index),
                        _Guard(el, frozenset(mentioned & before),
                               frozenset(mentioned & (everywhere - before)))))
     guards.sort(key=lambda rank_guard: rank_guard[0])
-    return _Segment(tuple(patterns), variables, tuple(guard for _, guard in guards),
-                    frozenset(entry))
+    return _Segment(tuple(binders), variables, tuple(guard for _, guard in guards), seeded)
 
 
-def _analyse(gp: GroupPattern, seeded: frozenset) -> tuple[tuple, bool]:
+def _rebinds(elements: tuple, seeded: Iterable[Variable]) -> bool:
+    """Whether a BIND of the branch, or of a NOT EXISTS group under it,
+    targets a variable bound where it is written."""
+    bound = set(seeded)
+    for el in elements:
+        if (isinstance(el, Bind) and el.var in bound
+                or isinstance(el, NotExists) and rebinds(el.inner, bound)):
+            return True
+        bound.update(_binds(el))
+    return False
+
+
+def _analyse(gp: GroupPattern, seeded: frozenset) -> tuple[tuple, Optional[tuple]]:
     """The part of the group's plan that does not depend on the graph, for a
-    seed binding the variables `seeded`: a tuple of parts, each a _Segment
-    to order against the graph or a tuple of steps in their final order, and
-    whether the group holds a BIND anywhere.
+    seed binding the variables `seeded`, kept on the group: for each branch
+    a _Segment to order against the graph, or its steps in their final
+    order (a branch with at most one binder has one order whatever the
+    graph holds); and, if a BIND rebinds a variable, each branch's places,
+    its steps being in written order."""
+    analyses = gp.analyses
+    if seeded not in analyses:
+        branches = gp.branches
+        if rebinds(gp, seeded):
+            analyses[seeded] = (tuple(branch.elements for branch in branches),
+                                tuple(branch.places for branch in branches))
+        else:
+            segments = [_segment(branch.elements, seeded) for branch in branches]
+            analyses[seeded] = (tuple(part if len(part.binders) > 1 else tuple(_order(part))
+                                      for part in segments), None)
+    return analyses[seeded]
 
-    UNION and BIND are barriers that nothing moves across. In a group that
-    holds a BIND anywhere, FILTER and NOT EXISTS are barriers too, so
-    elements keep their written order and a BindConflict comes where it
-    would without planning. A segment with at most one pattern has one
-    order whatever the graph holds, so it is ordered here.
-    """
-    binds = has_bind(gp)
-    movable = (TriplePattern,) if binds else (TriplePattern, Filter, NotExists)
-    parts: list = []
-    entry, sure = set(seeded), set(seeded)
-    elements: list = []
-    for el in (*gp.elements, None):
-        if isinstance(el, movable):
-            elements.append(el)
-            continue
-        if elements:
-            segment = _segment(elements, entry, sure)
-            parts.append(segment if len(segment.patterns) > 1 else tuple(_order(segment)))
-            bound = {v for variables in segment.variables for v in variables}
-            entry |= bound
-            sure |= bound
-            elements = []
-        if isinstance(el, Union):
-            entry |= bindable_variables(el.left) | bindable_variables(el.right)
-        elif isinstance(el, Bind):
-            entry.add(el.var)
-            sure.add(el.var)
-        if el is not None:
-            parts.append((el,))
-    return tuple(parts), binds
+
+def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> bool:
+    """Whether evaluating the group, with a seed binding the variables
+    `seeded`, can raise BindConflict (see `_rebinds`)."""
+    seeded = frozenset(seeded)
+    if seeded not in gp.rebinding:
+        gp.rebinding[seeded] = any(_rebinds(branch.elements, seeded) for branch in gp.branches)
+    return gp.rebinding[seeded]
 
 
 def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
-    """The segment's steps: its patterns in greedy order, each guard right
-    after the pattern that binds the last of its needed variables, and the
+    """The branch's steps: its binders in greedy order, each guard right
+    after the binder that binds the last of its needed variables, and the
     guards that become ready together in rank order.
 
-    `estimates` holds each pattern's expected matches with nothing bound and
+    `estimates` holds each binder's expected matches with nothing bound and
     the factor that binding each of its variables divides them by (see
-    `_estimate`). The next pattern is the one with the fewest expected
+    `_estimate`). The next binder is the one with the fewest expected
     matches per binding, the first written on a tie; without estimates it is
-    the first written. A pattern is not taken while a waiting guard forbids
+    the first written. A binder is not taken while a waiting guard forbids
     one of its variables. The written order satisfies every guard, so the
-    first written pattern left is always allowed."""
+    first written binder left is always allowed."""
     bound = set(segment.entry)
     cost = []
     for matches, factors in estimates or ():
@@ -805,9 +775,9 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
                 matches /= factor
         cost.append(matches)
     steps: list = []
-    placed: set[Variable] = set()  # the variables of the patterns taken
+    placed: set[Variable] = set()  # the variables of the binders taken
     waiting = list(segment.guards)
-    remaining = list(range(len(segment.patterns)))
+    remaining = list(range(len(segment.binders)))
     while True:
         if waiting:
             steps += (guard.element for guard in waiting if guard.needed <= placed)
@@ -820,7 +790,7 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
             allowed = [i for i in remaining if blocked.isdisjoint(segment.variables[i])]
         best = min(allowed, key=cost.__getitem__) if cost else allowed[0]
         remaining.remove(best)
-        steps.append(segment.patterns[best])
+        steps.append(segment.binders[best])
         placed.update(segment.variables[best])
         if cost:
             fresh = [v for v in segment.variables[best] if v not in bound]
@@ -831,13 +801,15 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
                         cost[i] /= factor
 
 
-def _estimate(g: Graph, tp: TriplePattern) -> tuple[int, list]:
-    """A pattern's matches with none of its variables bound, and for each
+def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
+    """A binder's matches with none of its variables bound, and for each
     variable the factor that binding it divides them by: the number of
     distinct terms at its position, among the triples of the pattern's
     predicate if that is a constant (System R's selectivity). Constants are
-    looked up exactly."""
-    parts = (tp.subject, tp.predicate, tp.object)
+    looked up exactly; a BIND has one match."""
+    if isinstance(el, Bind):
+        return 1, []
+    parts = (el.subject, el.predicate, el.object)
     constants = [None if isinstance(part, Variable) else part for part in parts]
     distinct = g.distinct(constants[1])
     return g.count(*constants), [(part, max(distinct[i], 1)) for i, part in enumerate(parts)
@@ -845,60 +817,48 @@ def _estimate(g: Graph, tp: TriplePattern) -> tuple[int, list]:
 
 
 def _plan_run(g: Graph, segment: _Segment) -> list:
-    """Puts a segment in order for the graph as it is: patterns by expected
-    matches per binding, guards as early as their variables allow (see
-    `_order`). Joins commute, and a guard sees the same values of the
-    variables it mentions wherever it runs in the segment, so the order
-    never changes the solutions, only how much work finds them.
-
-    Each pattern's estimate is read once; a greedy round then costs O(1)
-    per pattern."""
-    return _order(segment, [_estimate(g, tp) for tp in segment.patterns])
+    """Puts a branch in order for the graph as it is (see `_order`). Joins
+    commute, a BIND is a one-row join, and a guard sees the same values of
+    the variables it mentions wherever it runs, so the order never changes
+    the solutions, only how much work finds them. Each binder's estimate is
+    read once; a greedy round then costs O(1) per binder."""
+    return _order(segment, [_estimate(g, el) for el in segment.binders])
 
 
-def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, bool]:
-    """The group's steps in the order to search them, for a seed binding
-    the variables `seeded`, and whether the group holds a BIND anywhere.
-
-    The analysis that does not depend on the graph (`_analyse`) is kept on
-    the group, one per set of seeded variables. The order of each segment
-    depends on the graph's counts too, so the plan is kept in the graph's
-    memo until the graph changes. The memo is keyed by the group's id and
-    holds the group itself, so the id cannot be reused by another group
-    while the entry lives.
-    """
+def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, ...]:
+    """The steps of each branch of the group in the order to search them,
+    for a seed binding the variables `seeded`. The order depends on the
+    graph's counts, so the plan is kept in the graph's memo until the graph
+    changes. The memo is keyed by the group's id and holds the group itself,
+    so the id cannot be reused by another group while the entry lives."""
     seeded = frozenset(seeded)
     key = (id(gp), seeded)
     memo = g.memo()
     if key not in memo:
-        analyses = gp.analyses
-        if seeded not in analyses:
-            analyses[seeded] = _analyse(gp, seeded)
-        parts, binds = analyses[seeded]
-        steps: list = []
-        for part in parts:
-            steps += _plan_run(g, part) if isinstance(part, _Segment) else part
-        memo[key] = (gp, (tuple(steps), binds))
+        memo[key] = (gp, tuple(tuple(_plan_run(g, part)) if isinstance(part, _Segment) else part
+                               for part in _analyse(gp, seeded)[0]))
     return memo[key][1]
 
 
-def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int]) -> list[Binding]:
-    """The solutions of a planned group, depth first, up to `limit` of them,
-    with neither dedupe nor sort.
+def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int],
+            conflicts: Optional[list] = None) -> list[Binding]:
+    """The solutions of a planned branch, depth first, up to `limit` of
+    them, with neither dedupe nor sort.
 
     The search keeps its own stack, one iterator of bindings per step, so a
     long run of patterns costs no Python recursion; the bindings of the top
     iterator have been through `len(stack) - 1` steps, and what the last
-    step gives is a solution. A BindConflict is raised as the
-    element-by-element evaluation would raise it: at the first step any
-    binding conflicts at, for the first binding to reach that step. So
-    after a conflict the search goes on above that step only.
+    step gives is a solution. A BIND of a bound variable is a join with
+    its constant, unless `conflicts` is a list: then it raises
+    BindConflict, and the search appends (step, conflict) for the first
+    binding to conflict at a step and goes on above that step only, so
+    that the last entry is the first step, in written order, that any
+    binding conflicts at.
     """
     if not steps:
         return [seed]
     found: list[Binding] = []
     end = len(steps)
-    conflict: Optional[BindConflict] = None
     stack = [iter((seed,))]
     while stack:
         b = next(stack[-1], None)
@@ -914,19 +874,19 @@ def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int]) -> list
                 nxt = () if evaluate_where(g, el.inner, b, limit=1) else (b,)
             elif isinstance(el, Filter):
                 nxt = (b,) if _passes(el.expr, b) else ()
-            elif isinstance(el, Union):
-                # both branches may give the same binding: each later step
-                # would repeat its work on the copy
-                nxt = _unique(evaluate_where(g, el.left, b) + evaluate_where(g, el.right, b))
-            elif isinstance(el, Bind):
-                if el.var in b:
+            else:  # BIND
+                value = b.get(el.var)
+                if value is None:
+                    nxt = ({**b, el.var: el.value},)
+                elif conflicts is None:
+                    nxt = (b,) if value == el.value else ()
+                else:
                     raise BindConflict(f"variable ?{el.var.name} is already bound")
-                nxt = ({**b, el.var: el.value},)
-            else:  # pragma: no cover - parser only emits the kinds above
-                raise TypeError(f"unknown pattern element {el!r}")
         except BindConflict as err:
-            # any later conflict is at a shallower step, and wins
-            conflict, end = err, depth
+            if conflicts is None:
+                raise
+            conflicts.append((depth, err))
+            end = depth
             del stack[depth:]
             continue
         if depth + 1 == end:
@@ -935,16 +895,7 @@ def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int]) -> list
                 break
         elif nxt:
             stack.append(iter(nxt))
-    if conflict is not None:
-        raise conflict
     return found
-
-
-def _unique(acc: list[Binding]) -> list[Binding]:
-    seen: dict[frozenset, Binding] = {}
-    for b in acc:
-        seen.setdefault(frozenset(b.items()), b)
-    return list(seen.values())
 
 
 def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
@@ -952,20 +903,35 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     """All solution bindings of the group over the graph, seeded with `seed`.
 
     The result is a set (no duplicate bindings) in a deterministic order.
-    Elements keep their left-to-right semantics; the search runs them in
-    the planned order (see `_plan`), which gives the same solutions.
+    Elements keep their left-to-right semantics; the search runs each branch
+    in the planned order (see `_plan`), which gives the same solutions.
 
     With `limit`, at most that many solutions come back, in no particular
-    order: an existence probe, as NOT EXISTS asks it. A group that holds a
-    BIND is still searched in full, so that a BindConflict is raised
-    whenever the full evaluation would raise it.
+    order: an existence probe, as NOT EXISTS asks it. A group where a BIND
+    rebinds a variable is searched in full, and raises the BindConflict at
+    the first place, in the group's written order, that any branch
+    conflicts at, as the full evaluation does.
     """
     seed = dict(seed) if seed else {}
-    steps, binds = _plan(g, gp, seed)
-    found = _search(g, steps, seed, None if binds else limit)
+    plans = _plan(g, gp, seed)
+    places = gp.analyses[frozenset(seed)][1]
+    found: list[Binding] = []
+    conflicts: list = []
+    for index, steps in enumerate(plans):
+        if places is None:
+            found += _search(g, steps, seed, limit)
+            if limit is not None and len(found) >= limit:
+                break
+        else:
+            reached: list = []
+            found += _search(g, steps, seed, None, reached)
+            conflicts += ((places[index][step], err) for step, err in reached[-1:])
+    if conflicts:
+        raise min(conflicts, key=lambda place_err: place_err[0])[1]
     if limit is not None:
         return found[:limit]
-    found = _unique(found)
+    if len(plans) > 1:
+        found = list({frozenset(b.items()): b for b in found}.values())
     found.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
     return found
 

@@ -249,6 +249,14 @@ def test_check_deeply_nested_rule_is_one_error_line(tmp_path, capsys):
     _assert_one_error_line(capsys, "RuleSyntaxError")
 
 
+def test_check_rule_with_too_many_union_branches_is_one_error_line(tmp_path, capsys):
+    # seven UNIONs in a row distribute into 2**7 = 128 branches
+    where = "{?x soa:p ?y} UNION {?y soa:p ?x} " * 7
+    code = main(["check", "-i", str(_check_rule(tmp_path, where)), "--layers", "core"])
+    assert code == 1
+    _assert_one_error_line(capsys, "RuleSyntaxError")
+
+
 def test_check_bind_of_a_bound_variable_is_one_error_line(tmp_path, capsys):
     code = main(["check", "-i", str(_check_rule(tmp_path, "?x soa:p ?y. BIND(soa:c AS ?y)")),
                  "--layers", "core"])

@@ -284,6 +284,21 @@ def test_not_exists_is_not_moved_after_a_pattern_that_binds_its_inner_variable()
     assert steps.index(first) < steps.index(guard)
 
 
+def test_not_exists_is_not_moved_after_a_pattern_that_binds_its_bind_target():
+    a, b, c, d, q, r = (Iri(EX + x) for x in "abcdqr")
+    common, rare = TriplePattern(V("x"), Iri(EX + "p"), V("z")), TriplePattern(V("x"), r, V("y"))
+    # ?y is unbound where the guard is written: its BIND does not rebind it
+    guard = NotExists(GroupPattern((TriplePattern(V("x"), q, V("z")), Bind(d, V("y")))))
+    gp = GroupPattern((common, guard, rare))
+    for extra, solutions in (((), 1), ((Triple(a, q, b),), 0)):
+        g = _fanned_graph(r, *extra)
+        want = oracle.evaluate_where(g, gp)
+        assert len(want) == solutions
+        assert evaluate_where(g, gp) == want
+        steps = _steps(g, gp)
+        assert steps.index(guard) < steps.index(rare)
+
+
 def test_a_variable_one_union_branch_binds_is_unbound_for_the_other():
     a, b, c, d, q, s, t = (Iri(EX + x) for x in "abcdqst")
     g = _fanned_graph(q, Triple(a, t, b), Triple(a, s, d))

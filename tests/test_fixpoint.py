@@ -12,7 +12,7 @@ from normgraph.engine import (
 from normgraph.model import Graph, Iri, RDF_TYPE, SOA_NS, Triple, graph_union
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
 from normgraph.rules import (
-    Comparison, Filter, GroupPattern, NotExists, RuleQuery, TemplateTriple, TriplePattern,
+    Bind, Comparison, Filter, GroupPattern, NotExists, RuleQuery, TemplateTriple, TriplePattern,
     Union, Variable, parse_rule,
 )
 from normgraph.turtle import parse_turtle, serialize_turtle
@@ -136,13 +136,85 @@ def test_hot_rule_is_evaluated_in_full_in_fewer_than_every_iteration(monkeypatch
     assert len(full) < 6
 
 
-def test_rules_with_a_bind_or_a_top_level_union_always_run_in_full():
+def _full_evaluations(monkeypatch):
+    """The WHERE groups the engine evaluates in full, one entry per call."""
+    from normgraph import engine
+
+    full = []
+    evaluate = engine.evaluate_where
+    monkeypatch.setattr(engine, "evaluate_where",
+                        lambda g, gp, *args: full.append(gp) or evaluate(g, gp, *args))
+    return full
+
+
+def test_every_catalog_rule_has_a_wake_test_and_those_with_union_or_bind_are_skipped(
+        monkeypatch):
+    catalog = list(builtin_ruleset())
+    assert len(catalog) == 38 and all(e.wake is not None for e in catalog)
+    # a top-level UNION or a BIND used to make a rule run in full every time
+    binds = {e.rule_id for e in catalog if any(isinstance(el, Bind) for branch in
+                                                e.query.where_clause.branches
+                                                for el in branch.elements)}
+    unions = {e.rule_id for e in catalog
+              if any(isinstance(el, Union) for el in e.query.where_clause.elements)}
+    assert len(binds) == 2 and len(binds | unions) == 15
+    assert {"ds-rexist", "op-to-not-ob-self"} <= unions
+    # a branch that rebinds a variable keeps its rule in full evaluation
     rules = _rules(
-        bind="CONSTRUCT{?x ex:q ex:a} WHERE{?x ex:p ex:a NOT EXISTS{?x ex:r ?z BIND(ex:b AS ?y)}}",
-        union="CONSTRUCT{?x ex:q ex:a} WHERE{{?x ex:p ex:a} UNION {?x ex:r ex:a}}",
-        nested="""CONSTRUCT{?x ex:q ex:a}
-            WHERE{?x ex:s ex:a NOT EXISTS{{?x ex:p ex:a} UNION {?x ex:r ex:a}}}""")
-    assert [e.wake is None for e in rules] == [True, True, False]
+        rebind="""CONSTRUCT{?x ex:q ex:a}
+            WHERE{{?x ex:p ?y BIND(ex:b AS ?y)} UNION {?x ex:r ex:a}}""",
+        fresh="""CONSTRUCT{?x ex:q ?y}
+            WHERE{{?x ex:p ex:a BIND(ex:b AS ?y)} UNION {?x ex:r ?y}}""")
+    assert [e.wake is None for e in rules] == [True, False]
+
+    full = _full_evaluations(monkeypatch)
+    data, user_rules, _ = fixture("cash-card-norms")
+    data, rules = _pipeline([data, user_rules], ("pragmatics", "dts", "compliance"))
+    result = run_fixpoint(data, rules)
+    skipped = {e.rule_id for e in rules
+               if sum(gp is e.query.where_clause for gp in full) < result.iterations_used}
+    assert skipped & (binds | unions), skipped
+
+
+def test_a_not_exists_inside_a_top_level_union_branch_is_probed_again():
+    # `u` keeps ex:X until `two` adds `ex:X ex:r ex:a` in iteration 2; from
+    # iteration 3 on its left branch's NOT EXISTS fails
+    data = parse_turtle(f"""@prefix ex: <{EX}>.
+        ex:X ex:p ex:a; ex:t ex:go.""")
+    rules = _rules(
+        u="""CONSTRUCT{?x ex:q ex:a}
+            WHERE{{?x ex:p ex:a NOT EXISTS{?x ex:r ex:a}} UNION {?x ex:s ex:a}}""",
+        one="CONSTRUCT{?x ex:m ex:a} WHERE{?x ex:t ex:go}",
+        two="CONSTRUCT{?x ex:r ex:a} WHERE{?x ex:m ex:a}")
+    want = _assert_same_as_oracle("u", data, rules)
+    assert [record for record in want[4] if record[1] == "u"] \
+        == [(1, "u", 1, 1), (2, "u", 1, 0), (3, "u", 0, 0)]
+
+
+def test_no_guard_matched_keeps_the_solutions_without_probes(monkeypatch):
+    from normgraph import engine, rules
+
+    probes, in_kept = [], []
+    evaluate, kept = rules.evaluate_where, engine.WakeTest.kept
+
+    def counted_evaluate(g, gp, seed=None, limit=None):
+        probes.extend(in_kept)
+        return evaluate(g, gp, seed, limit)
+
+    def counted_kept(self, *args):
+        in_kept.append(1)
+        try:
+            return kept(self, *args)
+        finally:
+            in_kept.pop()
+
+    monkeypatch.setattr(rules, "evaluate_where", counted_evaluate)
+    monkeypatch.setattr(engine.WakeTest, "kept", counted_kept)
+    (inp,) = _load_workloads().cash_card_scale(1, 3)
+    graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
+    run_fixpoint(*_pipeline(graphs, inp.layers))
+    # probing every kept solution of a rule with a NOT EXISTS: 136 probes
+    assert 0 < len(probes) < 90, len(probes)
 
 
 class _Rules:
@@ -216,3 +288,65 @@ def test_fixpoint_matches_oracle_on_random_rules(monkeypatch):
         evaluations += len(want[4])
     # the skip is exercised: it saves more than 300 of ~1,800 evaluations
     assert evaluations - len(full) > 300, (len(full), evaluations)
+
+
+class _UnionRules(_Rules):
+    """Random rules like the catalog's: a pattern binding ?a and ?b, then a
+    UNION of two or three branches, and the template `?a p ?b`. Each branch
+    has a NOT EXISTS, often on the template's own triple, and often a
+    FILTER and a BIND of ?w, which no step before it binds, followed by a
+    pattern that joins on it."""
+
+    def branch(self, out: TriplePattern) -> GroupPattern:
+        rnd = self.rnd
+        w = Variable("w")
+        elements = [self.pattern() for _ in range(rnd.randrange(1, 3))]
+        inner = GroupPattern((out,)) if rnd.random() < 0.6 else self.group(1)
+        elements.insert(rnd.randrange(len(elements) + 1), NotExists(inner))
+        if rnd.random() < 0.5:
+            elements.insert(rnd.randrange(len(elements) + 1), Filter(Comparison(
+                rnd.choice(self.variables + [w]), rnd.random() < 0.5, self.term(0.5))))
+        if rnd.random() < 0.5:
+            at = rnd.randrange(len(elements) + 1)
+            elements[at:at] = [Bind(rnd.choice(self.iris), w),
+                               TriplePattern(self.term(0.8), rnd.choice(self.preds), w)]
+        return GroupPattern(tuple(elements))
+
+    def rule(self, rule_id: str) -> RuleEntry:
+        rnd = self.rnd
+        a, b = rnd.sample(self.variables, 2)
+        out = TriplePattern(a, rnd.choice(self.preds), b)
+        union = Union(self.branch(out), self.branch(out))
+        if rnd.random() < 0.3:
+            union = Union(GroupPattern((union,)), self.branch(out))
+        where = GroupPattern((TriplePattern(a, rnd.choice(self.preds), b), union))
+        return RuleEntry(rule_id, RuleQuery(rule_id, (TemplateTriple(a, out.predicate, b),),
+                                            where))
+
+
+def test_fixpoint_matches_oracle_on_random_rules_with_top_level_union(monkeypatch):
+    from normgraph import engine
+
+    rnd = random.Random(1729)
+    generate = _UnionRules(rnd)
+    dropped = []
+    kept = engine.WakeTest.kept
+
+    def counted_kept(self, graph, solutions, added):
+        out = kept(self, graph, solutions, added)
+        if out is not None:
+            dropped.append(len(solutions) - len(out))
+        return out
+
+    monkeypatch.setattr(engine.WakeTest, "kept", counted_kept)
+    full = _full_evaluations(monkeypatch)
+    evaluations = 0
+    for case in range(250):
+        rules = RuleSet(generate.rule(f"r{k}") for k in range(rnd.randrange(2, 5)))
+        assert all(e.wake is not None for e in rules)
+        want = _assert_same_as_oracle(case, generate.graph(), rules)
+        evaluations += len(want[4])
+    # the skip and the probes of a branch's NOT EXISTS are both exercised:
+    # 109 solutions dropped, 124 of 1,225 evaluations saved
+    assert sum(dropped) >= 60 and evaluations - len(full) > 80, (sum(dropped), len(full),
+                                                                 evaluations)

@@ -87,6 +87,42 @@ def test_parse_union_and_bind():
     assert binds == [Bind(Iri(OBLIGATORY.value.replace("Obligatory", "Permitted")), V("ddm"))]
 
 
+def test_union_distributes_into_branches_in_written_order():
+    a, b, c, d, p, q = (TriplePattern(V(x), Iri(f"https://example.org/{x}"), V("y"))
+                        for x in "abcdpq")
+    two = GroupPattern((Union(GroupPattern((a,)), GroupPattern((b,))),
+                        Union(GroupPattern((c,)), GroupPattern((d,)))))
+    assert [branch.elements for branch in two.branches] == [(a, c), (a, d), (b, c), (b, d)]
+    # inside NOT EXISTS the UNION stays one guard, whose group has two branches
+    guard = NotExists(GroupPattern((p, Union(GroupPattern((a,)), GroupPattern((b,))), q)))
+    outer = GroupPattern((c, guard))
+    assert [branch.elements for branch in outer.branches] == [(c, guard)]
+    assert [branch.elements for branch in guard.inner.branches] == [(p, a, q), (p, b, q)]
+
+
+def test_a_group_over_the_branch_cap_is_a_syntax_error():
+    from normgraph.rules import MAX_BRANCHES
+
+    def where(unions: int) -> str:
+        return "CONSTRUCT{?x :p ?y}WHERE{" + "{?x :p ?y}UNION{?y :p ?x} " * unions + "}"
+
+    assert MAX_BRANCHES == 64
+    assert len(parse_rule("wide", where(6)).where_clause.branches) == 64
+    text = where(7)
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule("wider", text)
+    # at the UNION that makes 128 branches
+    assert err.value.pos == len("CONSTRUCT{?x :p ?y}WHERE{") + 6 * (len(where(1)) - len(where(0)))
+    assert err.value.rule_id == "wider"
+    # a chain of UNIONs adds branches, and a NOT EXISTS group counts its own
+    chain = "{?x :p ?y}" + "UNION{?y :p ?x}" * 63
+    inner = "NOT EXISTS{" + "{?x :q ?y}UNION{?y :q ?x} " * 6 + "}"
+    rq = parse_rule("chain", "CONSTRUCT{?x :p ?y}WHERE{" + chain + inner + "}")
+    assert len(rq.where_clause.branches) == 64
+    with pytest.raises(RuleSyntaxError):
+        parse_rule("chain", "CONSTRUCT{?x :p ?y}WHERE{" + chain + "UNION{?x :p ?x}}")
+
+
 def test_keywords_are_case_insensitive():
     rq = parse_rule("lower", "construct{?x a :Rexist}where{?x a :Rexist. not exists{?x :not ?y}}")
     assert any(isinstance(el, NotExists) for el in rq.where_clause.elements)
