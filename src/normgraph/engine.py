@@ -158,9 +158,8 @@ class WakeTest(NamedTuple):
 
     anchors: tuple[_Anchor, ...]  # the patterns under an even number of NOT EXISTS
     guards: tuple[_Anchor, ...]   # and those under an odd number
-    # the NOT EXISTS groups of each top-level branch, by the branch's
-    # variables, each with the variables bound before it; None when two
-    # branches bind the same variables
+    # each top-level branch's NOT EXISTS groups and the variables bound before
+    # each, by the branch's variables; None when two branches bind the same
     probes: Optional[dict[frozenset, tuple[tuple[GroupPattern, tuple[Variable, ...]], ...]]]
 
     def kept(self, graph: Graph, solutions: list[Binding], added: _Added) -> Optional[list]:

@@ -184,9 +184,8 @@ class GroupPattern:
 
 
 def _distribute(gp: GroupPattern, place: int) -> tuple[list, int]:
-    """The branches of the group as (elements, places), numbering its
-    elements and those of its UNION groups from `place` in written order;
-    and the next number."""
+    """The branches of the group as (elements, places), numbering elements
+    from `place` in written order, UNION groups included; and the next."""
     branches = [((), ())]
     for el in gp.elements:
         if isinstance(el, Union):
@@ -684,34 +683,37 @@ def _guard_rank(el: Filter | NotExists, index: int) -> tuple:
 
 class _Guard(NamedTuple):
     element: Filter | NotExists
-    needed: frozenset     # bound by steps written before it: it runs after them
-    forbidden: frozenset  # unbound where it is written: it runs before what binds them
+    needed: int     # bound by binders written before it: it runs after them
+    forbidden: int  # unbound where it is written: it runs before what binds them
 
 
 class _Segment(NamedTuple):
-    """A branch to put in order: its binding steps and its guards."""
-    binders: tuple    # triple patterns and BINDs, in written order
-    variables: tuple  # the variables each binder binds, a tuple each
-    guards: tuple     # of _Guard, in rank order
-    entry: frozenset  # the seeded variables
+    """A branch to put in order; a set of its variables is an int, one bit each."""
+    binders: tuple  # triple patterns and BINDs, in written order
+    bits: dict      # the bit of each variable a binder binds
+    masks: tuple    # the variables each binder binds
+    guards: tuple   # of _Guard, in rank order
+    entry: int      # the seeded variables
 
 
 def _segment(elements: tuple, seeded: frozenset) -> _Segment:
     binders = [el for el in elements if isinstance(el, (TriplePattern, Bind))]
-    variables = tuple(map(_binds, binders))
-    everywhere = {v for binds in variables for v in binds}
-    before: set[Variable] = set()  # bound by the binders written so far
+    bits = {v: 1 << i for i, v in enumerate(dict.fromkeys(v for el in binders for v in _binds(el)))}
+
+    def mask(variables) -> int:
+        return sum(bits.get(v, 0) for v in set(variables))
+
+    before = 0  # bound by the binders written so far
     guards = []
     for index, el in enumerate(elements):
         if isinstance(el, (TriplePattern, Bind)):
-            before.update(_binds(el))
+            before |= mask(_binds(el))
             continue
-        mentioned = _mentioned(el) - seeded
-        guards.append((_guard_rank(el, index),
-                       _Guard(el, frozenset(mentioned & before),
-                              frozenset(mentioned & (everywhere - before)))))
+        mentioned = mask(_mentioned(el) - seeded)
+        guards.append((_guard_rank(el, index), _Guard(el, mentioned & before, mentioned & ~before)))
     guards.sort(key=lambda rank_guard: rank_guard[0])
-    return _Segment(tuple(binders), variables, tuple(guard for _, guard in guards), seeded)
+    return _Segment(tuple(binders), bits, tuple(mask(_binds(el)) for el in binders),
+                    tuple(guard for _, guard in guards), mask(seeded))
 
 
 def _rebinds(elements: tuple, seeded: Iterable[Variable]) -> bool:
@@ -767,37 +769,36 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     the first written. A binder is not taken while a waiting guard forbids
     one of its variables. The written order satisfies every guard, so the
     first written binder left is always allowed."""
-    bound = set(segment.entry)
-    cost = []
-    for matches, factors in estimates or ():
-        for var, factor in factors:
-            if var in bound:
+    bound = segment.entry
+    cost, factors = [], []
+    for matches, pairs in estimates or ():
+        factors.append([(segment.bits[var], factor) for var, factor in pairs])
+        for bit, factor in factors[-1]:
+            if bound & bit:
                 matches /= factor
         cost.append(matches)
     steps: list = []
-    placed: set[Variable] = set()  # the variables of the binders taken
+    placed = 0  # the variables of the binders taken
     waiting = list(segment.guards)
     remaining = list(range(len(segment.binders)))
     while True:
         if waiting:
-            steps += (guard.element for guard in waiting if guard.needed <= placed)
-            waiting = [guard for guard in waiting if not guard.needed <= placed]
+            steps += (guard.element for guard in waiting if not guard.needed & ~placed)
+            waiting = [guard for guard in waiting if guard.needed & ~placed]
         if not remaining:
             return steps
-        allowed = remaining
-        if waiting:
-            blocked = frozenset().union(*(guard.forbidden for guard in waiting))
-            allowed = [i for i in remaining if blocked.isdisjoint(segment.variables[i])]
+        allowed = [i for i in remaining if not any(
+            segment.masks[i] & guard.forbidden for guard in waiting)] if waiting else remaining
         best = min(allowed, key=cost.__getitem__) if cost else allowed[0]
         remaining.remove(best)
         steps.append(segment.binders[best])
-        placed.update(segment.variables[best])
+        placed |= segment.masks[best]
         if cost:
-            fresh = [v for v in segment.variables[best] if v not in bound]
-            bound.update(fresh)
+            fresh = segment.masks[best] & ~bound
+            bound |= fresh
             for i in remaining:
-                for var, factor in estimates[i][1]:
-                    if var in fresh:
+                for bit, factor in factors[i]:
+                    if fresh & bit:
                         cost[i] /= factor
 
 
@@ -816,13 +817,14 @@ def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
                                  if constants[i] is None]
 
 
-def _plan_run(g: Graph, segment: _Segment) -> list:
+def _plan_run(g: Graph, segment: _Segment, known: dict) -> list:
     """Puts a branch in order for the graph as it is (see `_order`). Joins
     commute, a BIND is a one-row join, and a guard sees the same values of
     the variables it mentions wherever it runs, so the order never changes
-    the solutions, only how much work finds them. Each binder's estimate is
-    read once; a greedy round then costs O(1) per binder."""
-    return _order(segment, [_estimate(g, el) for el in segment.binders])
+    the solutions. Each binder's estimate is read once, into `known` by id,
+    which the branches of a group share."""
+    known.update((id(el), _estimate(g, el)) for el in segment.binders if id(el) not in known)
+    return _order(segment, [known[id(el)] for el in segment.binders])
 
 
 def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, ...]:
@@ -835,8 +837,9 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple
     key = (id(gp), seeded)
     memo = g.memo()
     if key not in memo:
-        memo[key] = (gp, tuple(tuple(_plan_run(g, part)) if isinstance(part, _Segment) else part
-                               for part in _analyse(gp, seeded)[0]))
+        known: dict = {}
+        memo[key] = (gp, tuple(tuple(_plan_run(g, part, known)) if isinstance(part, _Segment)
+                               else part for part in _analyse(gp, seeded)[0]))
     return memo[key][1]
 
 
