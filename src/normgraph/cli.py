@@ -88,10 +88,6 @@ def cmd_reason(args) -> int:
 
 
 def cmd_check(args) -> int:
-    pipeline = run_pipeline(_read_inputs(args.input), _parse_layers(args.layers),
-                            args.max_iterations)
-    report = extract_findings(pipeline.result.graph, pipeline.result.provenance)
-    sys.stdout.write(render(report, args.format, pipeline.result.graph))
     fail_on = args.fail_on.split(",") if args.fail_on else list(_FAIL_ON_KINDS)
     kinds = set()
     for name in fail_on:
@@ -99,6 +95,10 @@ def cmd_check(args) -> int:
         if name not in _FAIL_ON_KINDS:
             raise ValueError(f"unknown --fail-on kind {name!r}")
         kinds.add(_FAIL_ON_KINDS[name])
+    pipeline = run_pipeline(_read_inputs(args.input), _parse_layers(args.layers),
+                            args.max_iterations)
+    report = extract_findings(pipeline.result.graph, pipeline.result.provenance)
+    sys.stdout.write(render(report, args.format, pipeline.result.graph))
     if any(f.kind in kinds for f in report.findings):
         return 2
     return 0

@@ -50,11 +50,12 @@ How it runs:
     under one, does, the group is searched in full and in written order,
     and raises the BindConflict at the first element, in written order,
     that a binding reaches. Elsewhere a BIND is a one-row join.
-  - A branch is planned as one unit: its triple patterns and BINDs in a
-    greedy join order, fewest expected matches per binding first, from the
-    graph's per-predicate counts and exact counts for constants. Each
-    FILTER and NOT EXISTS runs right after the step that binds the last of
-    its variables bound where it is written, and never after a step that
+  - A branch is planned as one unit: its triple patterns and BINDs in the
+    join order with the fewest estimated bindings in total that the greedy
+    (fewest expected matches per binding next) finds from any first step,
+    with the graph's per-predicate counts and exact counts for constants.
+    Each FILTER and NOT EXISTS runs right after the step that binds the last
+    of its variables bound where it is written, and never after a step that
     binds one it mentions that is unbound there, so it sees the values it
     would see in place. Guards that become ready together run FILTER
     first, then NOT EXISTS by nesting depth, then by number of patterns.
@@ -78,7 +79,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
@@ -683,15 +684,15 @@ def _guard_rank(el: Filter | NotExists, index: int) -> tuple:
 
 class _Guard(NamedTuple):
     element: Filter | NotExists
-    needed: int     # bound by binders written before it: it runs after them
-    forbidden: int  # unbound where it is written: it runs before what binds them
+    needed: int  # bound by binders written before it: it runs after them
 
 
 class _Segment(NamedTuple):
     """A branch to put in order; a set of its variables is an int, one bit each."""
     binders: tuple  # triple patterns and BINDs, in written order
-    bits: dict      # the bit of each variable a binder binds
+    bits: tuple     # per binder, the bit of each variable `_estimate` lists
     masks: tuple    # the variables each binder binds
+    after: tuple    # per binder, the `needed` of the guards that must run before it
     guards: tuple   # of _Guard, in rank order
     entry: int      # the seeded variables
 
@@ -704,16 +705,18 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
         return sum(bits.get(v, 0) for v in set(variables))
 
     before = 0  # bound by the binders written so far
-    guards = []
+    guards = []  # (rank, guard, the variables it mentions that are unbound where it is written)
     for index, el in enumerate(elements):
         if isinstance(el, (TriplePattern, Bind)):
             before |= mask(_binds(el))
             continue
         mentioned = mask(_mentioned(el) - seeded)
-        guards.append((_guard_rank(el, index), _Guard(el, mentioned & before, mentioned & ~before)))
-    guards.sort(key=lambda rank_guard: rank_guard[0])
-    return _Segment(tuple(binders), bits, tuple(mask(_binds(el)) for el in binders),
-                    tuple(guard for _, guard in guards), mask(seeded))
+        guards.append((_guard_rank(el, index), _Guard(el, mentioned & before), mentioned & ~before))
+    guards.sort()  # ranks differ, as they end in the written place
+    masks = tuple(mask(_binds(el)) for el in binders)
+    after = (reduce(int.__or__, (g.needed for _, g, free in guards if free & m), 0) for m in masks)
+    return _Segment(tuple(binders), tuple(tuple(map(bits.get, _binds(el))) for el in binders),
+                    masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded))
 
 
 def _rebinds(elements: tuple, seeded: Iterable[Variable]) -> bool:
@@ -758,48 +761,70 @@ def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> bool:
 
 
 def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
-    """The branch's steps: its binders in greedy order, each guard right
-    after the binder that binds the last of its needed variables, and the
-    guards that become ready together in rank order.
+    """The branch's steps: its binders in the cheapest order found, each
+    guard right after the binder that binds the last of its needed
+    variables, and the guards that become ready together in rank order.
 
     `estimates` holds each binder's expected matches with nothing bound and
     the factor that binding each of its variables divides them by (see
-    `_estimate`). The next binder is the one with the fewest expected
-    matches per binding, the first written on a tie; without estimates it is
-    the first written. A binder is not taken while a waiting guard forbids
-    one of its variables. The written order satisfies every guard, so the
-    first written binder left is always allowed."""
-    bound = segment.entry
-    cost, factors = [], []
-    for matches, pairs in estimates or ():
-        factors.append([(segment.bits[var], factor) for var, factor in pairs])
-        for bit, factor in factors[-1]:
-            if bound & bit:
-                matches /= factor
-        cost.append(matches)
-    steps: list = []
-    placed = 0  # the variables of the binders taken
-    waiting = list(segment.guards)
-    remaining = list(range(len(segment.binders)))
-    while True:
+    `_estimate`); without them the binders keep their written order. The
+    search runs `_greedy` from each allowed first binder, cheapest first,
+    so the first plan is the plain greedy's. A run stops once it costs as
+    much as the best plan; the search stops at a start that alone does, or
+    once it has looked at as many binders as the greedy plan's bindings."""
+    order = range(len(segment.binders))
+    if estimates:
+        factors = [[(bit, factor) for bit, (_, factor) in zip(bits, pairs)]
+                   for bits, (_, pairs) in zip(segment.bits, estimates)]
+        cost = [reduce(lambda matches, factor: matches / factor,
+                       (factor for bit, factor in pairs if segment.entry & bit), matches)
+                for pairs, (matches, _) in zip(factors, estimates)]
+        starts = sorted((i for i in order if not segment.after[i]), key=cost.__getitem__)
+        order, best, work = _greedy(segment, factors, cost, starts[0], float("inf"), 0)
+        budget = best
+        for first in starts[1:]:
+            if cost[first] >= best or work >= budget:
+                break
+            steps, total, work = _greedy(segment, factors, cost, first, best, work)
+            if steps is not None:
+                order, best = steps, total
+    steps, placed, waiting = [], 0, segment.guards
+    for i in order:
         if waiting:
             steps += (guard.element for guard in waiting if not guard.needed & ~placed)
             waiting = [guard for guard in waiting if guard.needed & ~placed]
-        if not remaining:
-            return steps
-        allowed = [i for i in remaining if not any(
-            segment.masks[i] & guard.forbidden for guard in waiting)] if waiting else remaining
-        best = min(allowed, key=cost.__getitem__) if cost else allowed[0]
+        steps.append(segment.binders[i])
+        placed |= segment.masks[i]
+    return steps + [guard.element for guard in waiting]
+
+
+def _greedy(segment: _Segment, factors: list, cost: list, first: int, limit: float,
+            work: int) -> tuple[Optional[list], float, int]:
+    """The order that takes binder `first`, then each time the allowed one
+    with the fewest expected matches per binding, the first written on a
+    tie; its estimated total bindings, the sum of the rows after each step;
+    and `work` plus the binders looked at. The order is None if the total
+    reaches `limit` first. The first written binder left is always allowed."""
+    cost, remaining, masks, after = list(cost), list(range(len(cost))), segment.masks, segment.after
+    bound, rows, total, order, best = segment.entry, 1.0, 0.0, [], first
+    while True:
+        rows *= cost[best]
+        total += rows
+        if total >= limit:
+            return None, total, work
+        order.append(best)
         remaining.remove(best)
-        steps.append(segment.binders[best])
-        placed |= segment.masks[best]
-        if cost:
-            fresh = segment.masks[best] & ~bound
-            bound |= fresh
-            for i in remaining:
+        if not remaining:
+            return order, total, work
+        fresh, bound = masks[best] & ~bound, bound | masks[best]
+        for i in remaining:
+            if fresh & masks[i]:
                 for bit, factor in factors[i]:
                     if fresh & bit:
                         cost[i] /= factor
+        work += len(remaining)
+        allowed = [i for i in remaining if not after[i] & ~bound] if any(after) else remaining
+        best = min(allowed, key=cost.__getitem__)
 
 
 def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
@@ -809,7 +834,7 @@ def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
     predicate if that is a constant (System R's selectivity). Constants are
     looked up exactly; a BIND has one match."""
     if isinstance(el, Bind):
-        return 1, []
+        return 1, [(el.var, 1)]
     parts = (el.subject, el.predicate, el.object)
     constants = [None if isinstance(part, Variable) else part for part in parts]
     distinct = g.distinct(constants[1])

@@ -117,6 +117,15 @@ def test_check_unknown_fail_on_kind_is_an_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_rejects_an_unknown_fail_on_kind_before_reporting(tmp_path, capsys):
+    paths = _write_fixture(tmp_path, "thomas")
+    code = main(["check", *_inputs(paths), "--fail-on", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: unknown --fail-on kind 'bogus'\n"
+
+
 def test_check_json_format(tmp_path, capsys):
     paths = _write_fixture(tmp_path, "partial-conflict-obligations")
     code = main(["check", *_inputs(paths), "--layers", "pragmatics,dts,compliance",

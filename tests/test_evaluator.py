@@ -1,6 +1,7 @@
 """The WHERE evaluator against the frozen naive one in oracle.py, the
 existence probe, and the graph's two-level indexes."""
 
+import dataclasses
 import random
 
 import oracle
@@ -406,6 +407,152 @@ def test_planning_whole_groups_cuts_probes_and_pattern_extensions(monkeypatch):
     # extensions; whole groups: 5,170 and 17,521
     assert calls["probes"] < 6300
     assert calls["extends"] < 31000
+
+
+def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_statements(
+        monkeypatch):
+    from normgraph import rules
+    from normgraph.cli import run_pipeline
+
+    data, user_rules, _ = fixture("cash-card-norms")
+    scaled = data.copy()
+    for i in range(10):
+        scaled.insert(Triple(Iri(f"{SOA_NS}Human{i}"), RDF_TYPE, Iri(SOA_NS + "Human")))
+    hot = next(e.query.where_clause for e in builtin_ruleset({"pragmatics"})
+               if e.rule_id == "not-from-thematic-divergence")
+    calls = {"probes": 0, "extends": 0}
+    first_steps = {}  # the first step of each plan of the hot rule, by graph size
+    evaluate, extend, plan = rules.evaluate_where, rules._extend, rules._plan
+
+    def counted_evaluate(g, gp, seed=None, limit=None):
+        calls["probes"] += limit == 1
+        return evaluate(g, gp, seed, limit)
+
+    def counted_extend(*args):
+        calls["extends"] += 1
+        return extend(*args)
+
+    def recorded_plan(g, gp, seeded):
+        steps = plan(g, gp, seeded)
+        if gp is hot:
+            first_steps[len(g)] = steps[0][0]
+        return steps
+
+    monkeypatch.setattr(rules, "evaluate_where", counted_evaluate)
+    monkeypatch.setattr(rules, "_extend", counted_extend)
+    monkeypatch.setattr(rules, "_plan", recorded_plan)
+    run_pipeline([scaled, user_rules], {"pragmatics", "dts", "compliance"})
+    # greedy from the cheapest first pattern: 5,060 probes and 16,777-17,173
+    # extensions (the count moves with the hash seed)
+    assert calls["probes"] < 3000
+    assert calls["extends"] < 12500
+    # the greedy took `?c a :Eventuality` first on the iteration-3 and
+    # iteration-5 graphs (297 and 759 triples), at 16 and 71 times the
+    # estimated bindings of starting from the `?r` statement star
+    assert len(first_steps) == 4, first_steps
+    for size, step in first_steps.items():
+        assert isinstance(step, TriplePattern) and step.subject == V("r"), (size, step)
+
+
+def _variables_in(node) -> set:
+    """Every variable anywhere inside an element, at any depth."""
+    if isinstance(node, Variable):
+        return {node}
+    if isinstance(node, tuple):
+        return set().union(*map(_variables_in, node))
+    if dataclasses.is_dataclass(node):
+        return set().union(*(_variables_in(getattr(node, f.name))
+                             for f in dataclasses.fields(node)))
+    return set()
+
+
+def _estimated_total(g, binders, seeded) -> float:
+    """The bindings the planner expects running the binders in this order to
+    make: the sum of the rows after each, by `rules._estimate`."""
+    from normgraph import rules
+    bound, rows, total = set(seeded), 1.0, 0.0
+    for el in binders:
+        matches, pairs = rules._estimate(g, el)
+        for var, factor in pairs:
+            if var in bound:
+                matches /= factor
+        rows *= matches
+        total += rows
+        bound |= _variables_in(el)
+    return total
+
+
+def test_planned_orders_cost_at_most_the_greedy_and_keep_every_guard_in_place(monkeypatch):
+    from normgraph import rules
+    plan_run, greedy = rules._plan_run, rules._greedy
+    runs, greedy_orders = [], []
+
+    def recorded_greedy(*args):
+        runs.append(greedy(*args))
+        return runs[-1]
+
+    def recorded_plan_run(g, segment, known):
+        runs.clear()
+        steps = plan_run(g, segment, known)
+        # the first run starts where the plain greedy does and is never cut short
+        greedy_orders.append(([segment.binders[i] for i in runs[0][0]], steps))
+        return steps
+
+    monkeypatch.setattr(rules, "_greedy", recorded_greedy)
+    monkeypatch.setattr(rules, "_plan_run", recorded_plan_run)
+    groups = _Interleaved(random.Random(1618))
+    cheaper = guards = 0
+    for case in range(600):
+        g, gp, seed = groups.graph(), groups.group(0), groups.seed() or {}
+        greedy_orders.clear()
+        plans = rules._plan(g, gp, seed)
+        for greedy_order, steps in greedy_orders:
+            binders = [el for el in steps if isinstance(el, TriplePattern)]
+            want, got = (_estimated_total(g, order, seed) for order in (greedy_order, binders))
+            assert got <= want * (1 + 1e-9), f"case {case}: {gp} seed={seed}"
+            cheaper += got < want * (1 - 1e-9)
+        for branch, steps in zip(gp.branches, plans):
+            ids = [id(el) for el in steps]
+            assert sorted(ids) == sorted(map(id, branch.elements)), f"case {case}"
+            bound = set(seed)  # bound where the element is written
+            for el in branch.elements:
+                if isinstance(el, TriplePattern):
+                    bound |= _variables_in(el)
+                    continue
+                mentioned = _variables_in(el) - set(seed)
+                earlier = set().union(*(_variables_in(step) for step in steps[:ids.index(id(el))]
+                                        if isinstance(step, TriplePattern)))
+                assert mentioned & bound <= earlier, f"case {case}: {gp} seed={seed}"
+                assert not mentioned - bound & earlier, f"case {case}: {gp} seed={seed}"
+                guards += 1
+    assert cheaper >= 20 and guards >= 600, (cheaper, guards)
+
+
+def test_order_search_on_a_1200_pattern_chain_stays_within_its_work_bound(monkeypatch):
+    from normgraph import rules
+    p = Iri(EX + "p")
+    g = Graph()
+    for head, length in (("n", 1200), ("m", 1199)):
+        for k in range(length):
+            g.insert(Triple(Iri(f"{EX}{head}{k}"), p, Iri(f"{EX}{head}{k + 1}")))
+    chain = GroupPattern(tuple(TriplePattern(V(f"x{k}"), p, V(f"x{k + 1}"))
+                               for k in range(1200)))
+    greedy, runs = rules._greedy, []
+
+    def recorded_greedy(segment, factors, cost, first, limit, work):
+        runs.append((limit, work))
+        return greedy(segment, factors, cost, first, limit, work)
+
+    monkeypatch.setattr(rules, "_greedy", recorded_greedy)
+    (steps,) = rules._plan(g, chain, ())
+    assert sorted(map(id, steps)) == sorted(map(id, chain.elements))
+    # every start costs the same, so only the work bound ends the search:
+    # the plain greedy's estimate, 2,399 rows at each of the 1,200 steps
+    budget = _estimated_total(g, chain.elements, ())
+    assert budget == 2399 * 1200
+    assert runs[0] == (float("inf"), 0)
+    assert all(work < budget for _, work in runs[1:])
+    assert 2 <= len(runs) <= 6, len(runs)
 
 
 # --- two-level indexes ---------------------------------------------------------

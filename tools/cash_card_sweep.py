@@ -1,0 +1,95 @@
+"""Time the scaled cash-card workload at growing agent counts.
+
+    PYTHONPATH=src python3 tools/cash_card_sweep.py [--seed 1] [--cap 60]
+
+For each N in 5, 10, 20 and 40, the input is `cash-card-norms` plus N seeded
+`soa:Human` agents with layers `pragmatics,dts,compliance`, built by
+`benchmarks/workloads.py` (loaded from its file) exactly as the
+`cash-card-scale` workload builds it. The sweep parses the input, then times
+`run_pipeline` with `time.perf_counter` and keeps the fastest of 3 runs, as
+load from other processes only ever adds time; one untimed run at the
+smallest N first fills the vocabulary and rule-catalog caches. It prints one
+JSON line per N: the seconds, the triples in the inferred graph, the
+fixpoint's iterations, the SHA-256 of the graph's Turtle (equal digests mean
+equal output), and the local growth exponent log(t/t') / log(N/N') against
+the N before. If the runs of one N take more than `--cap` seconds, the sweep
+stops there with a line that says so.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import math
+import signal
+import sys
+import time
+from pathlib import Path
+
+from normgraph.cli import run_pipeline
+from normgraph.turtle import parse_turtle, serialize_turtle
+
+AGENTS = (5, 10, 20, 40)
+REPEATS = 3
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Capped(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise _Capped()
+
+
+def _run(workloads, seed: int, agents: int) -> tuple[float, object]:
+    (inp,) = workloads.cash_card_scale(seed, agents)
+    graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
+    start = time.perf_counter()
+    pipeline = run_pipeline(graphs, set(inp.layers))
+    return time.perf_counter() - start, pipeline.result
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cap", type=int, default=60, help="seconds allowed for one N")
+    args = parser.parse_args(argv)
+    workloads = _load_workloads()
+    _run(workloads, args.seed, AGENTS[0])
+    signal.signal(signal.SIGALRM, _on_alarm)
+    last = None  # (agents, seconds) of the N before
+    for agents in AGENTS:
+        signal.alarm(args.cap)
+        try:
+            seconds, result = min((_run(workloads, args.seed, agents) for _ in range(REPEATS)),
+                                  key=lambda run: run[0])
+        except _Capped:
+            print(json.dumps({"agents": agents, "capped_at_s": args.cap}))
+            return 1
+        finally:
+            signal.alarm(0)
+        exponent = None if last is None else \
+            math.log(seconds / last[1]) / math.log(agents / last[0])
+        print(json.dumps({
+            "agents": agents, "seconds": round(seconds, 4), "triples": len(result.graph),
+            "iterations": result.iterations_used,
+            "digest": hashlib.sha256(serialize_turtle(result.graph).encode()).hexdigest(),
+            "exponent": None if exponent is None else round(exponent, 2),
+        }), flush=True)
+        last = (agents, seconds)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
