@@ -51,13 +51,12 @@ How it runs:
     and raises the BindConflict at the first element, in written order,
     that a binding reaches. Elsewhere a BIND is a one-row join.
   - A branch is planned as one unit: its triple patterns and BINDs in the
-    join order with the fewest estimated bindings in total that the greedy
-    (fewest expected matches per binding next) finds from any first step,
-    with the graph's per-predicate counts and exact counts for constants.
-    Each FILTER and NOT EXISTS runs right after the step that binds the last
-    of its variables bound where it is written, and never after a step that
-    binds one it mentions that is unbound there, so it sees the values it
-    would see in place. Guards that become ready together run FILTER
+    order with the fewest estimated bindings in total that a bounded search
+    finds (`_order`), from the graph's per-predicate counts and exact counts
+    for constants. Each FILTER and NOT EXISTS runs right after the step that
+    binds the last of its variables bound where it is written, and never after
+    a step that binds one it mentions that is unbound there, so it sees the
+    values it would see in place. Guards that become ready together run FILTER
     first, then NOT EXISTS by nesting depth, then by number of patterns.
   - What does not depend on the graph is worked out once per group and set
     of seeded variables and kept on the group; plans stay in the graph's
@@ -690,7 +689,7 @@ class _Guard(NamedTuple):
 class _Segment(NamedTuple):
     """A branch to put in order; a set of its variables is an int, one bit each."""
     binders: tuple  # triple patterns and BINDs, in written order
-    bits: tuple     # per binder, the bit of each variable `_estimate` lists
+    bits: tuple     # per binder, the bit of each variable it binds, in `_estimate`'s order
     masks: tuple    # the variables each binder binds
     after: tuple    # per binder, the `needed` of the guards that must run before it
     guards: tuple   # of _Guard, in rank order
@@ -768,21 +767,23 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     `estimates` holds each binder's expected matches with nothing bound and
     the factor that binding each of its variables divides them by (see
     `_estimate`); without them the binders keep their written order. The
-    search runs `_greedy` from each allowed first binder, cheapest first,
-    so the first plan is the plain greedy's. A run stops once it costs as
-    much as the best plan; the search stops at a start that alone does, or
-    once it has looked at as many binders as the greedy plan's bindings."""
+    search runs `_greedy` from each allowed first binder, cheapest first:
+    the plain greedy's run in full, then, if its plan's bindings exceed 8
+    times the binders it looked at, runs cut once they cost as much as the
+    best, until a start alone does or all runs have looked at that many."""
     order = range(len(segment.binders))
     if estimates:
         factors = [[(bit, factor) for bit, (_, factor) in zip(bits, pairs)]
                    for bits, (_, pairs) in zip(segment.bits, estimates)]
-        cost = [reduce(lambda matches, factor: matches / factor,
-                       (factor for bit, factor in pairs if segment.entry & bit), matches)
-                for pairs, (matches, _) in zip(factors, estimates)]
+        cost = [matches for matches, _ in estimates]
+        for i, pairs in enumerate(factors):
+            for bit, factor in pairs:
+                if segment.entry & bit:
+                    cost[i] /= factor
         starts = sorted((i for i in order if not segment.after[i]), key=cost.__getitem__)
-        order, best, work = _greedy(segment, factors, cost, starts[0], float("inf"), 0)
-        budget = best
-        for first in starts[1:]:
+        order, best, work = _greedy(segment, factors, cost, starts[0], None, 0)
+        budget = 8 * work  # a nan `best` (inf rows times no match) is never searched
+        for first in starts[1:] if budget < best else ():
             if cost[first] >= best or work >= budget:
                 break
             steps, total, work = _greedy(segment, factors, cost, first, best, work)
@@ -798,24 +799,23 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     return steps + [guard.element for guard in waiting]
 
 
-def _greedy(segment: _Segment, factors: list, cost: list, first: int, limit: float,
-            work: int) -> tuple[Optional[list], float, int]:
+def _greedy(segment: _Segment, factors: list, cost: list, first: int,
+            limit: Optional[float], work: int) -> tuple[Optional[list], float, int]:
     """The order that takes binder `first`, then each time the allowed one
     with the fewest expected matches per binding, the first written on a
     tie; its estimated total bindings, the sum of the rows after each step;
     and `work` plus the binders looked at. The order is None if the total
     reaches `limit` first. The first written binder left is always allowed."""
     cost, remaining, masks, after = list(cost), list(range(len(cost))), segment.masks, segment.after
-    bound, rows, total, order, best = segment.entry, 1.0, 0.0, [], first
-    while True:
+    bound, rows, total, order, allowed = segment.entry, 1.0, 0.0, [], [first]
+    while allowed:
+        best = min(allowed, key=cost.__getitem__)
         rows *= cost[best]
         total += rows
-        if total >= limit:
+        if limit is not None and total >= limit:
             return None, total, work
         order.append(best)
         remaining.remove(best)
-        if not remaining:
-            return order, total, work
         fresh, bound = masks[best] & ~bound, bound | masks[best]
         for i in remaining:
             if fresh & masks[i]:
@@ -824,7 +824,7 @@ def _greedy(segment: _Segment, factors: list, cost: list, first: int, limit: flo
                         cost[i] /= factor
         work += len(remaining)
         allowed = [i for i in remaining if not after[i] & ~bound] if any(after) else remaining
-        best = min(allowed, key=cost.__getitem__)
+    return order, total, work
 
 
 def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
@@ -834,7 +834,7 @@ def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
     predicate if that is a constant (System R's selectivity). Constants are
     looked up exactly; a BIND has one match."""
     if isinstance(el, Bind):
-        return 1, [(el.var, 1)]
+        return 1, []
     parts = (el.subject, el.predicate, el.object)
     constants = [None if isinstance(part, Variable) else part for part in parts]
     distinct = g.distinct(constants[1])
