@@ -105,8 +105,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_findings(args) -> int:
-    graphs = _read_inputs(args.input)
-    merged = graph_union(*graphs) if graphs else Graph()
+    merged = graph_union(*_read_inputs(args.input))
     report = extract_findings(merged)
     sys.stdout.write(render(report, args.format, merged))
     return 0
@@ -133,9 +132,9 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-i", "--input", action="append",
-                        required=needs_input, default=[],
+                        required=True, default=[],
                         help="input Turtle file (repeatable; rules and data may mix)")
     parser.add_argument("--layers", default=None,
                         help=f"comma-separated built-in layers (default: all of "

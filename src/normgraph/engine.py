@@ -372,7 +372,7 @@ def strip_rules(g: Graph) -> Graph:
     """The data remainder of a graph: everything except rule definitions."""
     subjects = {t.subject for t in g.match_iter(p=RDF_TYPE, o=INFERENCE_RULE)}
     out = Graph(prefix_map=g.prefix_map)
-    for t in g.triples():
+    for t in g.match_iter():
         if t.subject in subjects and (
                 (t.predicate == RDF_TYPE and t.object == INFERENCE_RULE)
                 or t.predicate == HAS_SPARQL_CODE):
@@ -391,7 +391,6 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
     delta: Optional[_Added] = None  # what the last iteration added
     for iteration in range(1, cfg.max_iterations + 1):
         pending: list[Triple] = []
-        pending_set: set[Triple] = set()
         for position, entry in enumerate(rules):
             wake, solutions = entry.wake, None
             if delta is not None and wake is not None and not _matches(wake.anchors, delta):
@@ -401,11 +400,10 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
             last[position] = solutions
             produced = instantiate(entry.query, solutions, SkolemPolicy(salt=f"i{iteration}"))
             added = 0
-            for t in produced:
-                if t in graph or t in pending_set:
+            for t in produced.match_iter():
+                if t in graph or t in provenance:  # provenance holds this pass's triples too
                     continue
                 pending.append(t)
-                pending_set.add(t)
                 provenance[t] = (entry.rule_id, iteration)
                 added += 1
             if cfg.trace_enabled:

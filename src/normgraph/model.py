@@ -106,10 +106,14 @@ class Graph:
     subject to predicate, predicate to object and object to subject. A bucket
     maps the remaining term to its triple, so a pattern with two bound
     positions is one lookup per level and a fully bound one is a membership
-    test. `insert` also keeps two counts per predicate, its triples and its
-    distinct subjects; its distinct objects are the size of its p→o entry.
-    Join planning reads these through `count` and `distinct` in O(1), except
-    that a constant subject or object alone adds up its buckets.
+    test. The indexes are the only store of the triples: `in` is a lookup in
+    the s→p→o index, and a whole-graph walk (`match_iter()` with nothing
+    bound) follows it, in insertion order grouped by subject and predicate,
+    so the walk and the work it leads to never depend on the hash seed.
+    `insert` also keeps the size and two counts per predicate, its triples
+    and its distinct subjects; its distinct objects are the size of its p→o
+    entry. Join planning reads these through `count` and `distinct` in O(1),
+    except that a constant subject or object alone adds up its buckets.
 
     Triples are only ever added, so the graph's size tells whether it has
     changed; `memo` uses that to keep values derived from one state of the
@@ -117,12 +121,12 @@ class Graph:
     """
 
     def __init__(self, triples: Iterable[Triple] = (), prefix_map: Optional[dict[str, str]] = None):
-        self._triples: set[Triple] = set()
         self._sp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._po: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._os: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         # predicate -> [triples, distinct subjects]
         self._counts: dict[Term, list[int]] = {}
+        self._size = 0
         self._memo: dict = {}
         self._memo_size = 0
         self.prefix_map: dict[str, str] = dict(prefix_map or {})
@@ -130,22 +134,22 @@ class Graph:
             self.insert(t)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return t.object in self._sp.get(t.subject, _NO_BUCKETS).get(t.predicate, _NO_BUCKETS)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.key))
+        return iter(self.match())
 
     def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return frozenset(self.match_iter())
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        if t in self._triples:
+        if t in self:
             return False
-        self._triples.add(t)
+        self._size += 1
         s, p, o = t.subject, t.predicate, t.object
         counts = self._counts.get(p)
         if counts is None:
@@ -161,28 +165,30 @@ class Graph:
         return sum(1 for t in triples if self.insert(t))
 
     def copy(self) -> "Graph":
-        """An independent graph with the same triples and prefix map. The
-        indexes are copied level by level, which hashes no term again."""
+        """An independent graph with the same triples, in the same order, and
+        the same prefix map. The indexes are copied level by level, which
+        hashes no term again."""
         out = Graph(prefix_map=self.prefix_map)
-        out._triples = set(self._triples)
         out._sp, out._po, out._os = (
             {first: {second: dict(bucket) for second, bucket in buckets.items()}
              for first, buckets in index.items()}
             for index in (self._sp, self._po, self._os))
         out._counts = {p: list(counts) for p, counts in self._counts.items()}
+        out._size = self._size
         return out
 
     def memo(self) -> dict:
         """A dict for values derived from the graph as it is now. It is
         emptied on the first call after triples were added."""
-        if self._memo_size != len(self._triples):
+        if self._memo_size != self._size:
             self._memo.clear()
-            self._memo_size = len(self._triples)
+            self._memo_size = self._size
         return self._memo
 
     def match_iter(self, s: Optional[Term] = None, p: Optional[Term] = None,
                    o: Optional[Term] = None) -> Iterator[Triple]:
-        """Unordered match: one index lookup per bound position."""
+        """Unordered match: one index lookup per bound position. With nothing
+        bound it walks the s→p→o index, in insertion order."""
         if s is not None:
             if p is not None:
                 bucket = self._sp.get(s, _NO_BUCKETS).get(p, _NO_BUCKETS)
@@ -199,7 +205,8 @@ class Graph:
         elif o is not None:
             buckets = self._os.get(o, _NO_BUCKETS)
         else:
-            return iter(self._triples)
+            return chain.from_iterable(bucket.values() for buckets in self._sp.values()
+                                       for bucket in buckets.values())
         return chain.from_iterable(bucket.values() for bucket in buckets.values())
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
@@ -233,7 +240,7 @@ class Graph:
             return len(self._os.get(o, _NO_BUCKETS).get(s, _NO_BUCKETS))
         if o is not None:
             return self.object_pool(o)
-        return len(self._triples)
+        return self._size
 
     def distinct(self, p: Optional[Term] = None) -> tuple[int, int, int]:
         """The number of distinct subjects, predicates and objects among the
@@ -246,16 +253,10 @@ class Graph:
         return self._counts[p][1], 1, len(objects)
 
     def check_indexes(self) -> bool:
-        """Internal consistency: every index holds exactly the triple set,
-        each triple under its own terms, and the per-predicate counts are
-        those of the triple set."""
-        counts: dict[Term, list] = {}
-        for t in self._triples:
-            entry = counts.setdefault(t.predicate, [0, set()])
-            entry[0] += 1
-            entry[1].add(t.subject)
-        if {p: [n, len(subjects)] for p, (n, subjects) in counts.items()} != self._counts:
-            return False
+        """Internal consistency: each index files every triple under its own
+        terms, the p→o and o→s indexes hold exactly the triples of the s→p→o
+        one, and the size and per-predicate counts are those of its triples."""
+        filed = []
         for index, order in ((self._sp, lambda t: (t.subject, t.predicate, t.object)),
                              (self._po, lambda t: (t.predicate, t.object, t.subject)),
                              (self._os, lambda t: (t.object, t.subject, t.predicate))):
@@ -263,20 +264,22 @@ class Graph:
                        for first, buckets in index.items()
                        for second, bucket in buckets.items()
                        for third, t in bucket.items()]
-            if len(entries) != len(self._triples):
+            if any(order(t) != (first, second, third) for first, second, third, t in entries):
                 return False
-            for first, second, third, t in entries:
-                if t not in self._triples or order(t) != (first, second, third):
-                    return False
-        return True
+            filed.append([t for *_, t in entries])
+        triples = set(filed[0])
+        if len(triples) != self._size or any(
+                len(other) != self._size or not triples.issuperset(other) for other in filed[1:]):
+            return False
+        counts: dict[Term, list] = {}
+        for t in triples:
+            entry = counts.setdefault(t.predicate, [0, set()])
+            entry[0] += 1
+            entry[1].add(t.subject)
+        return {p: [n, len(subjects)] for p, (n, subjects) in counts.items()} == self._counts
 
     def terms(self) -> set[Term]:
-        out: set[Term] = set()
-        for t in self._triples:
-            out.add(t.subject)
-            out.add(t.predicate)
-            out.add(t.object)
-        return out
+        return set(chain(self._sp, self._po, self._os))
 
     def blank_nodes(self) -> set[BlankNode]:
         return {t for t in self.terms() if isinstance(t, BlankNode)}
@@ -287,7 +290,7 @@ def graph_union(*graphs: Graph) -> Graph:
         return Graph()
     out = graphs[0].copy()
     for g in graphs[1:]:
-        out.update(g._triples)
+        out.update(g.match_iter())
         for k, v in g.prefix_map.items():
             out.prefix_map.setdefault(k, v)
     return out
@@ -295,12 +298,12 @@ def graph_union(*graphs: Graph) -> Graph:
 
 def graph_difference(g1: Graph, g2: Graph) -> Graph:
     out = Graph(prefix_map=g1.prefix_map)
-    out.update(g1._triples - g2._triples)
+    out.update(t for t in g1.match_iter() if t not in g2)
     return out
 
 
 def _ground_part(g: Graph) -> set[Triple]:
-    return {t for t in g.triples()
+    return {t for t in g.match_iter()
             if not isinstance(t.subject, BlankNode) and not isinstance(t.object, BlankNode)}
 
 
@@ -325,7 +328,7 @@ def _extend_mapping(sub: Graph, sup: Graph, blanks: list[BlankNode],
                     mapping: dict[BlankNode, BlankNode], used: set[BlankNode],
                     bijective: bool) -> bool:
     if not blanks:
-        return all(_map_triple(t, mapping) in sup for t in sub.triples())
+        return all(_map_triple(t, mapping) in sup for t in sub.match_iter())
     b = blanks[0]
     sig = _signature(sub, b)
     for cand in sorted(sup.blank_nodes(), key=term_key):
@@ -375,7 +378,7 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
 def contains_isomorphic(sub: Graph, sup: Graph) -> bool:
     """True iff sub embeds into sup: ground triples are contained directly and
     sub's blank nodes map injectively onto sup's so every triple lands in sup."""
-    if not _ground_part(sub) <= sup.triples():
+    if not all(t in sup for t in _ground_part(sub)):
         return False
     ordered = sorted(sub.blank_nodes(), key=term_key)
     if not ordered:

@@ -75,9 +75,6 @@ class Report:
             out[f.kind] = out.get(f.kind, 0) + 1
         return out
 
-    def by_kind(self, kind: str) -> list[Finding]:
-        return [f for f in self.findings if f.kind == kind]
-
 
 def _single_value(g: Graph, node: Term, predicate: Iri) -> Optional[Term]:
     values = sorted((t.object for t in g.match_iter(s=node, p=predicate)), key=term_key)

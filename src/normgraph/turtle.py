@@ -298,7 +298,7 @@ def serialize_turtle(g: Graph) -> str:
         lines.append(f"@prefix {prefix}: <{prefixes[prefix]}> .")
     if len(g):
         lines.append("")
-    for t in sorted(g.triples(), key=Triple.key):
+    for t in g.match():
         lines.append(f"{_render(t.subject, prefixes)} {_render(t.predicate, prefixes)} "
                      f"{_render(t.object, prefixes)} .")
     return "\n".join(lines) + "\n"

@@ -631,8 +631,12 @@ def test_indexes_hold_after_random_insert_sequences():
             inserted.add(t)
             assert g.check_indexes()
         assert g.triples() == inserted
+        assert len(g) == len(inserted)
+        walked = list(g.match_iter())
+        assert len(walked) == len(set(walked))
         for _ in range(20):
             probe = _random_triple(rnd)
+            assert (probe in g) is (probe in inserted)
             for mask in range(8):
                 s, p, o = (part if mask >> i & 1 else None
                            for i, part in enumerate((probe.subject, probe.predicate,
@@ -692,6 +696,14 @@ def test_check_indexes_notices_a_triple_under_the_wrong_key():
     g = Graph([Triple(a, p, b)])
     assert g.check_indexes()
     g._os[b][a][p] = Triple(b, p, a)
+    assert not g.check_indexes()
+
+
+def test_check_indexes_notices_a_triple_missing_from_one_index():
+    a, b, c, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "c"), Iri(EX + "p")
+    g = Graph([Triple(a, p, b), Triple(a, p, c)])
+    assert g.check_indexes()
+    del g._po[p][c]
     assert not g.check_indexes()
 
 

@@ -1,7 +1,10 @@
 """The engine's fixpoint against the frozen naive one in oracle.py."""
 
 import importlib.util
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +73,46 @@ def test_fixpoint_matches_oracle_on_small_benchmark_workloads():
             graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
             want = _assert_same_as_oracle((seed, inp.name), *_pipeline(graphs, inp.layers))
             assert want[0] == "ok" and want[-1] >= 2, (seed, inp.name)
+
+
+# One cash-card-scale check in a fresh interpreter: its `rules._extend` calls
+# and the Turtle of its graph.
+_COUNTED_CHECK = """
+import importlib.util, json, sys
+from normgraph import rules
+from normgraph.cli import run_pipeline
+from normgraph.turtle import parse_turtle, serialize_turtle
+spec = importlib.util.spec_from_file_location("_bench_workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = workloads
+spec.loader.exec_module(workloads)
+calls = 0
+extend = rules._extend
+def counted(*args):
+    global calls
+    calls += 1
+    return extend(*args)
+rules._extend = counted
+(inp,) = workloads.cash_card_scale(1, 10)
+graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
+result = run_pipeline(graphs, set(inp.layers)).result
+print(json.dumps([calls, serialize_turtle(result.graph)]))
+"""
+
+
+def test_the_work_of_a_check_does_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    runs = []
+    for hash_seed in ("0", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _COUNTED_CHECK,
+                              str(root / "benchmarks" / "workloads.py")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    (calls, graph), (other_calls, other_graph) = runs
+    assert calls == other_calls
+    assert graph == other_graph
 
 
 EX = "https://example.org/"

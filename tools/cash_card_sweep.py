@@ -8,12 +8,15 @@ For each N in 5, 10, 20 and 40, the input is `cash-card-norms` plus N seeded
 `cash-card-scale` workload builds it. The sweep parses the input, then times
 `run_pipeline` with `time.perf_counter` and keeps the fastest of 3 runs, as
 load from other processes only ever adds time; one untimed run at the
-smallest N first fills the vocabulary and rule-catalog caches. It prints one
-JSON line per N: the seconds, the triples in the inferred graph, the
-fixpoint's iterations, the SHA-256 of the graph's Turtle (equal digests mean
-equal output), and the local growth exponent log(t/t') / log(N/N') against
-the N before. If the runs of one N take more than `--cap` seconds, the sweep
-stops there with a line that says so.
+smallest N first fills the vocabulary and rule-catalog caches. One more,
+untimed run per N counts the calls to `rules._extend`, one per binding a
+triple pattern extends: a gauge of the work done that does not depend on the
+host. It prints one JSON line per N: the seconds, the `_extend` calls, the
+triples in the inferred graph, the fixpoint's iterations, the SHA-256 of the
+graph's Turtle (equal digests mean equal output), and the local growth
+exponent log(t/t') / log(N/N') against the N before. If the runs of one N
+take more than `--cap` seconds, the sweep stops there with a line that says
+so.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import sys
 import time
 from pathlib import Path
 
+from normgraph import rules
 from normgraph.cli import run_pipeline
 from normgraph.turtle import parse_turtle, serialize_turtle
 
@@ -60,6 +64,23 @@ def _run(workloads, seed: int, agents: int) -> tuple[float, object]:
     return time.perf_counter() - start, pipeline.result
 
 
+def _extend_calls(workloads, seed: int, agents: int) -> int:
+    calls = 0
+    extend = rules._extend
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    rules._extend = counted
+    try:
+        _run(workloads, seed, agents)
+    finally:
+        rules._extend = extend
+    return calls
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -74,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             seconds, result = min((_run(workloads, args.seed, agents) for _ in range(REPEATS)),
                                   key=lambda run: run[0])
+            extend_calls = _extend_calls(workloads, args.seed, agents)
         except _Capped:
             print(json.dumps({"agents": agents, "capped_at_s": args.cap}))
             return 1
@@ -82,7 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         exponent = None if last is None else \
             math.log(seconds / last[1]) / math.log(agents / last[0])
         print(json.dumps({
-            "agents": agents, "seconds": round(seconds, 4), "triples": len(result.graph),
+            "agents": agents, "seconds": round(seconds, 4), "extend_calls": extend_calls,
+            "triples": len(result.graph),
             "iterations": result.iterations_used,
             "digest": hashlib.sha256(serialize_turtle(result.graph).encode()).hexdigest(),
             "exponent": None if exponent is None else round(exponent, 2),
