@@ -5,12 +5,16 @@ No datatypes, no language tags, no named graphs. Graphs are sets of triples
 with subject/predicate/object indexes, plus blank-node-isomorphism comparison
 so that derived graphs containing anonymous individuals can be checked against
 expected ones.
+
+Terms are interned, one object per kind and string in a process, so `==` and
+`hash` are by identity, in C; copies re-intern, and unused terms are dropped.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
@@ -19,27 +23,51 @@ from typing import Iterable, Iterator, Optional
 _SPACE = re.compile(r"\s")
 
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
+class _Interned:
+    """A one-field value, held once per class and value in the class's weak table."""
+    __slots__ = ()
+    _check = staticmethod(lambda value: None)  # raises ValueError for a value to reject
 
-    def __post_init__(self):
-        if not self.value or _SPACE.search(self.value):
-            raise ValueError(f"invalid IRI: {self.value!r}")
+    def __init_subclass__(cls):
+        cls._table = weakref.WeakValueDictionary()
+
+    def __new__(cls, value: str):
+        self = cls._table.get(value)
+        if self is None:
+            cls._check(value)
+            self = cls._table[value] = object.__new__(cls)
+            object.__setattr__(self, cls.__slots__[0], value)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy, deepcopy and pickle intern again
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={getattr(self, self.__slots__[0])!r})"
 
 
-@dataclass(frozen=True)
-class BlankNode:
+class Iri(_Interned):
+    __slots__ = ("value", "__weakref__")
+
+    @staticmethod
+    def _check(value: str) -> None:
+        if not value or _SPACE.search(value):
+            raise ValueError(f"invalid IRI: {value!r}")
+
+
+class BlankNode(_Interned):
     # Labels carry a generation-source prefix ("parse:", "skolem:") so the
-    # origin of an anonymous individual stays inspectable. Equality is label
-    # equality.
-    label: str
+    # origin of an anonymous individual stays inspectable. Interned by label.
+    __slots__ = ("label", "__weakref__")
 
 
-@dataclass(frozen=True)
-class Literal:
-    # Plain literal; equality is lexical-form equality.
-    value: str
+class Literal(_Interned):
+    # Plain literal, interned by lexical form.
+    __slots__ = ("value", "__weakref__")
 
 
 Term = Iri | BlankNode | Literal
@@ -109,7 +137,7 @@ class Graph:
     test. The indexes are the only store of the triples: `in` is a lookup in
     the s→p→o index, and a whole-graph walk (`match_iter()` with nothing
     bound) follows it, in insertion order grouped by subject and predicate,
-    so the walk and the work it leads to never depend on the hash seed.
+    so the walk and its work depend on neither hash seed nor term address.
     `insert` also keeps the size and two counts per predicate, its triples
     and its distinct subjects; its distinct objects are the size of its p→o
     entry. Join planning reads these through `count` and `distinct` in O(1),
@@ -319,9 +347,7 @@ def _signature(g: Graph, b: BlankNode) -> tuple:
 
 
 def _map_triple(t: Triple, mapping: dict[BlankNode, BlankNode]) -> Triple:
-    s = mapping.get(t.subject, t.subject) if isinstance(t.subject, BlankNode) else t.subject
-    o = mapping.get(t.object, t.object) if isinstance(t.object, BlankNode) else t.object
-    return Triple(s, t.predicate, o)
+    return Triple(mapping.get(t.subject, t.subject), t.predicate, mapping.get(t.object, t.object))
 
 
 def _extend_mapping(sub: Graph, sup: Graph, blanks: list[BlankNode],

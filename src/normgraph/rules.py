@@ -83,7 +83,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .model import (
     BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
-    render_term, term_key,
+    _Interned, render_term, term_key,
 )
 
 
@@ -104,9 +104,8 @@ class BindConflict(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Interned):
+    __slots__ = ("name", "__weakref__")
 
 
 @dataclass(frozen=True)

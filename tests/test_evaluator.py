@@ -170,6 +170,25 @@ def test_bind_conflict_is_raised_at_the_first_element_any_solution_conflicts_at(
         assert _outcome(evaluate_where, g, outer, limit=1) == want
 
 
+def test_two_unions_in_a_row_raise_at_the_smallest_written_place_unlike_the_oracle():
+    a, b, c, d, p, q, r = (Iri(EX + x) for x in "abcdpqr")
+    g = Graph([Triple(a, p, b), Triple(a, q, c), Triple(a, r, d)])
+    # {?x ex:p ?u} UNION {?x ex:q ?w} {?x ex:r ?k. BIND(ex:c AS ?w)} UNION {BIND(ex:c AS ?u)}
+    first = Union(GroupPattern((TriplePattern(V("x"), p, V("u")),)),
+                  GroupPattern((TriplePattern(V("x"), q, V("w")),)))
+    second = Union(GroupPattern((TriplePattern(V("x"), r, V("k")), Bind(c, V("w")))),
+                   GroupPattern((Bind(c, V("u")),)))
+    gp = GroupPattern((first, second))
+    # element by element, the second UNION runs in full for the first UNION's
+    # left solution, whose right branch rebinds ?u; the engine raises at the
+    # BIND of ?w, written before that of ?u, as the README states
+    assert _outcome(oracle.evaluate_where, g, gp) == (
+        "raised", "BindConflict", "variable ?u is already bound")
+    want = ("raised", "BindConflict", "variable ?w is already bound")
+    assert _outcome(evaluate_where, g, gp) == want
+    assert _outcome(evaluate_where, g, gp, limit=1) == want
+
+
 def _fixture_graphs():
     for name, info in sorted(FIXTURES.items()):
         data, user_rules, _ = fixture(name)

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+
 import pytest
 
 from normgraph.model import (
@@ -56,6 +60,59 @@ def test_iri_rejects_whitespace_and_empty():
         Iri("")
     with pytest.raises(ValueError):
         Iri("https://example.org/a b")
+
+
+def test_terms_are_interned_and_compare_by_identity():
+    assert Iri("x") is Iri("x")
+    assert BlankNode("parse:x") is BlankNode("parse:x")
+    assert Literal("x") is Literal("x")
+    assert Iri("x") != Literal("x") != BlankNode("x") != Iri("x")
+    assert repr(Iri("x")) == "Iri(value='x')"
+    assert repr(BlankNode("parse:x")) == "BlankNode(label='parse:x')"
+    for cls in (Iri, BlankNode, Literal):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
+
+
+def test_copies_and_pickles_give_back_the_interned_terms():
+    for term in (A, BlankNode("parse:c"), Literal("c d")):
+        for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+            assert twin is term
+    triple = Triple(BlankNode("parse:c"), P, Literal("c d"))
+    for twin in (copy.copy(triple), copy.deepcopy(triple), pickle.loads(pickle.dumps(triple))):
+        assert twin == triple
+        assert all(getattr(twin, part) is getattr(triple, part)
+                   for part in ("subject", "predicate", "object"))
+
+
+def test_terms_are_immutable():
+    for term, field in ((A, "value"), (BlankNode("parse:x"), "label"), (Literal("x"), "value")):
+        with pytest.raises(AttributeError):
+            setattr(term, field, "y")
+        with pytest.raises(AttributeError):
+            delattr(term, field)
+        with pytest.raises(AttributeError):
+            term.other = "y"
+
+
+def test_a_rejected_iri_never_enters_the_table():
+    gc.collect()
+    before = len(Iri._table)
+    for value in ("", "a b"):
+        with pytest.raises(ValueError):
+            Iri(value)
+        assert value not in Iri._table
+    assert len(Iri._table) == before
+
+
+def test_the_intern_table_drops_terms_nothing_else_holds():
+    gc.collect()
+    before = len(BlankNode._table)
+    nodes = [BlankNode(f"skolem:intern-test:{i}") for i in range(10_000)]
+    assert len(BlankNode._table) == before + len(nodes)
+    del nodes
+    gc.collect()
+    assert len(BlankNode._table) == before
 
 
 def test_match_by_subject_and_predicate():

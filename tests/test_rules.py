@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,18 @@ from normgraph.rules import (
 from conftest import soa
 
 V = Variable
+
+
+def test_variables_are_interned_and_compare_by_identity():
+    x = V("x")
+    assert V("x") is x and V("y") is not x
+    assert x != Literal("x") and x != Iri("x")
+    assert copy.copy(x) is x and copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+    assert repr(x) == "Variable(name='x')"
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    assert Variable.__hash__ is object.__hash__
+    assert Variable.__eq__ is object.__eq__
 
 
 # --- parsing -----------------------------------------------------------------
