@@ -400,7 +400,7 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
             last[position] = solutions
             produced = instantiate(entry.query, solutions, SkolemPolicy(salt=f"i{iteration}"))
             added = 0
-            for t in produced.match_iter():
+            for t in produced:
                 if t in graph or t in provenance:  # provenance holds this pass's triples too
                     continue
                 pending.append(t)

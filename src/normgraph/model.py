@@ -142,10 +142,8 @@ class Graph:
     and its distinct subjects; its distinct objects are the size of its p→o
     entry. Join planning reads these through `count` and `distinct` in O(1),
     except that a constant subject or object alone adds up its buckets.
-
-    Triples are only ever added, so the graph's size tells whether it has
-    changed; `memo` uses that to keep values derived from one state of the
-    graph (join plans) exactly as long as that state lasts.
+    Triples are only ever added, so the size tells whether the graph has
+    changed.
     """
 
     def __init__(self, triples: Iterable[Triple] = (), prefix_map: Optional[dict[str, str]] = None):
@@ -155,8 +153,6 @@ class Graph:
         # predicate -> [triples, distinct subjects]
         self._counts: dict[Term, list[int]] = {}
         self._size = 0
-        self._memo: dict = {}
-        self._memo_size = 0
         self.prefix_map: dict[str, str] = dict(prefix_map or {})
         for t in triples:
             self.insert(t)
@@ -204,14 +200,6 @@ class Graph:
         out._counts = {p: list(counts) for p, counts in self._counts.items()}
         out._size = self._size
         return out
-
-    def memo(self) -> dict:
-        """A dict for values derived from the graph as it is now. It is
-        emptied on the first call after triples were added."""
-        if self._memo_size != self._size:
-            self._memo.clear()
-            self._memo_size = self._size
-        return self._memo
 
     def match_iter(self, s: Optional[Term] = None, p: Optional[Term] = None,
                    o: Optional[Term] = None) -> Iterator[Triple]:

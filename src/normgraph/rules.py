@@ -58,10 +58,12 @@ How it runs:
     a step that binds one it mentions that is unbound there, so it sees the
     values it would see in place. Guards that become ready together run FILTER
     first, then NOT EXISTS by nesting depth, then by number of patterns.
-  - What does not depend on the graph is worked out once per group and set
-    of seeded variables and kept on the group; plans stay in the graph's
-    memo until a triple is added. A branch is searched depth first with its
-    own stack, so a long run of patterns needs no Python recursion.
+  - A group's plan is kept on it, one per set of seeded variables: what does
+    not depend on the graph, worked out once, and the order last found,
+    with the graph, held weakly, and the size it was found for; another
+    graph, or the same one grown, is planned anew. A branch is searched
+    depth first with its own stack, so a long run of patterns needs no
+    Python recursion.
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
     search stops at the first solution. A full evaluation sorts its
     solutions once, at the end; one branch never gives a solution twice,
@@ -77,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Optional
@@ -172,13 +175,8 @@ class GroupPattern:
 
     @cached_property
     def analyses(self) -> dict:
-        """The graph-independent part of this group's plans, per set of
-        seeded variables; filled by `_plan`. It lives as long as the group."""
-        return {}
-
-    @cached_property
-    def rebinding(self) -> dict:
-        """`rebinds`, per set of seeded variables."""
+        """This group's `_Analysis`, the plan of its branches, per set of
+        seeded variables; filled by `_analyse`. It lives as long as the group."""
         return {}
 
 
@@ -717,45 +715,54 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
                     masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded))
 
 
-def _rebinds(elements: tuple, seeded: Iterable[Variable]) -> bool:
-    """Whether a BIND of the branch, or of a NOT EXISTS group under it,
-    targets a variable bound where it is written."""
-    bound = set(seeded)
-    for el in elements:
-        if (isinstance(el, Bind) and el.var in bound
-                or isinstance(el, NotExists) and rebinds(el.inner, bound)):
-            return True
-        bound.update(_binds(el))
-    return False
+@dataclass
+class _Analysis:
+    """A group's plan for a seed binding one set of variables, kept in
+    `GroupPattern.analyses`. It does not depend on the graph, except the
+    steps last ordered and the state of the graph they were ordered for."""
+    parts: tuple  # per branch, a _Segment to order, or its steps in their final order
+    places: Optional[tuple]  # if a BIND rebinds, each branch's places (steps as written)
+    state: Optional[tuple] = None  # (weak reference to the graph, its size)
+    steps: tuple = ()
 
 
-def _analyse(gp: GroupPattern, seeded: frozenset) -> tuple[tuple, Optional[tuple]]:
-    """The part of the group's plan that does not depend on the graph, for a
-    seed binding the variables `seeded`, kept on the group: for each branch
-    a _Segment to order against the graph, or its steps in their final
-    order (a branch with at most one binder has one order whatever the
-    graph holds); and, if a BIND rebinds a variable, each branch's places,
-    its steps being in written order."""
-    analyses = gp.analyses
-    if seeded not in analyses:
+def _analyse(gp: GroupPattern, seeded: frozenset) -> _Analysis:
+    """The group's plan for a seed binding the variables `seeded`. A branch
+    with at most one binder has one order whatever the graph holds."""
+    if seeded not in gp.analyses:
         branches = gp.branches
         if rebinds(gp, seeded):
-            analyses[seeded] = (tuple(branch.elements for branch in branches),
-                                tuple(branch.places for branch in branches))
+            gp.analyses[seeded] = _Analysis(tuple(branch.elements for branch in branches),
+                                            tuple(branch.places for branch in branches))
         else:
             segments = [_segment(branch.elements, seeded) for branch in branches]
-            analyses[seeded] = (tuple(part if len(part.binders) > 1 else tuple(_order(part))
-                                      for part in segments), None)
-    return analyses[seeded]
+            gp.analyses[seeded] = _Analysis(tuple(part if len(part.binders) > 1
+                                                  else tuple(_order(part)) for part in segments),
+                                            None)
+    return gp.analyses[seeded]
 
 
 def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> bool:
     """Whether evaluating the group, with a seed binding the variables
-    `seeded`, can raise BindConflict (see `_rebinds`)."""
-    seeded = frozenset(seeded)
-    if seeded not in gp.rebinding:
-        gp.rebinding[seeded] = any(_rebinds(branch.elements, seeded) for branch in gp.branches)
-    return gp.rebinding[seeded]
+    `seeded`, can raise BindConflict: whether a BIND of a branch, or of a
+    NOT EXISTS group under one, targets a variable bound where it is
+    written. A group that many branches share is looked at once per set of
+    variables bound before it."""
+    pending, seen = [(gp, frozenset(seeded))], set()
+    while pending:
+        group, before = pending.pop()
+        if (id(group), before) in seen:
+            continue
+        seen.add((id(group), before))
+        for branch in group.branches:
+            bound = set(before)
+            for el in branch.elements:
+                if isinstance(el, Bind) and el.var in bound:
+                    return True
+                if isinstance(el, NotExists):
+                    pending.append((el.inner, frozenset(bound)))
+                bound.update(_binds(el))
+    return False
 
 
 def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
@@ -854,17 +861,18 @@ def _plan_run(g: Graph, segment: _Segment, known: dict) -> list:
 def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, ...]:
     """The steps of each branch of the group in the order to search them,
     for a seed binding the variables `seeded`. The order depends on the
-    graph's counts, so the plan is kept in the graph's memo until the graph
-    changes. The memo is keyed by the group's id and holds the group itself,
-    so the id cannot be reused by another group while the entry lives."""
-    seeded = frozenset(seeded)
-    key = (id(gp), seeded)
-    memo = g.memo()
-    if key not in memo:
+    graph's counts, so it is kept on the group's _Analysis until another
+    graph, or the same one grown, asks. The graph is held weakly, so a new
+    one at a freed address is not taken for it; and as every order gives
+    the same solutions, a stale one could only cost time."""
+    analysis = _analyse(gp, frozenset(seeded))
+    state = (weakref.ref(g), len(g))
+    if state != analysis.state:
         known: dict = {}
-        memo[key] = (gp, tuple(tuple(_plan_run(g, part, known)) if isinstance(part, _Segment)
-                               else part for part in _analyse(gp, seeded)[0]))
-    return memo[key][1]
+        analysis.steps = tuple(tuple(_plan_run(g, part, known)) if isinstance(part, _Segment)
+                               else part for part in analysis.parts)
+        analysis.state = state
+    return analysis.steps
 
 
 def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int],
@@ -940,8 +948,9 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     conflicts at, as the full evaluation does.
     """
     seed = dict(seed) if seed else {}
-    plans = _plan(g, gp, seed)
-    places = gp.analyses[frozenset(seed)][1]
+    seeded = frozenset(seed)
+    plans = _plan(g, gp, seeded)
+    places = gp.analyses[seeded].places
     found: list[Binding] = []
     conflicts: list = []
     for index, steps in enumerate(plans):
@@ -992,12 +1001,12 @@ def _solution_signature(binding: Binding) -> str:
 
 
 def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
-                skolem: Optional[SkolemPolicy] = None) -> Graph:
-    """Expand the CONSTRUCT template once per solution into a graph."""
+                skolem: Optional[SkolemPolicy] = None) -> list[Triple]:
+    """Expand the CONSTRUCT template once per solution: the distinct
+    triples, in solution order and then template order."""
     policy = skolem or SkolemPolicy()
-    out = Graph()
+    out: dict[Triple, None] = {}  # an ordered set
     for binding in solutions:
-        signature = _solution_signature(binding)
         blanks: dict[int, BlankNode] = {}
 
         def resolve(part: TemplateTerm) -> Term:
@@ -1008,11 +1017,11 @@ def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
                 return binding[part]
             if isinstance(part, TemplateBlank):
                 if part.index not in blanks:
-                    blanks[part.index] = BlankNode(
-                        policy.label(rq.rule_id, part.index, signature))
+                    blanks[part.index] = BlankNode(policy.label(
+                        rq.rule_id, part.index, _solution_signature(binding)))
                 return blanks[part.index]
             return part
 
         for tt in rq.construct_template:
-            out.insert(Triple(resolve(tt.subject), resolve(tt.predicate), resolve(tt.object)))
-    return out
+            out[Triple(resolve(tt.subject), resolve(tt.predicate), resolve(tt.object))] = None
+    return list(out)

@@ -726,11 +726,32 @@ def test_check_indexes_notices_a_triple_missing_from_one_index():
     assert not g.check_indexes()
 
 
-def test_memo_is_emptied_once_the_graph_grows():
+def test_a_group_is_planned_once_per_graph_state(monkeypatch):
+    from normgraph import rules
     a, b, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "p")
+    gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), p, V("z"))))
+    planned = []
+    original = rules._plan_run
+    monkeypatch.setattr(rules, "_plan_run",
+                        lambda *args: planned.append(1) or original(*args))
     g = Graph([Triple(a, p, b)])
-    g.memo()["k"] = 1
-    g.insert(Triple(a, p, b))
-    assert g.memo() == {"k": 1}
+    evaluate_where(g, gp)
+    evaluate_where(g, gp)
+    assert len(planned) == 1
+    g.insert(Triple(a, p, b))  # already there: the graph is unchanged
+    evaluate_where(g, gp)
+    assert len(planned) == 1
     g.insert(Triple(b, p, a))
-    assert g.memo() == {}
+    evaluate_where(g, gp)
+    assert len(planned) == 2
+    other = g.copy()  # the same triples in another graph
+    evaluate_where(other, gp)
+    assert len(planned) == 3
+    evaluate_where(g, gp)  # only the last graph's order is kept
+    assert len(planned) == 4
+    # a new graph of the same size is planned anew, also where it takes the
+    # address of the one planned last, which was freed
+    triples = list(g)
+    for _ in range(3):
+        evaluate_where(Graph(triples), gp)
+    assert len(planned) == 7

@@ -473,7 +473,7 @@ def test_guarded_wife_rule_creates_one_fresh_node():
     sols = evaluate_where(g, rq.where_clause)
     produced = instantiate(rq, sols, SkolemPolicy())
     assert len(produced) == 1
-    triple = next(iter(produced.triples()))
+    triple = produced[0]
     assert triple.predicate == soa("wife-of")
     assert triple.object == soa("John")
     assert triple.subject.label.startswith("skolem:wife:0:")
@@ -497,14 +497,14 @@ def test_instantiation_is_deterministic_label_identical():
     """)
     g = _graph(Triple(soa("e1"), RDF_TYPE, REXIST), Triple(soa("e2"), RDF_TYPE, REXIST))
     sols = evaluate_where(g, rq.where_clause)
-    first = instantiate(rq, sols, SkolemPolicy(salt="i1"))
-    second = instantiate(rq, sols, SkolemPolicy(salt="i1"))
+    first = Graph(instantiate(rq, sols, SkolemPolicy(salt="i1")))
+    second = Graph(instantiate(rq, sols, SkolemPolicy(salt="i1")))
     assert first.triples() == second.triples()
     from normgraph.model import isomorphic
 
     assert isomorphic(first, second)
     # a different salt renames but stays isomorphic
-    other = instantiate(rq, sols, SkolemPolicy(salt="i2"))
+    other = Graph(instantiate(rq, sols, SkolemPolicy(salt="i2")))
     assert other.triples() != first.triples()
     assert isomorphic(first, other)
 
@@ -513,8 +513,17 @@ def test_distinct_solutions_get_distinct_skolems():
     rq = parse_rule("mk", "CONSTRUCT{[soa:wife-of ?x]}WHERE{?x a soa:Man}")
     g = _graph(Triple(soa("John"), RDF_TYPE, soa("Man")),
                Triple(soa("Jim"), RDF_TYPE, soa("Man")))
-    produced = instantiate(rq, evaluate_where(g, rq.where_clause), SkolemPolicy())
+    produced = Graph(instantiate(rq, evaluate_where(g, rq.where_clause), SkolemPolicy()))
     assert len(produced.blank_nodes()) == 2
+
+
+def test_instantiate_lists_distinct_triples_by_solution_then_template():
+    rq = parse_rule("order", "CONSTRUCT{?x :hold :true. soa:all soa:seen ?x. ?x :hold :true}"
+                             "WHERE{?x a :Rexist}")
+    e1, e2, seen = soa("e1"), soa("e2"), Triple(soa("all"), soa("seen"), soa("e1"))
+    produced = instantiate(rq, [{V("x"): e2}, {V("x"): e1}, {V("x"): e2}], SkolemPolicy())
+    assert produced == [Triple(e2, HOLD, TRUE), Triple(soa("all"), soa("seen"), e2),
+                        Triple(e1, HOLD, TRUE), seen]
 
 
 def test_instantiate_checks_bound_variables():
