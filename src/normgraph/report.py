@@ -3,8 +3,10 @@
 Every triple whose predicate is one of the five finding predicates becomes a
 Finding; its endpoints are resolved into views of the reified statements they
 point at. Malformed reifications (a missing rdf:subject/predicate/object) are
-reported, never silently dropped. The text renderer stays locale-independent
-ASCII; the JSON renderer emits a stable, versioned schema.
+reported, never silently dropped. The text renderer writes one
+locale-independent ASCII line per finding and per malformed reification:
+quotes, backslashes, control and non-ASCII characters in names and literal
+values are escaped. The JSON renderer emits a stable, versioned schema.
 """
 
 from __future__ import annotations
@@ -124,6 +126,12 @@ def extract_findings(g: Graph, provenance: Optional[dict] = None) -> Report:
 # --- Rendering ---------------------------------------------------------------
 
 
+def _ascii(text: str) -> str:
+    """`text` on one ASCII line: double quotes, backslashes, control and
+    non-ASCII characters are escaped as in a JSON string."""
+    return json.dumps(text)[1:-1]
+
+
 def _local(term: Optional[Term]) -> str:
     if term is None:
         return "?"
@@ -131,16 +139,16 @@ def _local(term: Optional[Term]) -> str:
         value = term.value
         for ns in sorted(DEFAULT_PREFIXES.values(), key=len, reverse=True):
             if value.startswith(ns) and len(value) > len(ns):
-                return value[len(ns):]
+                return _ascii(value[len(ns):])
         for sep in ("#", "/"):
             if sep in value:
                 tail = value.rsplit(sep, 1)[1]
                 if tail:
-                    return tail
-        return value
+                    return _ascii(tail)
+        return _ascii(value)
     if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    return f'"{term.value}"'
+        return f"_:{_ascii(term.label)}"
+    return f'"{_ascii(term.value)}"'
 
 
 def _describe_eventuality(g: Graph, e: Term) -> str:
@@ -186,7 +194,7 @@ def render_text(report: Report, graph: Graph) -> str:
         line = (f"{KIND_LABEL[f.kind]}: {describe_view(graph, f.left)}"
                 f" vs {describe_view(graph, f.right)}")
         if f.rule_id is not None:
-            line += f" -- rule {f.rule_id}@iter{f.iteration}"
+            line += f" -- rule {_ascii(f.rule_id)}@iter{f.iteration}"
         lines.append(line)
     for view in report.malformed:
         lines.append(f"MALFORMED-REIFICATION: {_local(view.node)}")

@@ -16,10 +16,12 @@ frozen subset of SPARQL 1.1:
                  '&&', '||', and parentheses
 
 Keywords are case-insensitive and whitespace is free-form; `a` abbreviates
-rdf:type; `.` statement separators are optional between elements. Braces,
-brackets and parentheses nest at most MAX_NESTING (100) levels deep. Anything
-outside this grammar is a syntax error: the evaluator would rather fail
-loudly than silently mis-evaluate a rule.
+rdf:type; `.` statement separators are optional between elements. A short
+string literal knows Turtle's escapes (\\n, \\t, \\r, \\", \\\\) and no other;
+a long one keeps its text as written. Braces, brackets and parentheses
+nest at most MAX_NESTING (100) levels deep. Anything outside this grammar
+is a syntax error: the evaluator would rather fail loudly than silently
+mis-evaluate a rule.
 
 Evaluation is set-semantics, left to right, each element joining with the
 accumulated solutions:
@@ -240,7 +242,8 @@ _TOKEN_RE = re.compile(rf"""
 """, re.S | re.X)
 _ERRORS = {"open_long": "unterminated long string", "open_string": "unterminated string",
            "bad_var": "bad variable name", "open_iri": "unterminated IRI"}
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+# The escapes of a short string, in rules as in Turtle; any other is an error.
+STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
 @dataclass
@@ -261,8 +264,7 @@ def _tokenize(text: str, rule_id: str) -> list[_Token]:
         if kind == "long":
             kind, value = "literal", value[3:-3]
         elif kind == "string":
-            kind, value = "literal", re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]),
-                                            value[1:-1], flags=re.S)
+            kind, value = "literal", _unescape(value, pos, rule_id)
         elif kind in ("var", "iri"):
             value = value[1:] if kind == "var" else value[1:-1]
         elif kind == "pname":
@@ -276,6 +278,16 @@ def _tokenize(text: str, rule_id: str) -> list[_Token]:
             raise RuleSyntaxError(f"{problem} {value!r}", pos, rule_id)
         tokens.append(_Token(kind, value, pos))
     return tokens
+
+
+def _unescape(string: str, pos: int, rule_id: str) -> str:
+    """The value of the short string token `string`, found at offset `pos`."""
+    def replace(escape: re.Match) -> str:
+        if escape[1] not in STRING_ESCAPES:
+            raise RuleSyntaxError(f"unknown escape {escape[0]}", pos + 1 + escape.start(),
+                                  rule_id)
+        return STRING_ESCAPES[escape[1]]
+    return re.sub(r"\\(.)", replace, string[1:-1], flags=re.S)
 
 
 # --- Parser ------------------------------------------------------------------

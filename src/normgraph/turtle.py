@@ -23,7 +23,7 @@ import re
 from .model import (
     BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
 )
-from .rules import MAX_NESTING
+from .rules import MAX_NESTING, STRING_ESCAPES
 
 
 class TurtleSyntaxError(Exception):
@@ -74,7 +74,6 @@ class _Scanner:
 _WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 # A name never ends in '.': a trailing dot terminates the statement.
 _NAME = re.compile(r"(?:[\w.-]*[\w-])?", re.ASCII)
-_SHORT_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
 def _read_string(sc: _Scanner) -> str:
@@ -95,9 +94,9 @@ def _read_string(sc: _Scanner) -> str:
         if c == "\\":
             sc.advance()
             esc = sc.advance()
-            if esc not in _SHORT_ESCAPES:
+            if esc not in STRING_ESCAPES:
                 raise sc.error(f"unknown escape \\{esc}")
-            out.append(_SHORT_ESCAPES[esc])
+            out.append(STRING_ESCAPES[esc])
         else:
             out.append(sc.advance())
 

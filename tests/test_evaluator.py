@@ -336,6 +336,22 @@ def test_a_variable_one_union_branch_binds_is_unbound_for_the_other():
     assert steps.index(guard) < steps.index(binds_v)
 
 
+def test_a_bind_planned_after_the_pattern_that_binds_its_variable_joins_with_its_constant():
+    a0, c, other, r = (Iri(EX + x) for x in ("a0", "c", "other", "r"))
+    p0 = Iri(EX + "p0")
+    g = Graph([Triple(a0, r, p0), Triple(a0, p0, c), Triple(a0, p0, other)]
+              + [Triple(Iri(f"{EX}s{k}"), Iri(f"{EX}p{k % 8}"), Iri(f"{EX}o{k}"))
+                 for k in range(40)])
+    bind, last = Bind(c, V("x")), TriplePattern(V("a"), V("b"), V("x"))
+    gp = GroupPattern((TriplePattern(V("a"), r, V("b")), bind, last))
+    # with ?a and ?b bound, `?a ?b ?x` expects fewer matches than the BIND's one
+    assert _steps(g, gp)[-2:] == (last, bind)
+    want = [{V("a"): a0, V("b"): p0, V("x"): c}]
+    assert oracle.evaluate_where(g, gp) == want
+    assert evaluate_where(g, gp) == want
+    assert evaluate_where(g, gp, limit=1) == want
+
+
 def test_group_with_a_bind_keeps_its_guards_in_written_order():
     a, q = Iri(EX + "a"), Iri(EX + "q")
     g = _fanned_graph(Iri(EX + "r"))

@@ -12,7 +12,7 @@ import oracle
 from normgraph.engine import (
     MaxIterationsExceeded, RuleEntry, RuleSet, load_rules, run_fixpoint, strip_rules,
 )
-from normgraph.model import Graph, Iri, RDF_TYPE, SOA_NS, Triple, graph_union
+from normgraph.model import Graph, Iri, Literal, RDF_TYPE, SOA_NS, Triple, graph_union
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
 from normgraph.rules import (
     Bind, Comparison, Filter, GroupPattern, NotExists, RuleQuery, TemplateTriple, TriplePattern,
@@ -393,3 +393,26 @@ def test_fixpoint_matches_oracle_on_random_rules_with_top_level_union(monkeypatc
     # 109 solutions dropped, 124 of 1,225 evaluations saved
     assert sum(dropped) >= 60 and evaluations - len(full) > 80, (sum(dropped), len(full),
                                                                  evaluations)
+
+
+def test_string_literals_in_rules_match_and_make_the_values_they_escape():
+    ex = "https://example.org/"
+    label, tag = Iri(ex + "label"), Iri(ex + "tag")
+    s1, s2, s3 = Iri(ex + "s1"), Iri(ex + "s2"), Iri(ex + "s3")
+    data = Graph([Triple(s1, label, Literal("a\nb")),
+                  Triple(s2, label, Literal('say "hi" \\o/')),
+                  Triple(s3, label, Literal("two\nlines"))])
+    texts = {
+        "short": r'CONSTRUCT{?s <%stag> "t\tq\"\\"}WHERE{?s <%slabel> "a\nb"}' % (ex, ex),
+        "quoted": r'CONSTRUCT{?s <%stag> "r\r"}WHERE{?s <%slabel> "say \"hi\" \\o/"}' % (ex, ex),
+        "long": 'CONSTRUCT{?s <%stag> """a "long" \\n\none"""}'
+                'WHERE{?s <%slabel> """two\nlines"""}' % (ex, ex),
+    }
+    rules = RuleSet(RuleEntry(rule_id, parse_rule(rule_id, text)) for rule_id, text in texts.items())
+    _assert_same_as_oracle("strings", data, rules)
+    got = run_fixpoint(data, rules).graph
+    assert set(got.match_iter(p=tag)) == {
+        Triple(s1, tag, Literal('t\tq"\\')),
+        Triple(s2, tag, Literal("r\r")),
+        Triple(s3, tag, Literal('a "long" \\n\none')),
+    }

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from normgraph.model import (
-    FALSE, Graph, HOLD, IS_IN_CONTRADICTION_WITH,
+    FALSE, Graph, HOLD, IS_IN_CONTRADICTION_WITH, SOA_NS,
     RDF_SUBJECT, RDF_TYPE, REXIST, TRUE, Triple,
 )
 from normgraph.report import (
@@ -119,3 +119,44 @@ def test_nested_reification_is_summarized_one_level_deep():
     report = extract_findings(pipe.result.graph, pipe.result.provenance)
     text = render_text(report, pipe.result.graph)
     assert "CONFLICT: !Permitted(Pay[has-agent=John, has-recipient=pm1])" in text
+
+
+_ODD_VALUES = '''
+@prefix : <https://w3id.org/ontology/conflict-tolerantdeontictraditionalscheme#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix soa: <https://w3id.org/ontology/conflict-tolerantdeontictraditionalscheme#soa> .
+:Pay a :Eventuality .
+:has-agent a :ThematicRole .
+<https://example.org/rôle> a :ThematicRole .
+soa:e1 a :Pay ; :has-agent """two
+lines café""" ; <https://example.org/rôle> "say \\"hi\\" \\\\o/" .
+soa:s1 a :true ; rdf:subject soa:e1 ; rdf:predicate rdf:type ; rdf:object :Rexist .
+soa:s2 a :false ; rdf:subject soa:e1 ; rdf:predicate rdf:type ; rdf:object :Rexist .
+soa:s1 :is-in-contradiction-with soa:s2 .
+soa:s3 :is-in-contradiction-with <https://example.org/näive> .
+soa:s3 rdf:subject soa:e1 .
+'''
+
+
+def test_text_report_prints_one_ascii_line_per_finding(tmp_path, capsys):
+    from normgraph.cli import main
+    path = tmp_path / "odd.ttl"
+    path.write_text(_ODD_VALUES, encoding="utf-8")
+    assert main(["findings", "-i", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert text.isascii()
+    assert text.splitlines() == [
+        'CONTRADICTION: Rexist(Pay[has-agent="two\\nlines caf\\u00e9",'
+        ' r\\u00f4le="say \\"hi\\" \\\\o/"]) vs !Rexist(Pay[has-agent="two\\nlines caf\\u00e9",'
+        ' r\\u00f4le="say \\"hi\\" \\\\o/"])',
+        "CONTRADICTION: malformed(s3) vs malformed(n\\u00e4ive)",
+        "MALFORMED-REIFICATION: n\\u00e4ive",
+        "MALFORMED-REIFICATION: s3",
+    ]
+    assert main(["findings", "-i", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"] == {"Contradiction": 2}
+    assert [view["node"] for view in payload["malformed"]] == [
+        "https://example.org/näive", SOA_NS + "s3"]
+    assert payload["malformed"][1]["s"] == SOA_NS + "e1"
+    assert payload["malformed"][1]["p"] is None

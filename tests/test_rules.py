@@ -172,6 +172,21 @@ def test_mismatched_braces_are_an_error():
         parse_rule("bad", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist")
 
 
+def test_unknown_escape_in_a_short_string_is_a_syntax_error_at_the_escape():
+    # in the template, and in WHERE after the escapes of a backslash and a quote
+    for text, escape in ((r'CONSTRUCT{?x :p "a\qb"}WHERE{?x :p ?y}', r"\q"),
+                         (r'CONSTRUCT{?x :p ?y}WHERE{?x :p "\\ \"\u00e9"}', r"\u")):
+        with pytest.raises(RuleSyntaxError, match=r"unknown escape \\[qu]") as err:
+            parse_rule("esc", text)
+        assert err.value.pos == text.index(escape)
+    # the escapes Turtle knows, and a backslash escaped before a letter
+    rq = parse_rule("esc", r'CONSTRUCT{?x :p "\n\t\r\"\\q"}WHERE{?x :p ?y}')
+    assert rq.construct_template[0].object == Literal('\n\t\r"\\q')
+    # a long string keeps its text as it is written
+    rq = parse_rule("esc", 'CONSTRUCT{?x :p """a\\qb\n"c"\n"""}WHERE{?x :p ?y}')
+    assert rq.construct_template[0].object == Literal('a\\qb\n"c"\n')
+
+
 def test_bind_of_variable_is_rejected():
     with pytest.raises(RuleSyntaxError):
         parse_rule("bad", "CONSTRUCT{?x a ?y}WHERE{?x a :Rexist. BIND(?x AS ?y)}")
@@ -245,6 +260,27 @@ def test_bind_conflict_is_raised():
     g = _graph(Triple(soa("e"), RDF_TYPE, REXIST))
     with pytest.raises(BindConflict):
         evaluate_where(g, rq.where_clause)
+
+
+def test_rebinds_looks_at_a_shared_not_exists_group_once_per_bound_set(monkeypatch):
+    from normgraph import rules
+    unions = " ".join("{?a :p%d ?b} UNION {?a :q%d ?c}" % (i, i) for i in range(6))
+
+    def nested(innermost: str):
+        body = innermost
+        for _ in range(3):
+            body = f"?a :r ?b. {unions} NOT EXISTS {{ {body} }}"
+        return parse_rule("deep", f"CONSTRUCT {{?a :s ?b}} WHERE {{ {body} }}").where_clause
+
+    calls = []
+    binds = rules._binds
+    monkeypatch.setattr(rules, "_binds", lambda el: calls.append(1) or binds(el))
+    assert not rules.rebinds(nested("?a :r ?b. BIND(:d AS ?e)"))
+    # each group's 64 branches share the NOT EXISTS under them: it is looked
+    # at once per set of variables bound before it, not once per path to it
+    assert len(calls) < 5000
+    # ?c is bound three groups up on the paths through a `:q` branch
+    assert rules.rebinds(nested("?a :r ?b. BIND(:d AS ?c)"))
 
 
 def test_union_commutes(rng):
@@ -520,10 +556,10 @@ def test_distinct_solutions_get_distinct_skolems():
 def test_instantiate_lists_distinct_triples_by_solution_then_template():
     rq = parse_rule("order", "CONSTRUCT{?x :hold :true. soa:all soa:seen ?x. ?x :hold :true}"
                              "WHERE{?x a :Rexist}")
-    e1, e2, seen = soa("e1"), soa("e2"), Triple(soa("all"), soa("seen"), soa("e1"))
+    e1, e2, everything, seen = soa("e1"), soa("e2"), soa("all"), soa("seen")
     produced = instantiate(rq, [{V("x"): e2}, {V("x"): e1}, {V("x"): e2}], SkolemPolicy())
-    assert produced == [Triple(e2, HOLD, TRUE), Triple(soa("all"), soa("seen"), e2),
-                        Triple(e1, HOLD, TRUE), seen]
+    assert produced == [Triple(e2, HOLD, TRUE), Triple(everything, seen, e2),
+                        Triple(e1, HOLD, TRUE), Triple(everything, seen, e1)]
 
 
 def test_instantiate_checks_bound_variables():
