@@ -733,7 +733,7 @@ class _Analysis:
     `GroupPattern.analyses`. It does not depend on the graph, except the
     steps last ordered and the state of the graph they were ordered for."""
     parts: tuple  # per branch, a _Segment to order, or its steps in their final order
-    places: Optional[tuple]  # if a BIND rebinds, each branch's places (steps as written)
+    places: Optional[tuple] = None  # if a BIND rebinds, each branch's places (steps as written)
     state: Optional[tuple] = None  # (weak reference to the graph, its size)
     steps: tuple = ()
 
@@ -749,8 +749,7 @@ def _analyse(gp: GroupPattern, seeded: frozenset) -> _Analysis:
         else:
             segments = [_segment(branch.elements, seeded) for branch in branches]
             gp.analyses[seeded] = _Analysis(tuple(part if len(part.binders) > 1
-                                                  else tuple(_order(part)) for part in segments),
-                                            None)
+                                                  else tuple(_order(part)) for part in segments))
     return gp.analyses[seeded]
 
 
@@ -1020,8 +1019,10 @@ def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
     out: dict[Triple, None] = {}  # an ordered set
     for binding in solutions:
         blanks: dict[int, BlankNode] = {}
+        signature = ""  # the solution's, worked out when its first blank is minted
 
         def resolve(part: TemplateTerm) -> Term:
+            nonlocal signature
             if isinstance(part, Variable):
                 if part not in binding:
                     raise UnboundTemplateVariable(
@@ -1029,8 +1030,9 @@ def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
                 return binding[part]
             if isinstance(part, TemplateBlank):
                 if part.index not in blanks:
-                    blanks[part.index] = BlankNode(policy.label(
-                        rq.rule_id, part.index, _solution_signature(binding)))
+                    signature = signature or _solution_signature(binding)
+                    blanks[part.index] = BlankNode(
+                        policy.label(rq.rule_id, part.index, signature))
                 return blanks[part.index]
             return part
 

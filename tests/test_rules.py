@@ -562,6 +562,22 @@ def test_instantiate_lists_distinct_triples_by_solution_then_template():
                         Triple(e1, HOLD, TRUE), Triple(everything, seen, e1)]
 
 
+def test_instantiate_works_out_a_solution_signature_only_for_its_first_blank(monkeypatch):
+    from normgraph import rules
+    calls = []
+    signature = rules._solution_signature
+    monkeypatch.setattr(rules, "_solution_signature",
+                        lambda binding: calls.append(1) or signature(binding))
+    two_blanks = parse_rule("two", "CONSTRUCT{[a :false; rdf:subject [soa:has-agent ?x]]}"
+                                   "WHERE{?x a :Rexist}")
+    produced = instantiate(two_blanks, [{V("x"): soa("e1")}, {V("x"): soa("e2")}], SkolemPolicy())
+    assert len({t.subject for t in produced}) == 4 and len(calls) == 2
+    calls.clear()
+    instantiate(parse_rule("none", "CONSTRUCT{?x :hold :true}WHERE{?x a :Rexist}"),
+                [{V("x"): soa("e1")}], SkolemPolicy())
+    assert calls == []
+
+
 def test_instantiate_checks_bound_variables():
     rq = parse_rule("ok", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist}")
     with pytest.raises(UnboundTemplateVariable):

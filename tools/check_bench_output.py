@@ -1,19 +1,18 @@
 """Check that every benchmark run ends in a result line that can be read.
 
-    python3 tools/check_bench_output.py [--workload W] [--seconds 1] [--seed 1]
+    python3 tools/check_bench_output.py
 
-For each workload named in BENCHMARK.json (or only `--workload`), this runs
-`benchmarks/run.py --workload W --seconds 1` once with `--trace 0` and once
-with `--trace 1`. A run passes when it exits 0 and the last line it prints
-is one JSON object with `correct: true` and `failed: 0` whose `metrics` name
-every `end_to_end` metric of BENCHMARK.json (trace 0), or every `per_layer`
-one (trace 1), each with a finite value. It prints one line per run and
-exits 1 if any run failed. BENCHMARK.json is only read.
+For each workload named in BENCHMARK.json, this runs
+`benchmarks/run.py --workload W --seed 1 --seconds 1` once with `--trace 0`
+and once with `--trace 1`. A run passes when it exits 0 and the last line it
+prints is one JSON object with `correct: true` and `failed: 0` whose `metrics`
+name every `end_to_end` metric of BENCHMARK.json (trace 0), or every
+`per_layer` one (trace 1), each with a finite value. It prints one line per
+run and exits 1 if any run failed. BENCHMARK.json is only read.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import subprocess
@@ -22,6 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
+SECONDS = 1
+SEED = 1
 
 
 def problems(returncode: int, stdout: str, names: list[str]) -> list[str]:
@@ -52,22 +53,16 @@ def problems(returncode: int, stdout: str, names: list[str]) -> list[str]:
     return found
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", help="check one workload (default: all)")
-    parser.add_argument("--seconds", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
+def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = {trace: [metric["name"] for metric in bench[kind]]
              for trace, kind in ((0, "end_to_end"), (1, "per_layer"))}
-    workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
     failed = False
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
             command = [sys.executable, str(ROOT / "benchmarks" / "run.py"),
-                       "--workload", workload, "--seed", str(args.seed),
-                       "--seconds", str(args.seconds), "--trace", str(trace)]
+                       "--workload", workload, "--seed", str(SEED),
+                       "--seconds", str(SECONDS), "--trace", str(trace)]
             try:
                 child = subprocess.run(command, capture_output=True, text=True,
                                        timeout=RUN_TIMEOUT_S, cwd=ROOT)
