@@ -17,11 +17,11 @@ frozen subset of SPARQL 1.1:
 
 Keywords are case-insensitive and whitespace is free-form; `a` abbreviates
 rdf:type; `.` statement separators are optional between elements. A short
-string literal knows Turtle's escapes (\\n, \\t, \\r, \\", \\\\) and no other;
-a long one keeps its text as written. Braces, brackets and parentheses
-nest at most MAX_NESTING (100) levels deep. Anything outside this grammar
-is a syntax error: the evaluator would rather fail loudly than silently
-mis-evaluate a rule.
+string literal knows Turtle's escapes (\\n, \\t, \\r, \\", \\\\) and no other,
+and no raw line break; a long one keeps its text as written. Braces,
+brackets and parentheses nest at most MAX_NESTING (100) levels deep.
+Anything outside this grammar is a syntax error: the evaluator would rather
+fail loudly than silently mis-evaluate a rule.
 
 Evaluation is set-semantics, left to right, each element joining with the
 accumulated solutions:
@@ -47,25 +47,25 @@ How it runs:
     branches, and a NOT EXISTS fails when any branch of its group has a
     solution. A group has at most MAX_BRANCHES (64) branches.
   - Every binding that reaches an element of a branch binds the same
-    variables, so whether a BIND rebinds a variable is known from the
-    seeded variables. Where a BIND of a branch, or of a NOT EXISTS group
-    under one, does, the group is searched in full and in written order,
-    and raises the BindConflict at the first element, in written order,
-    that a binding reaches. Elsewhere a BIND is a one-row join.
+    variables. Where a BIND of a branch, or of a NOT EXISTS group under
+    one, rebinds a variable, the group is searched in full and in written
+    order, and raises the BindConflict at the first element, in written
+    order, that a binding reaches. Elsewhere a BIND is a one-row join.
   - A branch is planned as one unit: its triple patterns and BINDs in the
     order with the fewest estimated bindings in total that a bounded search
-    finds (`_order`), from the graph's per-predicate counts and exact counts
-    for constants. Each FILTER and NOT EXISTS runs right after the step that
-    binds the last of its variables bound where it is written, and never after
-    a step that binds one it mentions that is unbound there, so it sees the
-    values it would see in place. Guards that become ready together run FILTER
-    first, then NOT EXISTS by nesting depth, then by number of patterns.
-  - A group's plan is kept on it, one per set of seeded variables: what does
-    not depend on the graph, worked out once, and the order last found,
-    with the graph, held weakly, and the size it was found for; another
-    graph, or the same one grown, is planned anew. A branch is searched
-    depth first with its own stack, so a long run of patterns needs no
-    Python recursion.
+    finds (`_order`), from per-predicate counts and exact counts for
+    constants, read once per graph state for each pattern shape. Each FILTER
+    and NOT EXISTS runs right after the step that binds the last of its
+    variables bound where it is written, and never after a step that binds
+    one it mentions that is unbound there, so it sees the values it would
+    see in place. Guards that become ready together run FILTER first, then
+    NOT EXISTS by nesting depth, then by number of patterns.
+  - Each order is compiled once into a program, as the variables bound
+    before each step are known: which positions of a pattern are free, and
+    what a BIND or a lone comparison does. A group keeps, per set of seeded
+    variables, its programs and the order last found, with the graph, held
+    weakly, and its size; another graph, or the same one grown, is planned
+    anew. A program is searched depth first with its own stack.
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
     search stops at the first solution. A full evaluation sorts its
     solutions once, at the end; one branch never gives a solution twice,
@@ -84,6 +84,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
@@ -232,7 +233,8 @@ _NAME = r"[A-Za-z0-9_\-]"
 _TOKEN_RE = re.compile(rf"""
     (?P<skip>[ \t\r\n]+|\#[^\n]*)
   | (?P<long>\"\"\"(?:(?!\"\"\").)*\"\"\") | (?P<open_long>\"\"\")
-  | (?P<string>"(?:\\.|[^"\\])*") | (?P<open_string>")
+  | (?P<string>"(?:\\.|[^"\\\r\n])*") | (?P<newline>"(?:\\.|[^"\\\r\n])*(?=[\r\n]))
+  | (?P<open_string>")
   | (?P<punct>&&|\|\||!=|[{{}}()\[\];,=.])
   | (?P<var>\?{_NAME}+) | (?P<bad_var>\?)
   | (?P<iri><[^>]*>) | (?P<open_iri><)
@@ -241,7 +243,8 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<other>.)
 """, re.S | re.X)
 _ERRORS = {"open_long": "unterminated long string", "open_string": "unterminated string",
-           "bad_var": "bad variable name", "open_iri": "unterminated IRI"}
+           "newline": "newline in short string", "bad_var": "bad variable name",
+           "open_iri": "unterminated IRI"}
 # The escapes of a short string, in rules as in Turtle; any other is an error.
 STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
@@ -260,7 +263,7 @@ def _tokenize(text: str, rule_id: str) -> list[_Token]:
         if kind == "skip":
             continue
         if kind in _ERRORS:
-            raise RuleSyntaxError(_ERRORS[kind], pos, rule_id)
+            raise RuleSyntaxError(_ERRORS[kind], m.end() if kind == "newline" else pos, rule_id)
         if kind == "long":
             kind, value = "literal", value[3:-3]
         elif kind == "string":
@@ -585,62 +588,61 @@ def bindable_variables(gp: GroupPattern) -> set[Variable]:
 
 Binding = dict[Variable, Term]
 
-_POSITIONS = ("subject", "predicate", "object")
+# By positions (subject 1, predicate 2, object 4), what reads their terms off a triple.
+_READ = [None] + [attrgetter(*(name for i, name in enumerate(("subject", "predicate", "object"))
+                               if positions >> i & 1)) for positions in range(1, 8)]
 
 
-def _extend(g: Graph, tp: TriplePattern, binding: Binding) -> list[Binding]:
-    """The extensions of `binding` by every graph match of `tp`. A binding
-    that the pattern adds nothing to comes back as itself."""
-    key = [tp.subject, tp.predicate, tp.object]
-    free = []  # (position, variable) of each position not yet bound
-    for i, part in enumerate(key):
-        if isinstance(part, Variable):
-            key[i] = binding.get(part)
-            if key[i] is None:
-                free.append((_POSITIONS[i], part))
-    matches = g.match_iter(*key)
+def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
+    """The extensions of `binding` by every graph match of a triple pattern's
+    `step` (see `_compile`); one that adds nothing comes back as itself."""
+    _, s, p, o, var, free, read = step
+    get = binding.get  # a bound variable gives its value, a term or None itself
+    matches = g.match_iter(get(s, s), get(p, p), get(o, o))
+    if var is not None:
+        return [{**binding, var: read(t)} for t in matches]
     if not free:
         return [binding] if next(matches, None) is not None else []
-    if len(free) == 1:
-        name, var = free[0]
-        return [{**binding, var: getattr(t, name)} for t in matches]
-    out = []
-    for t in matches:
-        new = dict(binding)
-        for name, var in free:
-            actual = getattr(t, name)
-            # a variable in two free positions must match the same term
-            if new.setdefault(var, actual) != actual:
-                break
-        else:
-            out.append(new)
-    return out
+    # a variable in two free positions must match the same term
+    return [{**binding, **new} for terms in map(read, matches)
+            for new in (dict(zip(free, terms)),) if tuple(map(new.get, free)) == terms]
 
 
-class _UnboundInFilter(Exception):
-    pass
+def _bind(g: Graph, step: tuple, binding: Binding) -> tuple:
+    return ({**binding, step[1]: step[2]},)
 
 
-def _eval_expr(expr: Expr, binding: Binding) -> bool:
+def _conflict(g: Graph, step: tuple, binding: Binding) -> tuple:
+    raise BindConflict(f"variable ?{step[1].name} is already bound")
+
+
+def _compare(g: Graph, step: tuple, binding: Binding) -> tuple:
+    _, left, right, negated = step
+    get = binding.get
+    return (binding,) if (get(left, left) == get(right, right)) != negated else ()
+
+
+def _not_exists(g: Graph, step: tuple, binding: Binding) -> tuple:
+    return () if evaluate_where(g, step[1], binding, limit=1) else (binding,)
+
+
+def _filter(g: Graph, step: tuple, binding: Binding) -> tuple:
+    return (binding,) if _eval_expr(step[1], binding) else ()
+
+
+def _eval_expr(expr: Expr, binding: Binding) -> Optional[bool]:
+    """Its value, or None from the first comparison reached with an unbound variable."""
     if isinstance(expr, Comparison):
-        def value(part: PatternTerm) -> Term:
-            if isinstance(part, Variable):
-                if part not in binding:
-                    raise _UnboundInFilter(part.name)
-                return binding[part]
-            return part
-        equal = value(expr.left) == value(expr.right)
-        return (not equal) if expr.negated else equal
-    if isinstance(expr, ExprAnd):
-        return all(_eval_expr(item, binding) for item in expr.items)
-    return any(_eval_expr(item, binding) for item in expr.items)
-
-
-def _passes(expr: Expr, binding: Binding) -> bool:
-    try:
-        return _eval_expr(expr, binding)
-    except _UnboundInFilter:
-        return False
+        left, right = binding.get(expr.left, expr.left), binding.get(expr.right, expr.right)
+        if isinstance(left, Variable) or isinstance(right, Variable):
+            return None
+        return (left == right) != expr.negated
+    decisive = isinstance(expr, ExprOr)  # True ends an ||, False an &&
+    for item in expr.items:
+        value = _eval_expr(item, binding)
+        if value is None or value is decisive:
+            return value
+    return not decisive
 
 
 def _binds(el) -> tuple:
@@ -696,13 +698,15 @@ class _Guard(NamedTuple):
 
 
 class _Segment(NamedTuple):
-    """A branch to put in order; a set of its variables is an int, one bit each."""
+    """A branch to order and compile; a set of its variables is an int, one bit each."""
     binders: tuple  # triple patterns and BINDs, in written order
-    bits: tuple     # per binder, the bit of each variable it binds, in `_estimate`'s order
+    shapes: tuple   # per binder, its terms with None for a variable (None for a BIND)
+    bits: tuple     # per binder, the bit of each variable it binds, in position order
     masks: tuple    # the variables each binder binds
     after: tuple    # per binder, the `needed` of the guards that must run before it
     guards: tuple   # of _Guard, in rank order
     entry: int      # the seeded variables
+    programs: list  # (steps, program) of each order compiled (see `_program`)
 
 
 def _segment(elements: tuple, seeded: frozenset) -> _Segment:
@@ -723,33 +727,81 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
     guards.sort()  # ranks differ, as they end in the written place
     masks = tuple(mask(_binds(el)) for el in binders)
     after = (reduce(int.__or__, (g.needed for _, g, free in guards if free & m), 0) for m in masks)
-    return _Segment(tuple(binders), tuple(tuple(map(bits.get, _binds(el))) for el in binders),
-                    masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded))
+    shapes = tuple(None if isinstance(el, Bind) else tuple(
+        None if isinstance(t, Variable) else t for t in (el.subject, el.predicate, el.object))
+        for el in binders)
+    return _Segment(tuple(binders), shapes, tuple(tuple(map(bits.get, _binds(el)))
+                                                  for el in binders),
+                    masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded), [])
+
+
+def _compile(el, bound: set, conflicts: bool) -> tuple:
+    """The step that runs `el` on a binding of the variables `bound`, as
+    `run(g, step, binding)` for its first item `run`; a triple pattern's,
+    `(None, s, p, o, var, free, read)`, runs by `_extend`: its terms, None
+    where free, the variable of one free position or those of several, and
+    their reader. A BIND of a bound variable joins, or with `conflicts` raises."""
+    def free(part) -> bool:
+        return isinstance(part, Variable) and part not in bound
+    if isinstance(el, TriplePattern):
+        parts = (el.subject, el.predicate, el.object)
+        at = [i for i, part in enumerate(parts) if free(part)]
+        fresh = tuple(parts[i] for i in at)
+        return (None, *(None if i in at else part for i, part in enumerate(parts)),
+                fresh[0] if len(at) == 1 else None, fresh if len(at) > 1 else (),
+                _READ[sum(1 << i for i in at)])
+    if isinstance(el, Bind):
+        return (_bind, el.var, el.value) if free(el.var) else (
+            (_conflict, el.var) if conflicts else (_compare, el.var, el.value, False))
+    if isinstance(el, NotExists):
+        return _not_exists, el.inner
+    if isinstance(el.expr, Comparison) and not (free(el.expr.left) or free(el.expr.right)):
+        return _compare, el.expr.left, el.expr.right, el.expr.negated
+    return _filter, el.expr
+
+
+def _program(segment: _Segment, steps: tuple, seeded: Iterable, conflicts: bool = False) -> tuple:
+    """The steps in this order compiled for a seed binding `seeded`, kept as
+    orders repeat; the pattern steps of the orders compiled before are shared."""
+    for order, program in segment.programs:
+        if all(map(is_, order, steps)):
+            return program
+    bound, program = set(seeded), []
+    known = {step: step for _, old in segment.programs for step in old if step[0] is None}
+    for el in steps:
+        step = _compile(el, bound, conflicts)
+        program.append(known.get(step, step) if step[0] is None else step)
+        bound.update(_binds(el))
+    segment.programs.append((steps, tuple(program)))
+    return segment.programs[-1][1]
 
 
 @dataclass
 class _Analysis:
     """A group's plan for a seed binding one set of variables, kept in
-    `GroupPattern.analyses`. It does not depend on the graph, except the
-    steps last ordered and the state of the graph they were ordered for."""
-    parts: tuple  # per branch, a _Segment to order, or its steps in their final order
+    `GroupPattern.analyses`; only the orders depend on the graph's state."""
+    parts: list     # per branch, a _Segment to order per graph state, or None
+    steps: list     # per branch, its elements in the order to search them
+    programs: list  # per branch, its steps compiled (see `_program`)
     places: Optional[tuple] = None  # if a BIND rebinds, each branch's places (steps as written)
     state: Optional[tuple] = None  # (weak reference to the graph, its size)
-    steps: tuple = ()
 
 
 def _analyse(gp: GroupPattern, seeded: frozenset) -> _Analysis:
     """The group's plan for a seed binding the variables `seeded`. A branch
-    with at most one binder has one order whatever the graph holds."""
+    with at most one binder, or any where a BIND rebinds (written order),
+    has one order whatever the graph holds: it is compiled here, once."""
     if seeded not in gp.analyses:
-        branches = gp.branches
-        if rebinds(gp, seeded):
-            gp.analyses[seeded] = _Analysis(tuple(branch.elements for branch in branches),
-                                            tuple(branch.places for branch in branches))
-        else:
-            segments = [_segment(branch.elements, seeded) for branch in branches]
-            gp.analyses[seeded] = _Analysis(tuple(part if len(part.binders) > 1
-                                                  else tuple(_order(part)) for part in segments))
+        rebinding, analysis = rebinds(gp, seeded), _Analysis([], [], [])
+        for branch in gp.branches:
+            part = _segment(branch.elements, seeded)
+            fixed = rebinding or len(part.binders) < 2
+            steps = (branch.elements if rebinding else tuple(_order(part))) if fixed else ()
+            analysis.parts.append(None if fixed else part)
+            analysis.steps.append(steps)
+            analysis.programs.append(_program(part, steps, seeded, rebinding) if fixed else ())
+        analysis.places = tuple(branch.places for branch in gp.branches) if rebinding else None
+        gp.analyses[seeded] = analysis
     return gp.analyses[seeded]
 
 
@@ -790,8 +842,7 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     best, until a start alone does or all runs have looked at that many."""
     order = range(len(segment.binders))
     if estimates:
-        factors = [[(bit, factor) for bit, (_, factor) in zip(bits, pairs)]
-                   for bits, (_, pairs) in zip(segment.bits, estimates)]
+        factors = [list(zip(bits, pairs)) for bits, (_, pairs) in zip(segment.bits, estimates)]
         cost = [matches for matches, _ in estimates]
         for i, pairs in enumerate(factors):
             for bit, factor in pairs:
@@ -844,104 +895,84 @@ def _greedy(segment: _Segment, factors: list, cost: list, first: int,
     return order, total, work
 
 
-def _estimate(g: Graph, el: TriplePattern | Bind) -> tuple[int, list]:
-    """A binder's matches with none of its variables bound, and for each
-    variable the factor that binding it divides them by: the number of
-    distinct terms at its position, among the triples of the pattern's
-    predicate if that is a constant (System R's selectivity). Constants are
-    looked up exactly; a BIND has one match."""
-    if isinstance(el, Bind):
-        return 1, []
-    parts = (el.subject, el.predicate, el.object)
-    constants = [None if isinstance(part, Variable) else part for part in parts]
-    distinct = g.distinct(constants[1])
-    return g.count(*constants), [(part, max(distinct[i], 1)) for i, part in enumerate(parts)
-                                 if constants[i] is None]
+def _estimate(g: Graph, shape: tuple) -> tuple[int, list]:
+    """A pattern shape's exact matches with no variable bound, and per variable
+    position the factor that binding it divides them by: its distinct terms,
+    among the triples of a constant predicate (System R's selectivity)."""
+    distinct = g.distinct(shape[1])
+    return g.count(*shape), [max(distinct[i], 1) for i, part in enumerate(shape) if part is None]
+
+
+# (weak reference to the graph, its size, {shape: _estimate}) last planned for, for all groups.
+_estimates: tuple = (None, -1, {})
 
 
 def _plan_run(g: Graph, segment: _Segment, known: dict) -> list:
     """Puts a branch in order for the graph as it is (see `_order`). Joins
     commute, a BIND is a one-row join, and a guard sees the same values of
     the variables it mentions wherever it runs, so the order never changes
-    the solutions. Each binder's estimate is read once, into `known` by id,
-    which the branches of a group share."""
-    known.update((id(el), _estimate(g, el)) for el in segment.binders if id(el) not in known)
-    return _order(segment, [known[id(el)] for el in segment.binders])
+    the solutions. Each shape's estimate is read once per graph state."""
+    known.update((shape, _estimate(g, shape)) for shape in segment.shapes if shape not in known)
+    return _order(segment, [known[shape] for shape in segment.shapes])
 
 
-def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> tuple[tuple, ...]:
-    """The steps of each branch of the group in the order to search them,
-    for a seed binding the variables `seeded`. The order depends on the
-    graph's counts, so it is kept on the group's _Analysis until another
-    graph, or the same one grown, asks. The graph is held weakly, so a new
-    one at a freed address is not taken for it; and as every order gives
-    the same solutions, a stale one could only cost time."""
+def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[tuple]:
+    """Each branch's steps in the order to search them, for a seed binding
+    `seeded`, kept with their programs on the group's _Analysis until another
+    graph, or the same one grown, asks. The graph is held weakly, so a new one
+    at a freed address is not taken for it; a stale order only costs time."""
+    global _estimates
     analysis = _analyse(gp, frozenset(seeded))
     state = (weakref.ref(g), len(g))
     if state != analysis.state:
-        known: dict = {}
-        analysis.steps = tuple(tuple(_plan_run(g, part, known)) if isinstance(part, _Segment)
-                               else part for part in analysis.parts)
+        if state != _estimates[:2]:
+            _estimates = (*state, {None: (1, [])})
+        for i, part in enumerate(analysis.parts):
+            if part is not None:
+                analysis.steps[i] = tuple(_plan_run(g, part, _estimates[2]))
+                analysis.programs[i] = _program(part, analysis.steps[i], seeded)
         analysis.state = state
     return analysis.steps
 
 
-def _search(g: Graph, steps: tuple, seed: Binding, limit: Optional[int],
+def _search(g: Graph, program: tuple, seed: Binding, limit: Optional[int],
             conflicts: Optional[list] = None) -> list[Binding]:
-    """The solutions of a planned branch, depth first, up to `limit` of
-    them, with neither dedupe nor sort.
-
-    The search keeps its own stack, one iterator of bindings per step, so a
-    long run of patterns costs no Python recursion; the bindings of the top
-    iterator have been through `len(stack) - 1` steps, and what the last
-    step gives is a solution. A BIND of a bound variable is a join with
-    its constant, unless `conflicts` is a list: then it raises
-    BindConflict, and the search appends (step, conflict) for the first
-    binding to conflict at a step and goes on above that step only, so
-    that the last entry is the first step, in written order, that any
-    binding conflicts at.
-    """
-    if not steps:
+    """The solutions of a compiled branch, depth first, up to `limit` of
+    them, with neither dedupe nor sort. The search keeps its own stack, so a
+    long run of patterns costs no Python recursion. If `conflicts` is a list,
+    it appends (step, conflict) for the first binding to raise BindConflict
+    at a step and goes on above that step only, so that the last entry is
+    the first step, in written order, that any binding conflicts at."""
+    if not program:
         return [seed]
-    found: list[Binding] = []
-    end = len(steps)
-    stack = [iter((seed,))]
-    while stack:
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-            continue
-        depth = len(stack) - 1
-        el = steps[depth]
-        try:
-            if isinstance(el, TriplePattern):
-                nxt = _extend(g, el, b)
-            elif isinstance(el, NotExists):
-                nxt = () if evaluate_where(g, el.inner, b, limit=1) else (b,)
-            elif isinstance(el, Filter):
-                nxt = (b,) if _passes(el.expr, b) else ()
-            else:  # BIND
-                value = b.get(el.var)
-                if value is None:
-                    nxt = ({**b, el.var: el.value},)
-                elif conflicts is None:
-                    nxt = (b,) if value == el.value else ()
-                else:
-                    raise BindConflict(f"variable ?{el.var.name} is already bound")
-        except BindConflict as err:
-            if conflicts is None:
-                raise
-            conflicts.append((depth, err))
-            end = depth
-            del stack[depth:]
-            continue
-        if depth + 1 == end:
-            found += nxt
-            if limit is not None and len(found) >= limit:
+    found, stack, last = [], [], len(program) - 1  # stack: the bindings left at each step above
+    depth, rows = 0, iter((seed,))
+    while True:
+        step = program[depth]
+        run = step[0] or _extend
+        for b in rows:
+            try:
+                nxt = run(g, step, b)
+            except BindConflict as err:
+                if conflicts is None:
+                    raise
+                conflicts.append((depth, err))
+                last = depth - 1
                 break
-        elif nxt:
-            stack.append(iter(nxt))
-    return found
+            if depth == last:
+                found += nxt
+                if limit is not None and len(found) >= limit:
+                    return found
+            elif nxt:
+                stack.append(rows)
+                depth, rows = depth + 1, iter(nxt)
+                break
+        else:
+            rows = None
+        if rows is None or depth > last:  # no binding left to run at this step
+            if not stack:
+                return found
+            depth, rows = depth - 1, stack.pop()
 
 
 def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
@@ -960,24 +991,23 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     """
     seed = dict(seed) if seed else {}
     seeded = frozenset(seed)
-    plans = _plan(g, gp, seeded)
-    places = gp.analyses[seeded].places
-    found: list[Binding] = []
-    conflicts: list = []
-    for index, steps in enumerate(plans):
-        if places is None:
-            found += _search(g, steps, seed, limit)
+    _plan(g, gp, seeded)
+    analysis = gp.analyses[seeded]
+    found, conflicts = [], []
+    for index, program in enumerate(analysis.programs):
+        if analysis.places is None:
+            found += _search(g, program, seed, limit)
             if limit is not None and len(found) >= limit:
                 break
         else:
             reached: list = []
-            found += _search(g, steps, seed, None, reached)
-            conflicts += ((places[index][step], err) for step, err in reached[-1:])
+            found += _search(g, program, seed, None, reached)
+            conflicts += ((analysis.places[index][step], err) for step, err in reached[-1:])
     if conflicts:
         raise min(conflicts, key=lambda place_err: place_err[0])[1]
     if limit is not None:
         return found[:limit]
-    if len(plans) > 1:
+    if len(analysis.programs) > 1:
         found = list({frozenset(b.items()): b for b in found}.values())
     found.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
     return found

@@ -86,7 +86,7 @@ def _read_string(sc: _Scanner) -> str:
         if sc.eof():
             raise sc.error("unterminated string")
         c = sc.peek()
-        if c == "\n":
+        if c in "\r\n":
             raise sc.error("newline in short string")
         if c == '"':
             sc.advance()
@@ -278,8 +278,9 @@ def _render(t: Term, prefixes: dict[str, str]) -> str:
         return _compress(t, prefixes)
     if isinstance(t, BlankNode):
         return f"_:{t.label}"
-    if "\n" in t.value or '"' in t.value:
-        if '"""' not in t.value and not t.value.endswith('"'):
+    if "\n" in t.value or '"' in t.value or "\r" in t.value:
+        # a long string keeps a carriage return raw, which a text-mode read turns into \n
+        if '"""' not in t.value and not t.value.endswith('"') and "\r" not in t.value:
             return f'"""{t.value}"""'
         escaped = (t.value.replace("\\", "\\\\").replace('"', '\\"')
                    .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))

@@ -25,5 +25,18 @@ def test_sweep_at_five_agents_gives_the_reference_graph_and_restores_extend():
     assert hashlib.sha256(serialize_turtle(result.graph).encode()).hexdigest() == \
         "dd9f0865b86e5d67421db3253f5a4184872c278cbfb91697df730e130dd066c3"
     extend = rules._extend
-    assert sweep._extend_calls(workloads, 1, 5) > 0
+    # the run above compiled the catalog rules' steps; the wrapper still sees
+    # every pattern extension they make
+    assert sweep._extend_calls(workloads, 1, 5) == 5451
     assert rules._extend is extend
+
+
+def test_pattern_extensions_grow_no_faster_than_recorded_at_20_and_40_agents():
+    # a gate on work, not seconds, so that it holds on a noisy host: at most
+    # 1.1 times the counts of the sweep when it was set (26,139 and 80,397),
+    # and less than 3.5 times the work for twice the agents
+    sweep = _load_sweep()
+    workloads = sweep._load_workloads()
+    at20, at40 = (sweep._extend_calls(workloads, 1, agents) for agents in (20, 40))
+    assert at20 <= 1.1 * 26139 and at40 <= 1.1 * 80397, (at20, at40)
+    assert at40 / at20 < 3.5, (at20, at40)

@@ -2,6 +2,7 @@
 existence probe, and the graph's two-level indexes."""
 
 import dataclasses
+import itertools
 import random
 
 import oracle
@@ -507,8 +508,10 @@ def _estimated_total(g, binders, seeded) -> float:
     from normgraph import rules
     bound, rows, total = set(seeded), 1.0, 0.0
     for el in binders:
-        matches, pairs = rules._estimate(g, el)
-        for var, factor in pairs:
+        parts = (el.subject, el.predicate, el.object)
+        matches, factors = rules._estimate(g, tuple(
+            None if isinstance(part, Variable) else part for part in parts))
+        for var, factor in zip([part for part in parts if isinstance(part, Variable)], factors):
             if var in bound:
                 matches /= factor
         rows *= matches
@@ -771,3 +774,106 @@ def test_a_group_is_planned_once_per_graph_state(monkeypatch):
     for _ in range(3):
         evaluate_where(Graph(triples), gp)
     assert len(planned) == 7
+
+
+# --- compiled steps and shared estimates -----------------------------------------
+
+
+def test_every_access_path_of_a_pattern_agrees_with_the_oracle():
+    # each position constant, bound by the seed or free, and variables that
+    # repeat, over triples whose terms repeat in every way a pattern can ask
+    a, b, c, p, q = (Iri(EX + x) for x in "abcpq")
+    lit = Literal("l")
+    g = Graph([Triple(s, pr, o) for s, pr, o in (
+        (a, p, b), (a, p, a), (a, q, b), (a, q, lit), (b, q, a), (c, p, c),
+        (p, p, a), (p, q, p), (p, p, p), (q, q, b))])
+    x, y, z = V("x"), V("y"), V("z")
+    patterns = [TriplePattern(*(var if variable else const
+                                for variable, var, const in zip(shape, (x, y, z), (a, p, b))))
+                for shape in itertools.product((False, True), repeat=3)]
+    patterns += [TriplePattern(x, p, x), TriplePattern(x, x, y), TriplePattern(x, y, x),
+                 TriplePattern(x, x, x)]
+    values = (a, b, p, lit)  # p is also a subject and an object; lit is one object only
+    checked = nonempty = 0
+    for tp in patterns:
+        gp = GroupPattern((tp,))
+        variables = sorted(_variables_in(tp), key=lambda v: v.name)
+        for size in range(len(variables) + 1):
+            for chosen in itertools.combinations(variables, size):
+                for seeded in itertools.product(values, repeat=size):
+                    seed = dict(zip(chosen, seeded))
+                    want = oracle.evaluate_where(g, gp, seed)
+                    assert evaluate_where(g, gp, seed) == want, (tp, seed)
+                    _assert_probe_agrees(g, gp, seed, ("ok", want))
+                    checked += 1
+                    nonempty += bool(want)
+    # a pattern with k variables runs under 5 ** k seeds: each subset of its
+    # variables, each bound to one of the 4 values
+    assert checked == 1 + 3 * 5 + 3 * 25 + 125 + 5 + 25 + 25 + 5
+    assert nonempty >= 60, nonempty
+
+
+def test_estimates_are_never_taken_from_another_graph_state(monkeypatch):
+    from normgraph import rules
+    a, p, q = Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "q")
+    by_p, by_q = TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), q, V("z"))
+    gp = GroupPattern((by_p, by_q))
+
+    def graph(ps, qs):
+        return Graph([Triple(Iri(f"{EX}s{k}"), p, Iri(f"{EX}o{k}")) for k in range(ps)] +
+                     [Triple(Iri(f"{EX}o{k}"), q, a) for k in range(qs)])
+
+    def planned(g):
+        return rules._plan(g, gp, ())[0]
+
+    def fresh_plan(g):
+        """The plan of an equal group with no plan of its own and no estimate read before."""
+        monkeypatch.setattr(rules, "_estimates", (None, -1, {}))
+        return rules._plan(g, GroupPattern(gp.elements), ())[0]
+
+    estimated = []
+    estimate = rules._estimate
+    monkeypatch.setattr(rules, "_estimate", lambda g, shape: estimated.append(shape) or
+                        estimate(g, shape))
+    monkeypatch.setattr(rules, "_estimates", (None, -1, {}))
+    few_q, few_p = graph(8, 2), graph(2, 8)  # the same size, other predicate counts
+    assert len(few_q) == len(few_p)
+    assert planned(few_q)[0] is by_q
+    assert len(estimated) == 2
+    # another group of the same state reads no estimate again
+    rules._plan(few_q, GroupPattern((by_q, TriplePattern(V("z"), q, V("w")))), ())
+    assert len(estimated) == 2
+    assert planned(few_p)[0] is by_p
+    assert planned(few_p) == fresh_plan(few_p)
+    # growing a graph re-estimates it: the order follows the new counts
+    estimated.clear()
+    assert planned(few_q)[0] is by_q and len(estimated) == 2
+    few_q.update(Triple(Iri(f"{EX}o{k}"), q, Iri(f"{EX}c{k}")) for k in range(2, 30))
+    assert planned(few_q)[0] is by_p and len(estimated) == 4
+    assert planned(few_q) == fresh_plan(few_q)
+
+
+def test_a_program_is_compiled_once_per_order_and_shares_its_pattern_steps(monkeypatch):
+    from normgraph import rules
+    a, p, q, r = (Iri(EX + x) for x in "apqr")
+    gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), q, V("z")),
+                       TriplePattern(V("z"), r, V("w")), Filter(Comparison(V("x"), True, V("w")))))
+    compiled = []
+    compile_ = rules._compile
+    monkeypatch.setattr(rules, "_compile", lambda *args: compiled.append(args) or compile_(*args))
+    # ?z r ?w: many triples on two subjects, so it runs last in every order
+    g = Graph([Triple(Iri(f"{EX}z{k % 2}"), r, Iri(f"{EX}w{k}")) for k in range(30)] +
+              [Triple(Iri(f"{EX}x{k}"), p, Iri(f"{EX}y{k}")) for k in range(6)])
+    orders = set()
+    for k in range(16):  # q from fewer triples than p to more: the first two patterns swap
+        g.insert(Triple(Iri(f"{EX}y{k}"), q, Iri(f"{EX}z{k % 2}")))
+        assert evaluate_where(g, gp) == oracle.evaluate_where(g, gp)
+        orders.add(tuple(map(id, rules._plan(g, gp, ())[0])))
+    (analysis,) = gp.analyses.values()
+    (segment,) = analysis.parts
+    programs = [program for _, program in segment.programs]
+    assert len(orders) == len(programs) == 2
+    assert len(compiled) == sum(map(len, programs))  # each order compiled once
+    # `?z r ?w` with ?z bound is one step of both orders
+    patterns = [step for program in programs for step in program if step[0] is None]
+    assert len({id(step) for step in patterns}) == len(patterns) - 1

@@ -187,6 +187,20 @@ def test_unknown_escape_in_a_short_string_is_a_syntax_error_at_the_escape():
     assert rq.construct_template[0].object == Literal('a\\qb\n"c"\n')
 
 
+def test_a_raw_line_break_in_a_short_string_is_a_syntax_error_at_the_break():
+    # in the template, and in WHERE right after an escaped quote
+    for brk in ("\n", "\r"):
+        for text in ('CONSTRUCT{?x :p "a' + brk + 'b"}WHERE{?x :p ?y}',
+                     'CONSTRUCT{?x :p ?y}WHERE{?x :p "q\\"' + brk + '"}'):
+            with pytest.raises(RuleSyntaxError, match="newline in short string") as err:
+                parse_rule("nl", text)
+            assert err.value.pos == text.index(brk)
+    # escaped, or in a long string, a line break is part of the value
+    rq = parse_rule("nl", 'CONSTRUCT{?x :p "a\\r\\nb"}WHERE{?x :p """c\r\nd"""}')
+    assert rq.construct_template[0].object == Literal("a\r\nb")
+    assert rq.where_clause.elements[0].object == Literal("c\r\nd")
+
+
 def test_bind_of_variable_is_rejected():
     with pytest.raises(RuleSyntaxError):
         parse_rule("bad", "CONSTRUCT{?x a ?y}WHERE{?x a :Rexist. BIND(?x AS ?y)}")

@@ -11,7 +11,8 @@ load from other processes only ever adds time; one untimed run at the
 smallest N first fills the vocabulary and rule-catalog caches. One more,
 untimed run per N counts the calls to `rules._extend`, one per binding a
 triple pattern extends: a gauge of the work done that does not depend on the
-host. It prints one JSON line per N: the seconds, the `_extend` calls, the
+host. The search looks `_extend` up each time it enters a step, so the count
+includes the steps compiled and kept on the catalog's rules before it. It prints one JSON line per N: the seconds, the `_extend` calls, the
 triples in the inferred graph, the fixpoint's iterations, the SHA-256 of the
 graph's Turtle (equal digests mean equal output), and the local growth
 exponent log(t/t') / log(N/N') against the N before. If the runs of one N
