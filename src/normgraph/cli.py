@@ -63,11 +63,13 @@ def _read_inputs(paths: list[str]) -> list[Graph]:
     return graphs
 
 
+def _items(value: str) -> list[str]:
+    """The non-empty items of a comma-separated option."""
+    return [part.strip() for part in value.split(",") if part.strip()]
+
+
 def _parse_layers(value: str | None) -> set[str] | None:
-    if value is None:
-        return None
-    layers = {part.strip() for part in value.split(",") if part.strip()}
-    return layers
+    return None if value is None else set(_items(value))
 
 
 def _write_output(text: str, path: str | None):
@@ -88,10 +90,8 @@ def cmd_reason(args) -> int:
 
 
 def cmd_check(args) -> int:
-    fail_on = args.fail_on.split(",") if args.fail_on else list(_FAIL_ON_KINDS)
     kinds = set()
-    for name in fail_on:
-        name = name.strip()
+    for name in _items(args.fail_on) if args.fail_on else _FAIL_ON_KINDS:
         if name not in _FAIL_ON_KINDS:
             raise ValueError(f"unknown --fail-on kind {name!r}")
         kinds.add(_FAIL_ON_KINDS[name])

@@ -55,7 +55,7 @@ rules that mint fresh individuals without a guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
@@ -353,10 +353,21 @@ def _rule_id_for_subject(subject: Term) -> str:
     return str(subject)
 
 
-def load_rules(g: Graph, layer: str = "user") -> RuleSet:
+MAX_CACHED_RULES = 256  # the catalog's 38 rules and the user rules last loaded
+
+
+@lru_cache(maxsize=MAX_CACHED_RULES)
+def rule_entry(rule_id: str, text: str, prefixes: frozenset, layer: str) -> RuleEntry:
+    """The rule parsed under the prefix bindings, once per process while
+    cached, with its plans and wake test. Keyword calls are cached apart."""
+    return RuleEntry(rule_id, parse_rule(rule_id, text, dict(prefixes)), layer)
+
+
+def load_rules(g: Graph) -> RuleSet:
     """One rule per individual typed :InferenceRule carrying a rule body."""
     subjects = sorted({t.subject for t in g.match_iter(p=RDF_TYPE, o=INFERENCE_RULE)},
                       key=term_key)
+    prefixes = frozenset(g.prefix_map.items())
     out = RuleSet()
     for subject in subjects:
         bodies = [t.object for t in g.match_iter(s=subject, p=HAS_SPARQL_CODE)]
@@ -364,7 +375,7 @@ def load_rules(g: Graph, layer: str = "user") -> RuleSet:
         rule_id = _rule_id_for_subject(subject)
         if not literals:
             raise MissingRuleBody(f"inference rule {rule_id} has no rule body")
-        out.add(RuleEntry(rule_id, parse_rule(rule_id, literals[0].value, g.prefix_map), layer))
+        out.add(rule_entry(rule_id, literals[0].value, prefixes, "user"))
     return out
 
 

@@ -29,9 +29,8 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .engine import RuleEntry, RuleSet
+from .engine import RuleSet, rule_entry
 from .model import Graph
-from .rules import parse_rule
 from .turtle import parse_turtle
 
 LAYER_NAMES = ("core", "pragmatics", "dts", "deontic-bool", "compliance", "modal")
@@ -521,15 +520,6 @@ CATALOG: tuple[RuleCatalogEntry, ...] = (
 )
 
 
-@lru_cache(maxsize=None)
-def _parsed_catalog() -> dict[str, RuleEntry]:
-    out = {}
-    for entry in CATALOG:
-        query = parse_rule(entry.rule_id, entry.text)
-        out[entry.rule_id] = RuleEntry(entry.rule_id, query, entry.layer)
-    return out
-
-
 def catalog_entries(layer: str | None = None) -> list[RuleCatalogEntry]:
     if layer is not None and layer not in LAYER_NAMES:
         raise UnknownLayer(f"unknown layer {layer!r}; expected one of {', '.join(LAYER_NAMES)}")
@@ -538,16 +528,13 @@ def catalog_entries(layer: str | None = None) -> list[RuleCatalogEntry]:
 
 def builtin_ruleset(layers: set[str] | frozenset[str] | None = None) -> RuleSet:
     """The union of the requested layers' rules, in catalog order."""
-    if layers is None:
-        wanted = set(LAYER_NAMES)
-    else:
-        wanted = set(layers)
-        unknown = wanted - set(LAYER_NAMES)
-        if unknown:
-            raise UnknownLayer(
-                f"unknown layer(s) {sorted(unknown)}; expected subset of {list(LAYER_NAMES)}")
-    parsed = _parsed_catalog()
-    return RuleSet(parsed[e.rule_id] for e in CATALOG if e.layer in wanted)
+    wanted = set(LAYER_NAMES if layers is None else layers)
+    unknown = wanted - set(LAYER_NAMES)
+    if unknown:
+        raise UnknownLayer(
+            f"unknown layer(s) {sorted(unknown)}; expected subset of {list(LAYER_NAMES)}")
+    return RuleSet(rule_entry(e.rule_id, e.text, frozenset(), e.layer)
+                   for e in CATALOG if e.layer in wanted)
 
 
 # --- Fixture corpus ----------------------------------------------------------

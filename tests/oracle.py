@@ -306,7 +306,7 @@ def _read_string(sc: _Scanner) -> str:
         if sc.eof():
             raise sc.error("unterminated string")
         c = sc.peek()
-        if c == "\n":
+        if c in ("\n", "\r"):
             raise sc.error("newline in short string")
         if c == '"':
             sc.advance()

@@ -126,6 +126,16 @@ def test_check_rejects_an_unknown_fail_on_kind_before_reporting(tmp_path, capsys
     assert captured.err == "error: ValueError: unknown --fail-on kind 'bogus'\n"
 
 
+
+def test_check_skips_empty_fail_on_items(tmp_path, capsys):
+    paths = _write_fixture(tmp_path, "optional-vs-prohibited-conflict")
+    for fail_on, want in (("conflict,", 2), (",conflict", 2), ("violation,,", 0)):
+        code = main(["check", *_inputs(paths), "--layers", "dts,compliance",
+                     "--fail-on", fail_on])
+        assert code == want, fail_on
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
 def test_check_json_format(tmp_path, capsys):
     paths = _write_fixture(tmp_path, "partial-conflict-obligations")
     code = main(["check", *_inputs(paths), "--layers", "pragmatics,dts,compliance",
@@ -290,3 +300,45 @@ def test_rule_syntax_error_names_the_rule_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: RuleSyntaxError: ") and err.count("\n") == 1
     assert err.count("stray-brace") == 1, err
+
+
+# Three true statements and a rule that flags the one about ex:a as in
+# conflict with the one about ex:{other}. Each test uses a namespace, and so
+# rule texts, of its own: the parsed rules outlive a single test.
+_FLAGGING_INPUT = """@prefix ex: <{ns}>.
+ex:s1 a :true; rdf:subject ex:a; rdf:predicate ex:p; rdf:object ex:b.
+ex:s2 a :true; rdf:subject ex:c; rdf:predicate ex:p; rdf:object ex:d.
+ex:s3 a :true; rdf:subject ex:e; rdf:predicate ex:p; rdf:object ex:f.
+ex:flag a :InferenceRule; :has-sparql-code \"\"\"CONSTRUCT{{?x :is-in-conflict-with ?y}}
+    WHERE{{?x rdf:subject ex:a. ?y rdf:subject ex:{other}}}\"\"\".
+"""
+
+
+def _check_flagging(tmp_path, capsys, ns: str, other: str) -> str:
+    path = tmp_path / "flagging.ttl"
+    path.write_text(_FLAGGING_INPUT.format(ns=ns, other=other), encoding="utf-8")
+    assert main(["check", "-i", str(path), "--layers", "core", "--format", "json"]) == 2
+    return capsys.readouterr().out
+
+
+def test_check_of_the_same_rules_twice_is_byte_identical(tmp_path, capsys):
+    ns = "https://check-twice.example/"
+    first = _check_flagging(tmp_path, capsys, ns, "c")
+    assert f'"{ns}c"' in first
+    assert _check_flagging(tmp_path, capsys, ns, "c") == first
+
+
+def test_check_follows_an_edited_rule_body(tmp_path, capsys):
+    ns = "https://check-edited.example/"
+    before = _check_flagging(tmp_path, capsys, ns, "c")
+    after = _check_flagging(tmp_path, capsys, ns, "e")
+    assert f'"{ns}c"' in before and f'"{ns}e"' not in before
+    assert f'"{ns}e"' in after and f'"{ns}c"' not in after
+
+
+def test_check_binds_one_rule_text_under_each_prefix_map(tmp_path, capsys):
+    one, two = "https://check-prefixes.example/one/", "https://check-prefixes.example/two/"
+    first = _check_flagging(tmp_path, capsys, one, "c")
+    second = _check_flagging(tmp_path, capsys, two, "c")
+    assert f'"{one}c"' in first and two not in first
+    assert f'"{two}c"' in second and one not in second

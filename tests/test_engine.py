@@ -1,14 +1,17 @@
 import pytest
 
+from normgraph import engine
+from normgraph.cli import run_pipeline
 from normgraph.engine import (
-    EngineConfig, MaxIterationsExceeded, MissingRuleBody, RuleSet,
-    diff_inferred, load_rules, run_fixpoint, strip_rules,
+    EngineConfig, MAX_CACHED_RULES, MaxIterationsExceeded, MissingRuleBody, RuleSet,
+    diff_inferred, load_rules, rule_entry, run_fixpoint, strip_rules,
 )
 from normgraph.model import (
     Graph, IS_IN_CONTRADICTION_WITH, RDF_TYPE, Triple,
     graph_union, isomorphic,
 )
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
+from normgraph.rules import RuleSyntaxError, UnboundTemplateVariable
 from normgraph.turtle import parse_turtle
 from conftest import run_fixture, soa
 
@@ -257,3 +260,51 @@ def test_rerun_is_label_identical():
         first = run_fixpoint(graph_union(vocabulary(), data), rules)
         second = run_fixpoint(graph_union(vocabulary(), data), rules)
         assert first.graph.triples() == second.graph.triples(), name
+
+
+def _rule_graph(body: str, namespace: str = "https://rule-cache.example/") -> Graph:
+    return parse_turtle(f"@prefix ex: <{namespace}>.\n"
+                        f'ex:r a :InferenceRule; :has-sparql-code """{body}""".')
+
+
+def test_one_rule_text_under_one_prefix_map_is_one_entry():
+    body = "CONSTRUCT{?x a ex:Cached}WHERE{?x a ex:Loaded}"
+    (entry,) = load_rules(_rule_graph(body))
+    assert load_rules(_rule_graph(body)).entries[0] is entry
+    assert load_rules(_rule_graph(body + " ")).entries[0] is not entry
+    other = load_rules(_rule_graph(body, "https://rule-cache.example/other/")).entries[0]
+    assert other is not entry
+    assert other.query.construct_template != entry.query.construct_template
+
+
+def test_the_rule_cache_holds_at_most_its_cap():
+    assert rule_entry.cache_info().maxsize == MAX_CACHED_RULES
+    for k in range(MAX_CACHED_RULES + 10):
+        load_rules(_rule_graph(f"CONSTRUCT{{?x a ex:Capped{k}}}WHERE{{?x a ex:Loaded}}"))
+        assert rule_entry.cache_info().currsize <= MAX_CACHED_RULES
+    assert rule_entry.cache_info().currsize == MAX_CACHED_RULES
+
+
+def test_a_bad_rule_raises_on_every_load():
+    unbound = _rule_graph("CONSTRUCT{?x ex:to ?never}WHERE{?x a ex:Unbound}")
+    broken = _rule_graph("CONSTRUCT{?x a ex:Broken}WHERE{?x a ex:Broken")
+    for _ in range(2):
+        with pytest.raises(UnboundTemplateVariable, match="never bound in WHERE: never$"):
+            load_rules(unbound)
+        with pytest.raises(RuleSyntaxError, match="in rule 'r'"):
+            load_rules(broken)
+
+
+def test_a_second_check_of_the_same_rules_parses_and_analyses_nothing(monkeypatch):
+    info = FIXTURES["cash-card-norms"]
+    inputs = fixture("cash-card-norms")[:2]
+    first = run_pipeline(list(inputs), set(info.layers))
+    calls = []
+    for name in ("parse_rule", "_wake_test"):
+        def counted(*args, _original=getattr(engine, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(engine, name, counted)
+    second = run_pipeline(list(inputs), set(info.layers))
+    assert calls == []
+    assert second.result.graph.triples() == first.result.graph.triples()

@@ -75,6 +75,23 @@ def test_fixpoint_matches_oracle_on_small_benchmark_workloads():
             assert want[0] == "ok" and want[-1] >= 2, (seed, inp.name)
 
 
+
+def test_cached_rules_stay_right_as_the_graph_they_ran_on_changes():
+    # the same rule entries, with the plans and wake tests kept from the
+    # run before, on a larger graph, a smaller one and the larger one again
+    workloads = _load_workloads()
+    entries = None
+    for agents in (3, 1, 3):
+        (inp,) = workloads.cash_card_scale(7, agents)
+        graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
+        data, rules = _pipeline(graphs, inp.layers)
+        if entries is not None:
+            assert len(rules) == len(entries)
+            assert all(mine is kept for mine, kept in zip(rules, entries))
+        entries = list(rules)
+        want = _assert_same_as_oracle(agents, data, rules)
+        assert want[0] == "ok" and want[-1] >= 2, agents
+
 # One cash-card-scale check in a fresh interpreter: its `rules._extend` calls
 # and the Turtle of its graph.
 _COUNTED_CHECK = """

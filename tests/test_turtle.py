@@ -229,8 +229,8 @@ _EDGE_CASES = [
     "soa:a... soa:p soa:b...", "soa:a soa:p soa:b...\nsoa:c soa:p soa:d.", "...",
     "soa:a soa:p ...:x.", "soa:a soa:p soa:b.c...", "_:x... soa:p soa:b.",
     "soa:a soa:p soa:b.\n# trailing comment", "[", "[].", "[ soa:p [ soa:q ] ",
-    'soa:a soa:p "x\\q".', 'soa:a soa:p "x\ny".', "soa:a soa:p soa:b ;",
-    "soa:a soa:p soa:b.\r\n\tsoa:c soa:p soa:d\r\nsoa:e",
+    'soa:a soa:p "x\\q".', 'soa:a soa:p "x\ny".', 'soa:a soa:p "x\ry".',
+    "soa:a soa:p soa:b ;", "soa:a soa:p soa:b.\r\n\tsoa:c soa:p soa:d\r\nsoa:e",
 ]
 
 

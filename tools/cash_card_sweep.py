@@ -8,16 +8,18 @@ For each N in 5, 10, 20 and 40, the input is `cash-card-norms` plus N seeded
 `cash-card-scale` workload builds it. The sweep parses the input, then times
 `run_pipeline` with `time.perf_counter` and keeps the fastest of 3 runs, as
 load from other processes only ever adds time; one untimed run at the
-smallest N first fills the vocabulary and rule-catalog caches. One more,
-untimed run per N counts the calls to `rules._extend`, one per binding a
-triple pattern extends: a gauge of the work done that does not depend on the
-host. The search looks `_extend` up each time it enters a step, so the count
-includes the steps compiled and kept on the catalog's rules before it. It prints one JSON line per N: the seconds, the `_extend` calls, the
-triples in the inferred graph, the fixpoint's iterations, the SHA-256 of the
-graph's Turtle (equal digests mean equal output), and the local growth
-exponent log(t/t') / log(N/N') against the N before. If the runs of one N
-take more than `--cap` seconds, the sweep stops there with a line that says
-so.
+smallest N first fills the vocabulary cache and the cache of parsed rules,
+the catalog's and `cash-card-norms`' own, so no timed run parses a rule. One
+more, untimed run per N counts the calls to `rules._extend`, one per binding
+a triple pattern extends: a gauge of the work done that does not depend on
+the host. The search looks `_extend` up each time it enters a step, so the
+count includes the steps compiled and kept on the cached rules before it.
+
+It prints one JSON line per N: the seconds, the `_extend` calls, the triples
+in the inferred graph, the fixpoint's iterations, the SHA-256 of the graph's
+Turtle (equal digests mean equal output), and the local growth exponent
+log(t/t') / log(N/N') against the N before. If the runs of one N take more
+than `--cap` seconds, the sweep stops there with a line that says so.
 """
 
 from __future__ import annotations
