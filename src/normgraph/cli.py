@@ -53,13 +53,16 @@ def run_pipeline(inputs: list[Graph], layers: set[str] | None = None,
 def _read_inputs(paths: list[str]) -> list[Graph]:
     graphs = []
     for index, path in enumerate(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from err
         try:
             # one scope per file, so `[ ... ]` nodes never collide across inputs
             graphs.append(parse_turtle(text, scope=f"in{index}"))
         except TurtleSyntaxError as err:
-            raise TurtleSyntaxError(f"{path}: {err}", err.line, err.column) from err
+            raise TurtleSyntaxError(f"{path}: {err.message}", err.line, err.column) from err
     return graphs
 
 

@@ -59,7 +59,9 @@ How it runs:
     variables bound where it is written, and never after a step that binds
     one it mentions that is unbound there, so it sees the values it would
     see in place. Guards that become ready together run FILTER first, then
-    NOT EXISTS by nesting depth, then by number of patterns.
+    NOT EXISTS by nesting depth, then by number of patterns. A branch with
+    a pattern whose constants match no triple has no solution: in that
+    graph state it is neither ordered nor searched.
   - Each order is compiled once into a program, as the variables bound
     before each step are known: which positions of a pattern are free, and
     what a BIND or a lone comparison does. A group keeps, per set of seeded
@@ -781,8 +783,8 @@ class _Analysis:
     """A group's plan for a seed binding one set of variables, kept in
     `GroupPattern.analyses`; only the orders depend on the graph's state."""
     parts: list     # per branch, a _Segment to order per graph state, or None
-    steps: list     # per branch, its elements in the order to search them
-    programs: list  # per branch, its steps compiled (see `_program`)
+    steps: list     # per branch, its elements in the order to search them, None if dead
+    programs: list  # per branch, its steps compiled (see `_program`), None if dead
     places: Optional[tuple] = None  # if a BIND rebinds, each branch's places (steps as written)
     state: Optional[tuple] = None  # (weak reference to the graph, its size)
 
@@ -850,7 +852,7 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
                     cost[i] /= factor
         starts = sorted((i for i in order if not segment.after[i]), key=cost.__getitem__)
         order, best, work = _greedy(segment, factors, cost, starts[0], None, 0)
-        budget = 8 * work  # a nan `best` (inf rows times no match) is never searched
+        budget = 8 * work
         for first in starts[1:] if budget < best else ():
             if cost[first] >= best or work >= budget:
                 break
@@ -907,29 +909,40 @@ def _estimate(g: Graph, shape: tuple) -> tuple[int, list]:
 _estimates: tuple = (None, -1, {})
 
 
-def _plan_run(g: Graph, segment: _Segment, known: dict) -> list:
-    """Puts a branch in order for the graph as it is (see `_order`). Joins
-    commute, a BIND is a one-row join, and a guard sees the same values of
-    the variables it mentions wherever it runs, so the order never changes
-    the solutions. Each shape's estimate is read once per graph state."""
-    known.update((shape, _estimate(g, shape)) for shape in segment.shapes if shape not in known)
+def _plan_run(segment: _Segment, known: dict) -> list:
+    """Puts a branch in order for the graph as it is (see `_order`), from
+    the estimates `known` holds for each of its shapes. Joins commute, a
+    BIND is a one-row join, and a guard sees the same values of the
+    variables it mentions wherever it runs, so the order never changes the
+    solutions."""
     return _order(segment, [known[shape] for shape in segment.shapes])
 
 
-def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[tuple]:
+def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Optional[tuple]]:
     """Each branch's steps in the order to search them, for a seed binding
     `seeded`, kept with their programs on the group's _Analysis until another
     graph, or the same one grown, asks. The graph is held weakly, so a new one
-    at a freed address is not taken for it; a stale order only costs time."""
+    at a freed address is not taken for it; a stale order only costs time.
+
+    Each shape's estimate is read once per graph state. A planned branch
+    with a pattern that matches no triple has no solution: it is dead, its
+    steps and program None, and is neither ordered nor searched. A graph
+    only grows, so the verdict holds until its size changes."""
     global _estimates
     analysis = _analyse(gp, frozenset(seeded))
     state = (weakref.ref(g), len(g))
     if state != analysis.state:
         if state != _estimates[:2]:
             _estimates = (*state, {None: (1, [])})
+        known = _estimates[2]
         for i, part in enumerate(analysis.parts):
             if part is not None:
-                analysis.steps[i] = tuple(_plan_run(g, part, _estimates[2]))
+                known.update((shape, _estimate(g, shape))
+                             for shape in part.shapes if shape not in known)
+                if any(not known[shape][0] for shape in part.shapes):
+                    analysis.steps[i] = analysis.programs[i] = None
+                    continue
+                analysis.steps[i] = tuple(_plan_run(part, known))
                 analysis.programs[i] = _program(part, analysis.steps[i], seeded)
         analysis.state = state
     return analysis.steps
@@ -995,6 +1008,8 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     analysis = gp.analyses[seeded]
     found, conflicts = [], []
     for index, program in enumerate(analysis.programs):
+        if program is None:  # a dead branch (see `_plan`)
+            continue
         if analysis.places is None:
             found += _search(g, program, seed, limit)
             if limit is not None and len(found) >= limit:

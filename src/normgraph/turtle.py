@@ -29,6 +29,7 @@ from .rules import MAX_NESTING, STRING_ESCAPES
 class TurtleSyntaxError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message  # without the location
         self.line = line
         self.column = column
 

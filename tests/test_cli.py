@@ -291,6 +291,28 @@ def test_check_deeply_nested_turtle_is_one_error_line(tmp_path, capsys):
     _assert_one_error_line(capsys, "TurtleSyntaxError")
 
 
+def test_turtle_syntax_error_names_its_file_and_location_once(tmp_path, capsys):
+    good, bad = tmp_path / "good.ttl", tmp_path / "deep.ttl"
+    good.write_text("soa:a soa:p soa:b.\n", encoding="utf-8")
+    bad.write_text("soa:a soa:p " + "[soa:q " * 120 + "soa:b" + "]" * 120 + ".\n")
+    code = main(["check", "-i", str(good), "-i", str(bad), "--layers", "core"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: TurtleSyntaxError: {bad}: nesting deeper than 100 levels "
+                   "(line 1, column 713)\n")
+
+
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.ttl", tmp_path / "latin1.ttl"
+    good.write_text("soa:a soa:p soa:b.\n", encoding="utf-8")
+    bad.write_bytes('soa:a soa:p "café".\n'.encode("latin-1"))
+    code = main(["check", "-i", str(good), "-i", str(bad), "--layers", "core"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {bad}: 'utf-8' codec can't decode byte 0xe9 ")
+    assert err.count("\n") == 1 and "Traceback" not in err and str(good) not in err
+
+
 def test_rule_syntax_error_names_the_rule_once(tmp_path, capsys):
     path = tmp_path / "rule.ttl"
     path.write_text('soa:stray-brace a :InferenceRule; :has-sparql-code """CONSTRUCT{?x soa:q ?y} '
