@@ -22,12 +22,14 @@ into (see `GroupPattern.branches`), whose solutions are the rule's:
     patterns are the rule's anchors. A test on the top-level patterns alone
     would miss the `violated-by` solution that `sketty-necessity` gains in
     iteration 3 from a triple two NOT EXISTS deep.
-  - An added triple wakes an anchor only if each pattern of the anchor's
-    branch and enclosing branches that shares a variable with it still has
-    a match in the graph under the triple's binding. A NOT EXISTS group
-    shares a variable with its parent only where a step before the group
-    binds it; every other variable is renamed apart. Dropping constraints
-    this way only makes the test wake more rules.
+  - An added triple wakes an anchor only if every pattern of the anchor's
+    branch and enclosing branches has some match in the graph, and each of
+    them that shares a variable with the anchor still has one under the
+    triple's binding: the witness of a new solution, or of a NOT EXISTS
+    group's new solution, holds a full match of all of them. A NOT EXISTS
+    group shares a variable with its parent only where a step before the
+    group binds it; every other variable is renamed apart. Dropping
+    constraints this way only makes the test wake more rules.
   - A rule that is not woken keeps the previous iteration's solutions that
     still pass each NOT EXISTS of the branch that gave them, probed under
     the variables bound before it where it is written, as the full
@@ -92,7 +94,8 @@ class _Anchor(NamedTuple):
     the pairs of positions in `equal` must hold the same term, and each
     neighbour's match key is read off it by a getter. A key position is one
     of the anchor's, `constants[0]` (None) for a variable the anchor does
-    not bind, or one of the constants."""
+    not bind, or one of the constants. The anchor is skipped while a pattern
+    of `shapes` has no match at all."""
 
     # the constant predicate, and object, the added triples are looked up
     # by; None for a variable (the object too when the predicate is one)
@@ -102,6 +105,9 @@ class _Anchor(NamedTuple):
     constants: tuple
     per_predicate: tuple       # key getters of neighbours that read the predicate only
     per_triple: tuple          # key getters of the other neighbours
+    # every pattern around the anchor, its own included, as its terms with
+    # None for a variable; one tuple for all anchors of a branch
+    shapes: tuple
 
 
 class _Added:
@@ -116,6 +122,7 @@ class _Added:
             self._by_predicate.setdefault(t.predicate, []).append(t)
             self._by_predicate_object.setdefault((t.predicate, t.object), []).append(t)
         self._matched: dict[tuple, bool] = {}
+        self._alive: dict[tuple, bool] = {}
 
     def candidates(self, anchor: _Anchor) -> Iterable[tuple[Term, list[Triple]]]:
         """The added triples that have the anchor's constant predicate and
@@ -135,11 +142,23 @@ class _Added:
             hit = self._matched[key] = next(self.graph.match_iter(*key), None) is not None
         return hit
 
+    def alive(self, shapes: tuple) -> bool:
+        """Whether every shape has a match in the graph; each tuple of
+        shapes is looked at once."""
+        hit = self._alive.get(shapes)
+        if hit is None:
+            hit = self._alive[shapes] = all(map(self.matched, shapes))
+        return hit
+
 
 def _matches(anchors: tuple[_Anchor, ...], added: _Added) -> bool:
     """Whether an added triple matches one of the anchors."""
     for anchor in anchors:
         for predicate, triples in added.candidates(anchor):
+            if not triples:
+                continue
+            if not added.alive(anchor.shapes):
+                break
             if anchor.per_predicate:
                 head = (None, predicate, None) + anchor.constants
                 if not all(added.matched(get(head)) for get in anchor.per_predicate):
@@ -208,9 +227,10 @@ def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
                                    for part in (el.subject, el.predicate, el.object)))
                    for el in branch.elements if isinstance(el, TriplePattern)]
             around = enclosing + own
+            shapes = tuple(dict.fromkeys(map(_rules._shape, around)))
             for k in range(len(enclosing), len(around)):
                 (guards if depth % 2 else anchors)[
-                    _anchor(around[k], around[:k] + around[k + 1:])] = None
+                    (*_anchor(around[k], around[:k] + around[k + 1:]), shapes)] = None
             bound = set(scope)
             groups = []
             for place, el in zip(branch.places, branch.elements):
@@ -229,8 +249,8 @@ def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
 
     def built(fields) -> tuple[_Anchor, ...]:
         return tuple(_Anchor(*head, *(tuple(itemgetter(*picks) for picks in getters)
-                                      for getters in (per_predicate, per_triple)))
-                     for *head, per_predicate, per_triple in fields)
+                                      for getters in (per_predicate, per_triple)), shapes)
+                     for *head, per_predicate, per_triple, shapes in fields)
 
     return WakeTest(built(anchors), built(guards),
                     probes if len(probes) == len(where.branches) else None)
@@ -238,8 +258,8 @@ def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
 
 def _anchor(tp: TriplePattern, neighbours: list[TriplePattern]) -> tuple:
     """The anchor `tp`, checked against those of the `neighbours` that
-    share a variable with it: the fields of an _Anchor, with the positions
-    each getter picks in place of the getter."""
+    share a variable with it: the fields of an _Anchor up to its shapes,
+    with the positions each getter picks in place of the getter."""
     constants: list = [None]
 
     def constant(term: Term) -> int:

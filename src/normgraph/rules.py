@@ -69,9 +69,14 @@ How it runs:
     weakly, and its size; another graph, or the same one grown, is planned
     anew. A program is searched depth first with its own stack.
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
-    search stops at the first solution. A full evaluation sorts its
-    solutions once, at the end; one branch never gives a solution twice,
-    so only a group with several branches deduplicates them.
+    search stops at the first solution, and the probe at the first branch
+    that gives one. Each call checks the group's kept plan against the
+    graph inline, by size and then by the weak reference, and plans only
+    when that fails; it searches with the binding it is given, which
+    nothing changes. A group where a BIND rebinds is probed by the full
+    search, in written order. A full evaluation sorts its solutions once,
+    at the end; one branch never gives a solution twice, so only a group
+    with several branches deduplicates them.
 
 Blank nodes written in a WHERE group behave as fresh variables. Blank nodes
 in the template become skolem nodes named from the rule id, the blank's
@@ -729,12 +734,17 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
     guards.sort()  # ranks differ, as they end in the written place
     masks = tuple(mask(_binds(el)) for el in binders)
     after = (reduce(int.__or__, (g.needed for _, g, free in guards if free & m), 0) for m in masks)
-    shapes = tuple(None if isinstance(el, Bind) else tuple(
-        None if isinstance(t, Variable) else t for t in (el.subject, el.predicate, el.object))
-        for el in binders)
+    shapes = tuple(None if isinstance(el, Bind) else _shape(el) for el in binders)
     return _Segment(tuple(binders), shapes, tuple(tuple(map(bits.get, _binds(el)))
                                                   for el in binders),
                     masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded), [])
+
+
+def _shape(tp: TriplePattern) -> tuple:
+    """The pattern's terms, with None for each variable: the key its
+    matches are counted, or looked for, by."""
+    return tuple(None if isinstance(t, Variable) else t
+                 for t in (tp.subject, tp.predicate, tp.object))
 
 
 def _compile(el, bound: set, conflicts: bool) -> tuple:
@@ -997,15 +1007,19 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     in the planned order (see `_plan`), which gives the same solutions.
 
     With `limit`, at most that many solutions come back, in no particular
-    order: an existence probe, as NOT EXISTS asks it. A group where a BIND
-    rebinds a variable is searched in full, and raises the BindConflict at
-    the first place, in the group's written order, that any branch
-    conflicts at, as the full evaluation does.
+    order: an existence probe, as NOT EXISTS asks it, which stops at the
+    branch that reaches the limit. A group where a BIND rebinds a variable
+    is searched in full, and raises the BindConflict at the first place, in
+    the group's written order, that any branch conflicts at, as the full
+    evaluation does. The search never changes the seed, so it is not copied.
     """
-    seed = dict(seed) if seed else {}
+    seed = seed or {}
     seeded = frozenset(seed)
-    _plan(g, gp, seeded)
-    analysis = gp.analyses[seeded]
+    analysis = gp.analyses.get(seeded)
+    state = analysis and analysis.state
+    if state is None or state[1] != len(g) or state[0]() is not g:
+        _plan(g, gp, seeded)
+        analysis = gp.analyses[seeded]
     found, conflicts = [], []
     for index, program in enumerate(analysis.programs):
         if program is None:  # a dead branch (see `_plan`)

@@ -1,9 +1,14 @@
-"""Smoke test of tools/cash_card_sweep.py at its smallest agent count."""
+"""Smoke tests of tools/cash_card_sweep.py at its smallest agent count."""
 
+import argparse
 import hashlib
 import importlib.util
+import json
+import signal
 import sys
 from pathlib import Path
+
+import pytest
 
 from normgraph import rules
 from normgraph.turtle import serialize_turtle
@@ -40,3 +45,22 @@ def test_pattern_extensions_grow_no_faster_than_recorded_at_20_and_40_agents():
     at20, at40 = (sweep._extend_calls(workloads, 1, agents) for agents in (20, 40))
     assert at20 <= 1.1 * 26139 and at40 <= 1.1 * 80397, (at20, at40)
     assert at40 / at20 < 3.5, (at20, at40)
+
+
+def test_the_sweep_runs_the_agent_counts_it_is_given_and_prints_one_line_each(capsys):
+    sweep = _load_sweep()
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        assert sweep.main(["--agents", "5"]) == 0
+    finally:
+        signal.signal(signal.SIGALRM, handler)  # main sets its own for --cap
+    (line,) = capsys.readouterr().out.splitlines()
+    row = json.loads(line)
+    assert row.pop("seconds") > 0
+    assert row == {"agents": 5, "extend_calls": 5280, "triples": 528, "iterations": 6,
+                   "digest": "dd9f0865b86e5d67421db3253f5a4184872c278cbfb91697df730e130dd066c3",
+                   "exponent": None}
+    assert sweep._agent_counts("80,160") == (80, 160)
+    for bad in ("0", "5,x", ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            sweep._agent_counts(bad)

@@ -409,13 +409,17 @@ def test_evaluator_matches_oracle_with_guards_anywhere_in_the_group():
     rnd = random.Random(4242)
     groups = _Interleaved(rnd)
     moved = nonempty = 0
-    for case in range(600):
+    for case in range(1000):
         g, gp, seed = groups.graph(), groups.group(0), groups.seed()
         want = oracle.evaluate_where(g, gp, seed)
         assert evaluate_where(g, gp, seed) == want, f"case {case}: {gp} seed={seed}"
         _assert_probe_agrees(g, gp, seed, ("ok", want))
         nonempty += bool(want)
-        moved += _steps(g, gp, seed or ()) != gp.elements
+        # a planned first branch whose order differs from its written one; a
+        # dead branch (None) has no order, so it does not count
+        steps = _steps(g, gp, seed or ())
+        moved += steps is not None and steps != gp.branches[0].elements
+    # 320 live plans moved of the 397 live: most random branches are dead
     assert nonempty >= 50 and moved >= 200, (nonempty, moved)
 
 
@@ -449,7 +453,7 @@ def test_planning_whole_groups_cuts_probes_and_pattern_extensions(monkeypatch):
 
 def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_statements(
         monkeypatch):
-    from normgraph import rules
+    from normgraph import engine, rules
     from normgraph.cli import run_pipeline
 
     data, user_rules, _ = fixture("cash-card-norms")
@@ -461,7 +465,9 @@ def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_s
     calls = {"probes": 0, "extends": 0}
     first_steps = {}  # the first step of each live plan of the hot rule, by graph size
     dead = []  # the graph sizes the hot rule has a pattern with no match at
+    full = []  # the graph sizes the engine evaluates the hot rule in full at
     evaluate, extend, plan = rules.evaluate_where, rules._extend, rules._plan
+    evaluate_rule = engine.evaluate_where
 
     def counted_evaluate(g, gp, seed=None, limit=None):
         calls["probes"] += limit == 1
@@ -482,6 +488,8 @@ def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_s
     monkeypatch.setattr(rules, "evaluate_where", counted_evaluate)
     monkeypatch.setattr(rules, "_extend", counted_extend)
     monkeypatch.setattr(rules, "_plan", recorded_plan)
+    monkeypatch.setattr(engine, "evaluate_where", lambda g, gp, *args:
+                        (gp is hot and full.append(len(g))) or evaluate_rule(g, gp, *args))
     run_pipeline([scaled, user_rules], {"pragmatics", "dts", "compliance"})
     # greedy from the cheapest first pattern: 5,060 probes and 16,777-17,173
     # extensions (the count moves with the hash seed)
@@ -492,7 +500,10 @@ def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_s
     # estimated bindings of starting from the `?r` statement star
     assert sorted(first_steps) == [297, 759], first_steps
     # before any thematic divergence is inferred the rule is dead: not planned
-    assert dead == [77, 165], dead
+    assert dead == [77], dead
+    # on the 165-triple graph every anchor of the rule sits beside a pattern
+    # with no match, so the rule is not even evaluated there
+    assert full == [77, 297, 759], full
     for size, step in first_steps.items():
         assert isinstance(step, TriplePattern) and step.subject == V("r"), (size, step)
 
@@ -734,6 +745,60 @@ def test_a_bind_before_a_pattern_with_no_match_still_raises_its_conflict():
     for outer in (gp, GroupPattern((NotExists(gp),))):
         assert _outcome(evaluate_where, g, outer) == want
         assert _outcome(evaluate_where, g, outer, limit=1) == want
+
+
+def test_a_probe_of_a_group_dead_at_one_graph_state_sees_a_match_added_later():
+    # the probe keeps the group's plan while the graph is the one it was made
+    # for, at the same size; a dead verdict kept past that gives wrong answers
+    a, b, c, p, q, r = (Iri(EX + x) for x in "abcpqr")
+    inner = GroupPattern((TriplePattern(V("y"), q, V("z")), TriplePattern(V("z"), p, V("w"))))
+    gp = GroupPattern((TriplePattern(V("x"), p, V("y")), NotExists(inner)))
+    seed, found = {V("y"): b}, [{V("y"): b, V("z"): c, V("w"): a}]
+
+    def unmatched():
+        return Graph([Triple(a, p, b), Triple(c, p, a), Triple(b, r, c)])
+
+    def matched():
+        return Graph([Triple(a, p, b), Triple(c, p, a), Triple(b, q, c)])
+
+    g = Graph([Triple(a, p, b), Triple(c, p, a)])
+    assert evaluate_where(g, inner, seed, limit=1) == []
+    # dead on another graph of the size g grows to
+    other = unmatched()
+    assert evaluate_where(other, inner, seed, limit=1) == []
+    g.insert(Triple(b, q, c))  # `?y q ?z` has a match now
+    assert len(g) == len(other)
+    assert evaluate_where(g, inner, seed, limit=1) == found
+    assert evaluate_where(g, gp) == oracle.evaluate_where(g, gp) == [{V("x"): c, V("y"): a}]
+    # a graph of the same size at the address of a freed one where it was dead
+    for _ in range(3):
+        dead = unmatched()
+        assert evaluate_where(dead, inner, seed, limit=1) == []
+        del dead
+        live = matched()
+        assert evaluate_where(live, inner, seed, limit=1) == found
+        assert evaluate_where(live, gp) == oracle.evaluate_where(live, gp)
+
+
+def test_a_probe_of_a_rebinding_group_raises_the_conflict_of_its_full_evaluation():
+    a, b, c, p, q = (Iri(EX + x) for x in "abcpq")
+    g = Graph([Triple(a, p, b), Triple(a, q, c)])
+    # with ?x seeded: {?x q ?w} UNION {?x p ?y} BIND(ex:c AS ?y). The first
+    # branch gives a solution, but the second rebinds ?y, so no probe may
+    # stop at the first branch's solution
+    inner = GroupPattern((Union(GroupPattern((TriplePattern(V("x"), q, V("w")),)),
+                                GroupPattern((TriplePattern(V("x"), p, V("y")),))),
+                          Bind(c, V("y"))))
+    seed = {V("x"): a}
+    want = _outcome(oracle.evaluate_where, g, inner, seed)
+    assert want == ("raised", "BindConflict", "variable ?y is already bound")
+    for _ in range(2):  # planned, then with the plan kept for this graph state
+        assert _outcome(evaluate_where, g, inner, seed, limit=1) == want
+        assert _outcome(evaluate_where, g, inner, seed) == want
+    outer = GroupPattern((TriplePattern(V("x"), p, V("w")), NotExists(inner)))
+    assert _outcome(oracle.evaluate_where, g, outer) == want
+    assert _outcome(evaluate_where, g, outer) == want
+    assert _outcome(evaluate_where, g, outer, limit=1) == want
 
 
 def test_a_warm_pass_over_every_fixture_orders_at_most_the_recorded_branches(monkeypatch):

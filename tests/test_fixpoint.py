@@ -277,6 +277,73 @@ def test_no_guard_matched_keeps_the_solutions_without_probes(monkeypatch):
     assert 0 < len(probes) < 90, len(probes)
 
 
+def _full_evaluation_sizes(monkeypatch, rule_id, rules):
+    """The graph sizes at which the engine evaluates the rule in full."""
+    from normgraph import engine
+
+    where = next(e.query.where_clause for e in rules if e.rule_id == rule_id)
+    sizes = []
+    evaluate = engine.evaluate_where
+    monkeypatch.setattr(engine, "evaluate_where", lambda g, gp, *args:
+                        (gp is where and sizes.append(len(g))) or evaluate(g, gp, *args))
+    return sizes
+
+
+def test_an_anchor_beside_a_pattern_with_no_match_is_not_woken_until_it_has_one(monkeypatch):
+    # `out`'s anchor `?x ex:p ?y` matches what `one` adds in iteration 1,
+    # but `?w ex:q ?z` has no match until `two` adds one in iteration 2: the
+    # rule is skipped in iteration 2 and gains its solutions in iteration 3
+    data = parse_turtle(f"""@prefix ex: <{EX}>.
+        ex:a ex:p ex:b; ex:go ex:x.""")
+    rules = _rules(
+        out="CONSTRUCT{?x ex:out ?z} WHERE{?x ex:p ?y. ?w ex:q ?z}",
+        one="CONSTRUCT{?x ex:p ex:c} WHERE{?x ex:go ex:x}",
+        two="CONSTRUCT{?x ex:q ex:d} WHERE{?x ex:p ex:c}")
+    full = _full_evaluation_sizes(monkeypatch, "out", rules)
+    want = _assert_same_as_oracle("anchor", data, rules)
+    assert [record for record in want[4] if record[1] == "out"] \
+        == [(1, "out", 0, 0), (2, "out", 0, 0), (3, "out", 2, 1), (4, "out", 2, 0)]
+    # the graph holds 2, 3, 4 and 5 triples at the start of iterations 1-4;
+    # the engine's run (the oracle has its own evaluator) evaluated `out` in
+    # full in iterations 1 and 3 only
+    assert full == [2, 4], full
+
+
+def test_a_guard_beside_a_pattern_with_no_match_probes_only_once_it_has_one(monkeypatch):
+    # `ok`'s NOT EXISTS holds `?y ex:bad ?v` and `?u ex:flag ex:on`. `bad`
+    # adds a match of the first in iteration 1 while the second has none:
+    # the solution is kept without a probe. `flag` adds a match of the second
+    # in iteration 2, and in iteration 3 the probe drops the kept solution
+    from normgraph import rules as rules_module
+
+    data = parse_turtle(f"""@prefix ex: <{EX}>.
+        ex:a ex:p ex:b; ex:go ex:x.""")
+    rules = _rules(
+        ok="""CONSTRUCT{?x ex:ok ex:yes}
+            WHERE{?x ex:p ?y. NOT EXISTS{?y ex:bad ?v. ?u ex:flag ex:on}}""",
+        bad="CONSTRUCT{?y ex:bad ex:z} WHERE{?x ex:p ?y. ?x ex:go ex:x}",
+        flag="CONSTRUCT{?x ex:flag ex:on} WHERE{?y ex:bad ex:z. ?x ex:go ex:x}")
+    probes = []  # the graph size at each NOT EXISTS probe
+    evaluate = rules_module.evaluate_where
+
+    def counted_evaluate(g, gp, seed=None, limit=None):
+        if limit == 1:
+            probes.append(len(g))
+        return evaluate(g, gp, seed, limit)
+
+    monkeypatch.setattr(rules_module, "evaluate_where", counted_evaluate)
+    full = _full_evaluation_sizes(monkeypatch, "ok", rules)
+    result = run_fixpoint(data, rules)
+    assert [(r.iteration, r.solutions, r.added) for r in result.trace if r.rule_id == "ok"] \
+        == [(1, 1, 1), (2, 1, 0), (3, 0, 0)]
+    assert full == [2], full
+    # iterations 1-3 start at 2, 4 and 5 triples: probed by the full
+    # evaluation, then only in iteration 3 by the kept solution's check
+    assert probes == [2, 5], probes
+    monkeypatch.undo()
+    _assert_same_as_oracle("guard", data, rules)
+
+
 class _Rules:
     """Random rules over a small vocabulary whose triple patterns sit up to
     three NOT EXISTS deep, with variable predicates, repeated variables,

@@ -1,8 +1,9 @@
 """Time the scaled cash-card workload at growing agent counts.
 
-    PYTHONPATH=src python3 tools/cash_card_sweep.py [--seed 1] [--cap 60]
+    PYTHONPATH=src python3 tools/cash_card_sweep.py [--seed 1] [--cap 60] [--agents 5,10,20,40]
 
-For each N in 5, 10, 20 and 40, the input is `cash-card-norms` plus N seeded
+For each N in `--agents` (5, 10, 20 and 40 unless given, e.g. `--agents
+80,160` for larger ones), the input is `cash-card-norms` plus N seeded
 `soa:Human` agents with layers `pragmatics,dts,compliance`, built by
 `benchmarks/workloads.py` (loaded from its file) exactly as the
 `cash-card-scale` workload builds it. The sweep parses the input, then times
@@ -18,7 +19,8 @@ count includes the steps compiled and kept on the cached rules before it.
 It prints one JSON line per N: the seconds, the `_extend` calls, the triples
 in the inferred graph, the fixpoint's iterations, the SHA-256 of the graph's
 Turtle (equal digests mean equal output), and the local growth exponent
-log(t/t') / log(N/N') against the N before. If the runs of one N take more
+log(t/t') / log(N/N') against the N before (null for the first N and for
+one that repeats the N before). If the runs of one N take more
 than `--cap` seconds, the sweep stops there with a line that says so.
 """
 
@@ -40,6 +42,17 @@ from normgraph.turtle import parse_turtle, serialize_turtle
 
 AGENTS = (5, 10, 20, 40)
 REPEATS = 3
+
+
+def _agent_counts(text: str) -> tuple[int, ...]:
+    """The agent counts of a comma-separated list, each a positive integer."""
+    try:
+        counts = tuple(int(item) for item in text.split(","))
+    except ValueError:
+        counts = ()
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"not a list of positive agent counts: {text!r}")
+    return counts
 
 
 def _load_workloads():
@@ -88,12 +101,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cap", type=int, default=60, help="seconds allowed for one N")
+    parser.add_argument("--agents", type=_agent_counts, default=AGENTS,
+                        help="comma-separated agent counts, in the order to run them "
+                             "(default: 5,10,20,40)")
     args = parser.parse_args(argv)
     workloads = _load_workloads()
-    _run(workloads, args.seed, AGENTS[0])
+    _run(workloads, args.seed, min(args.agents))
     signal.signal(signal.SIGALRM, _on_alarm)
     last = None  # (agents, seconds) of the N before
-    for agents in AGENTS:
+    for agents in args.agents:
         signal.alarm(args.cap)
         try:
             seconds, result = min((_run(workloads, args.seed, agents) for _ in range(REPEATS)),
@@ -104,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         finally:
             signal.alarm(0)
-        exponent = None if last is None else \
+        exponent = None if last is None or last[0] == agents else \
             math.log(seconds / last[1]) / math.log(agents / last[0])
         print(json.dumps({
             "agents": agents, "seconds": round(seconds, 4), "extend_calls": extend_calls,
