@@ -54,7 +54,7 @@ def _read_inputs(paths: list[str]) -> list[Graph]:
     graphs = []
     for index, path in enumerate(paths):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
                 text = handle.read()
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}: {err}") from err

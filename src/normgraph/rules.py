@@ -68,6 +68,20 @@ How it runs:
     variables, its programs and the order last found, with the graph, held
     weakly, and its size; another graph, or the same one grown, is planned
     anew. A program is searched depth first with its own stack.
+  - A branch may hold a role star: for a role class C, the containment
+    guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v. NOT EXISTS{?b ?t
+    ?w}}` and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
+    ?a ?t ?v. ?b ?t ?w. FILTER(?v != ?w)}` (its ?a and ?b either way
+    round), `?a`, `?b` and `?x` bound where they are written
+    (`_role_guard`). Unless a BIND of the group rebinds, a pattern step
+    whose one free variable is `?b`, once `?a` and `?x` are bound, takes as
+    candidates the subjects that hold every (t, v) that `?a` holds for a
+    member t of C other than `?x` (`_holders`), and keeps those its pattern
+    matches; when `?a` holds no such pair it takes the pattern's matches. This loses no solution: for such a t, containment gives `?b` a
+    value for t, and agreement makes every value `?a` has for t equal to
+    every value `?b` has, so `?a` has one, v, and `?b` holds (t, v). Both
+    guards still run, so the solutions are the same (Graefe, ICDE 1989;
+    Helmer & Moerkotte, VLDB 1997).
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
     search stops at the first solution, and the probe at the first branch
     that gives one. Each call checks the group's kept plan against the
@@ -602,9 +616,18 @@ _READ = [None] + [attrgetter(*(name for i, name in enumerate(("subject", "predic
 
 def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
     """The extensions of `binding` by every graph match of a triple pattern's
-    `step` (see `_compile`); one that adds nothing comes back as itself."""
-    _, s, p, o, var, free, read = step
+    `step` (see `_compile`); one that adds nothing comes back as itself. A
+    step with a role star takes its one free variable's values from the
+    star's holders, when there are any, and keeps those its pattern matches."""
+    _, s, p, o, var, free, read, star = step
     get = binding.get  # a bound variable gives its value, a term or None itself
+    if star is not None:
+        a, role_class, x, at = star
+        holders = _holders(g, get(a), role_class, get(x))
+        if holders is not None:
+            terms = (get(s, s), get(p, p), get(o, o))
+            return [{**binding, var: h} for h in holders
+                    if g.count(*terms[:at], h, *terms[at + 1:])]
     matches = g.match_iter(get(s, s), get(p, p), get(o, o))
     if var is not None:
         return [{**binding, var: read(t)} for t in matches]
@@ -613,6 +636,19 @@ def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
     # a variable in two free positions must match the same term
     return [{**binding, **new} for terms in map(read, matches)
             for new in (dict(zip(free, terms)),) if tuple(map(new.get, free)) == terms]
+
+
+def _holders(g: Graph, a: Term, role_class: Term, x: Optional[Term]) -> Optional[list]:
+    """The subjects that hold every (role, value) pair `a` holds for a role
+    of class `role_class` other than `x`, in the order the rarest pair's
+    holders were added; None if `a` holds no such pair."""
+    pairs = [(t.predicate, t.object) for t in g.match_iter(a)
+             if t.predicate != x and g.count(t.predicate, RDF_TYPE, role_class)]
+    if not pairs:
+        return None
+    rarest = min(pairs, key=lambda pair: g.count(None, *pair))
+    return [t.subject for t in g.match_iter(None, *rarest)
+            if all(g.count(t.subject, *pair) for pair in pairs)]
 
 
 def _bind(g: Graph, step: tuple, binding: Binding) -> tuple:
@@ -713,6 +749,7 @@ class _Segment(NamedTuple):
     after: tuple    # per binder, the `needed` of the guards that must run before it
     guards: tuple   # of _Guard, in rank order
     entry: int      # the seeded variables
+    stars: tuple    # (a, b, C, x) of each role star of its guards (see `_role_guard`)
     programs: list  # (steps, program) of each order compiled (see `_program`)
 
 
@@ -723,21 +760,73 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
     def mask(variables) -> int:
         return sum(bits.get(v, 0) for v in set(variables))
 
-    before = 0  # bound by the binders written so far
+    before, bound = 0, set(seeded)  # bound by the seed and the binders written so far
     guards = []  # (rank, guard, the variables it mentions that are unbound where it is written)
+    roles = {}  # the role guards, as (contains, a, b, C, x), in written order
     for index, el in enumerate(elements):
         if isinstance(el, (TriplePattern, Bind)):
             before |= mask(_binds(el))
+            bound.update(_binds(el))
             continue
         mentioned = mask(_mentioned(el) - seeded)
         guards.append((_guard_rank(el, index), _Guard(el, mentioned & before), mentioned & ~before))
+        role = _role_guard(el, bound)
+        if role is not None:
+            roles[role] = None
+            contains, a, b, c, x = role
+            if not contains:  # agreement says the same with ?a and ?b swapped
+                roles[False, b, a, c, x] = None
     guards.sort()  # ranks differ, as they end in the written place
     masks = tuple(mask(_binds(el)) for el in binders)
     after = (reduce(int.__or__, (g.needed for _, g, free in guards if free & m), 0) for m in masks)
     shapes = tuple(None if isinstance(el, Bind) else _shape(el) for el in binders)
+    stars = tuple(role[1:] for role in roles if role[0] and (False, *role[1:]) in roles)
     return _Segment(tuple(binders), shapes, tuple(tuple(map(bits.get, _binds(el)))
                                                   for el in binders),
-                    masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded), [])
+                    masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded),
+                    stars, [])
+
+
+def _role_guard(el, bound: set) -> Optional[tuple]:
+    """(True, a, b, C, x) if `el`, written where the variables `bound` are
+    bound, is the containment guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
+    ?a ?t ?v. NOT EXISTS{?b ?t ?w}}` over the roles of the constant class C;
+    (False, a, b, C, x) if it is the agreement guard `NOT EXISTS{?t a C.
+    [FILTER(?t != ?x)] ?a ?t ?v. ?b ?t ?w. FILTER(?v != ?w)}`; else None. x
+    is None without the first FILTER. ?a, ?b and ?x must be bound where `el`
+    is written, ?t, ?v and ?w must not, and each group must have one branch."""
+    branches = el.inner.branches if isinstance(el, NotExists) else ()
+    match branches[0].elements if len(branches) == 1 else ():
+        case [TriplePattern(Variable() as t, p, c), Filter(expr), *rest]:
+            x = _unequal(expr, t)
+            if x is None:
+                return None
+        case [TriplePattern(Variable() as t, p, c), *rest]:
+            x = None
+        case _:
+            return None
+    match rest:
+        case [TriplePattern(Variable() as a, t1, Variable() as v),
+              NotExists(GroupPattern([TriplePattern(Variable() as b, t2, Variable() as w)]))]:
+            contains = True
+        case [TriplePattern(Variable() as a, t1, Variable() as v),
+              TriplePattern(Variable() as b, t2, Variable() as w), Filter(expr)] \
+                if _unequal(expr, v) is w:
+            contains = False
+        case _:
+            return None
+    if p is not RDF_TYPE or isinstance(c, Variable) or not (t is t1 is t2) or \
+            len({t, v, w}) < 3 or {t, v, w} & bound or a is b or not {a, b, x} - {None} <= bound:
+        return None
+    return contains, a, b, c, x
+
+
+def _unequal(expr: Expr, var) -> Optional[Variable]:
+    """The variable that `expr` says `var` differs from, if it is `var != ?y` or `?y != var`."""
+    if isinstance(expr, Comparison) and expr.negated and var in (expr.left, expr.right):
+        other = expr.right if expr.left is var else expr.left
+        return other if isinstance(other, Variable) else None
+    return None
 
 
 def _shape(tp: TriplePattern) -> tuple:
@@ -747,21 +836,25 @@ def _shape(tp: TriplePattern) -> tuple:
                  for t in (tp.subject, tp.predicate, tp.object))
 
 
-def _compile(el, bound: set, conflicts: bool) -> tuple:
+def _compile(el, bound: set, conflicts: bool, stars: tuple = ()) -> tuple:
     """The step that runs `el` on a binding of the variables `bound`, as
     `run(g, step, binding)` for its first item `run`; a triple pattern's,
-    `(None, s, p, o, var, free, read)`, runs by `_extend`: its terms, None
-    where free, the variable of one free position or those of several, and
-    their reader. A BIND of a bound variable joins, or with `conflicts` raises."""
+    `(None, s, p, o, var, free, read, star)`, runs by `_extend`: its terms,
+    None where free, the variable of one free position or those of several,
+    their reader, and, if that one free variable is the ?b of a role star
+    in `stars` whose ?a and ?x are bound, (a, C, x, its position). A BIND of
+    a bound variable joins, or with `conflicts` raises."""
     def free(part) -> bool:
         return isinstance(part, Variable) and part not in bound
     if isinstance(el, TriplePattern):
         parts = (el.subject, el.predicate, el.object)
         at = [i for i, part in enumerate(parts) if free(part)]
         fresh = tuple(parts[i] for i in at)
+        star = next(((a, c, x, at[0]) for a, b, c, x in stars if len(at) == 1 and
+                     b is fresh[0] and a in bound and (x is None or x in bound)), None)
         return (None, *(None if i in at else part for i, part in enumerate(parts)),
                 fresh[0] if len(at) == 1 else None, fresh if len(at) > 1 else (),
-                _READ[sum(1 << i for i in at)])
+                _READ[sum(1 << i for i in at)], star)
     if isinstance(el, Bind):
         return (_bind, el.var, el.value) if free(el.var) else (
             (_conflict, el.var) if conflicts else (_compare, el.var, el.value, False))
@@ -781,7 +874,7 @@ def _program(segment: _Segment, steps: tuple, seeded: Iterable, conflicts: bool 
     bound, program = set(seeded), []
     known = {step: step for _, old in segment.programs for step in old if step[0] is None}
     for el in steps:
-        step = _compile(el, bound, conflicts)
+        step = _compile(el, bound, conflicts, () if conflicts else segment.stars)
         program.append(known.get(step, step) if step[0] is None else step)
         bound.update(_binds(el))
     segment.programs.append((steps, tuple(program)))

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import signal
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ def test_sweep_at_five_agents_gives_the_reference_graph_and_restores_extend():
     extend = rules._extend
     # the run above compiled the catalog rules' steps; the wrapper still sees
     # every pattern extension they make
-    assert sweep._extend_calls(workloads, 1, 5) == 5280
+    assert sweep._extend_calls(workloads, 1, 5) == 3924
     assert rules._extend is extend
 
 
@@ -47,19 +48,31 @@ def test_pattern_extensions_grow_no_faster_than_recorded_at_20_and_40_agents():
     assert at40 / at20 < 3.5, (at20, at40)
 
 
+def test_role_star_candidates_keep_the_work_at_40_agents_under_twice_that_at_20():
+    # at most 1.1 times the counts of the sweep when the role-star generator
+    # came in (10,308 and 20,006; 25,638 and 79,456 before it)
+    sweep = _load_sweep()
+    workloads = sweep._load_workloads()
+    at20, at40 = (sweep._extend_calls(workloads, 1, agents) for agents in (20, 40))
+    assert at40 <= 1.1 * 20006, (at20, at40)
+    assert at40 / at20 < 2.5, (at20, at40)
+
+
 def test_the_sweep_runs_the_agent_counts_it_is_given_and_prints_one_line_each(capsys):
     sweep = _load_sweep()
     handler = signal.getsignal(signal.SIGALRM)
     try:
-        assert sweep.main(["--agents", "5"]) == 0
+        assert sweep.main(["--agents", "5,10"]) == 0
     finally:
         signal.signal(signal.SIGALRM, handler)  # main sets its own for --cap
-    (line,) = capsys.readouterr().out.splitlines()
-    row = json.loads(line)
-    assert row.pop("seconds") > 0
-    assert row == {"agents": 5, "extend_calls": 5280, "triples": 528, "iterations": 6,
-                   "digest": "dd9f0865b86e5d67421db3253f5a4184872c278cbfb91697df730e130dd066c3",
-                   "exponent": None}
+    first, second = map(json.loads, capsys.readouterr().out.splitlines())
+    assert first.pop("seconds") > 0
+    assert first == {"agents": 5, "extend_calls": 3924, "triples": 528, "iterations": 6,
+                     "digest": "dd9f0865b86e5d67421db3253f5a4184872c278cbfb91697df730e130dd066c3",
+                     "exponent": None, "extend_exponent": None}
+    # the seconds' exponent moves with the host; the calls' is exact
+    assert isinstance(second["exponent"], float)
+    assert second["extend_exponent"] == round(math.log(5594 / 3924) / math.log(2), 2)
     assert sweep._agent_counts("80,160") == (80, 160)
     for bad in ("0", "5,x", ""):
         with pytest.raises(argparse.ArgumentTypeError):

@@ -313,6 +313,18 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err and str(good) not in err
 
 
+def test_input_that_starts_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys):
+    paths = _write_fixture(tmp_path, "optional-vs-prohibited-conflict")
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        for path in paths:
+            text = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+            Path(path).write_bytes(bom + text)
+        code = main(["check", *_inputs(paths), "--layers", "dts,compliance", "--format", "json"])
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0] == reports[1] and json.loads(reports[0][1])["findings"]
+
+
 def test_rule_syntax_error_names_the_rule_once(tmp_path, capsys):
     path = tmp_path / "rule.ttl"
     path.write_text('soa:stray-brace a :InferenceRule; :has-sparql-code """CONSTRUCT{?x soa:q ?y} '

@@ -13,8 +13,9 @@ from normgraph.model import (
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
 from normgraph.rules import (
     Bind, BindConflict, Comparison, ExprAnd, ExprOr, Filter, GroupPattern,
-    NotExists, TriplePattern, Union, Variable, evaluate_where,
+    NotExists, TriplePattern, Union, Variable, evaluate_where, parse_rule,
 )
+from normgraph.turtle import parse_turtle
 from conftest import run_fixture
 
 V = Variable
@@ -449,6 +450,28 @@ def test_planning_whole_groups_cuts_probes_and_pattern_extensions(monkeypatch):
     # extensions; whole groups: 5,170 and 17,521
     assert calls["probes"] < 6300
     assert calls["extends"] < 31000
+
+
+def test_role_star_candidates_halve_the_probes_of_a_cash_card_check(monkeypatch):
+    from normgraph import rules
+    from normgraph.cli import run_pipeline
+
+    data, user_rules, _ = fixture("cash-card-norms")
+    scaled = data.copy()
+    for i in range(10):
+        scaled.insert(Triple(Iri(f"{SOA_NS}Human{i}"), RDF_TYPE, Iri(SOA_NS + "Human")))
+    probes = 0
+    evaluate = rules.evaluate_where
+
+    def counted(g, gp, seed=None, limit=None):
+        nonlocal probes
+        probes += limit == 1
+        return evaluate(g, gp, seed, limit)
+
+    monkeypatch.setattr(rules, "evaluate_where", counted)
+    run_pipeline([scaled, user_rules], {"pragmatics", "dts", "compliance"})
+    # every same-class pair probed: 2,420; the role stars' holders only: 1,078
+    assert probes <= 1200, probes
 
 
 def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_statements(
@@ -1054,3 +1077,117 @@ def test_a_program_is_compiled_once_per_order_and_shares_its_pattern_steps(monke
     # `?z r ?w` with ?z bound is one step of both orders
     patterns = [step for program in programs for step in program if step[0] is None]
     assert len({id(step) for step in patterns}) == len(patterns) - 1
+
+
+# --- the role-star generator ----------------------------------------------------
+
+ROLE = Iri(EX + "Role")
+_ROLE_GUARDS = """
+    NOT EXISTS{?t a ex:Role. FILTER(?t!=?x) ?a ?t ?v. NOT EXISTS{?b ?t ?w}}
+    NOT EXISTS{?t a ex:Role. FILTER(?t!=?x) ?a ?t ?v. ?b ?t ?w. FILTER(?v!=?w)}"""
+
+
+def _where(text: str) -> GroupPattern:
+    return parse_rule("t", "CONSTRUCT{}WHERE{" + text + "}", {"ex": EX}).where_clause
+
+
+def _role_graph(rnd: random.Random, subjects: int) -> Graph:
+    """`subjects` subjects of two classes with 0-2 values, IRIs or literals,
+    for each of three predicates typed as roles and for one that is not."""
+    roles = [Iri(f"{EX}r{k}") for k in range(3)]
+    values = [Iri(EX + "v0"), Iri(EX + "v1"), Literal("v0"), Literal("v1")]
+    g = Graph(Triple(role, RDF_TYPE, ROLE) for role in roles)
+    for k in range(subjects):
+        e = Iri(f"{EX}e{k}")
+        g.insert(Triple(e, RDF_TYPE, Iri(EX + rnd.choice("KL"))))
+        for p in roles + [Iri(EX + "p3")]:
+            g.update(Triple(e, p, v) for v in rnd.sample(values, rnd.choice((0, 1, 1, 1, 2))))
+    return g
+
+
+def _generated(g, gp, seed) -> list:
+    """The role stars of the pattern steps compiled for `seed`'s variables."""
+    from normgraph import rules
+    rules._plan(g, gp, seed)
+    programs = gp.analyses[frozenset(seed)].programs
+    return [step[7] for program in programs if program for step in program
+            if step[0] is None and step[7] is not None]
+
+
+def test_role_star_generator_matches_oracle_on_random_role_graphs(monkeypatch):
+    from normgraph import rules
+    # the hot rule's shape, with ?a and ?b both ways round and ?x a bound
+    # role, and `conflict`'s, one way round and without ?x; neither has
+    # FILTER(?a != ?b), so ?a == ?b occurs
+    hot = _where("""?e1 a ?c. ?e2 a ?c. ?trn a ex:Role. ?e1 ?trn ?tv.
+        NOT EXISTS{?tr a ex:Role. FILTER(?tr!=?trn) ?e1 ?tr ?tv1. NOT EXISTS{?e2 ?tr ?tv2}}
+        NOT EXISTS{?tr a ex:Role. FILTER(?tr!=?trn) ?e2 ?tr ?tv2. NOT EXISTS{?e1 ?tr ?tv1}}
+        NOT EXISTS{?tr a ex:Role. FILTER(?tr!=?trn) ?e1 ?tr ?tv1. ?e2 ?tr ?tv2.
+                   FILTER(?tv1!=?tv2)}""")
+    conflict = _where("""?en a ?c. ?e a ?c.
+        NOT EXISTS{?tr a ex:Role. ?en ?tr ?vn. NOT EXISTS{?e ?tr ?vp}}
+        NOT EXISTS{?tr a ex:Role. ?e ?tr ?vp. ?en ?tr ?vn. FILTER(?vp!=?vn)}""")
+    generated = 0
+    holders = rules._holders
+
+    def counted(*args):
+        nonlocal generated
+        found = holders(*args)
+        generated += found is not None
+        return found
+
+    monkeypatch.setattr(rules, "_holders", counted)
+    rnd = random.Random(2297)
+    roles = [Iri(f"{EX}r{k}") for k in range(3)]
+    solutions = 0
+    for case in range(170):
+        g = _role_graph(rnd, rnd.randrange(3, 6))
+        subjects = sorted({t.subject for t in g.match_iter(None, RDF_TYPE)
+                           if t.object != ROLE}, key=str)
+        # a seed binding ?a (and ?x) runs the generator at every binding of
+        # ?b's step; its solutions are the oracle's that agree with the seed
+        for gp, seeds in ((hot, [{a: s, V("trn"): r} for a in (V("e1"), V("e2"))
+                                 for s in subjects for r in roles]),
+                          (conflict, [{V("en"): s} for s in subjects])):
+            want = oracle.evaluate_where(g, gp)
+            solutions += len(want)
+            for seed in [None] + seeds:
+                agree = [b for b in want if all(b[v] == t for v, t in (seed or {}).items())]
+                assert evaluate_where(g, gp, seed) == agree, (case, seed)
+                _assert_probe_agrees(g, gp, seed, ("ok", agree))
+    assert generated >= 10000 and solutions >= 2500, (generated, solutions)
+
+
+def test_role_star_generator_compiles_only_for_both_guards_of_a_role_star():
+    g = parse_turtle("""@prefix ex: <https://example.org/> .
+        ex:r0 a ex:Role . ex:r1 a ex:Role . ex:r2 a ex:Role .
+        ex:a a ex:K ; ex:r0 ex:v0 ; ex:r1 ex:v1 ; ex:r2 "l" ; ex:p3 ex:v0 .
+        ex:b1 a ex:K ; ex:r0 ex:v9 ; ex:r1 ex:v1 ; ex:r2 "l" .  # differs on ?x only
+        ex:b2 a ex:K ; ex:r1 ex:v1 .                            # lacks a role
+        ex:b3 a ex:L ; ex:r1 ex:v1 ; ex:r2 "l" .                # of another class
+        ex:b4 a ex:K ; ex:r1 ex:v1 ; ex:r2 "l", "m" .           # two values of a role
+        ex:b5 a ex:K ; ex:r1 ex:v1 ; ex:r2 "l" ; ex:p3 ex:v1 .  # differs off the roles
+        """)
+    seed = {V("a"): Iri(EX + "a"), V("x"): Iri(EX + "r0")}
+    solutions = [b[V("b")] for b in evaluate_where(g, _where("?a a ?c. ?b a ?c." + _ROLE_GUARDS),
+                                                    seed)]
+    assert solutions == [Iri(EX + name) for name in ("a", "b1", "b5")]
+    outer = "?a a ?c. ?b a ?c. ?x a ex:Role."
+    cases = {
+        "both guards": outer + _ROLE_GUARDS,
+        # necessarily-violated: ?v is bound outside, so only one value is compared
+        "?v bound outside": outer + " ?a ?x ?v." + _ROLE_GUARDS,
+        "a UNION": outer + _ROLE_GUARDS.replace(
+            "?t a ex:Role. FILTER", "{?t a ex:Role} UNION {?t a ex:Other} FILTER", 1),
+        "= for !=": outer + _ROLE_GUARDS.replace("?v!=?w", "?v=?w"),
+        "= for != on ?x": outer + _ROLE_GUARDS.replace("?t!=?x", "?t=?x"),
+        "containment only": outer + _ROLE_GUARDS.split("\n")[1],
+        "agreement only": outer + _ROLE_GUARDS.split("\n")[2],
+        "another ?x": outer + " ?y a ex:Role." + _ROLE_GUARDS.replace("?t!=?x", "?t!=?y", 1),
+        "rebinding": outer + _ROLE_GUARDS + " NOT EXISTS{?a ex:p3 ?z. BIND(ex:v0 AS ?z)}",
+    }
+    for name, text in cases.items():
+        gp = _where(text)
+        want = _outcome(oracle.evaluate_where, g, gp, seed)
+        assert _outcome(evaluate_where, g, gp, seed) == want, name
+        assert bool(_generated(g, gp, seed)) == (name == "both guards"), name

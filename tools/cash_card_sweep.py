@@ -18,10 +18,12 @@ count includes the steps compiled and kept on the cached rules before it.
 
 It prints one JSON line per N: the seconds, the `_extend` calls, the triples
 in the inferred graph, the fixpoint's iterations, the SHA-256 of the graph's
-Turtle (equal digests mean equal output), and the local growth exponent
-log(t/t') / log(N/N') against the N before (null for the first N and for
-one that repeats the N before). If the runs of one N take more
-than `--cap` seconds, the sweep stops there with a line that says so.
+Turtle (equal digests mean equal output), and two local growth exponents
+against the N before (null for the first N and for one that repeats the N
+before): `exponent`, log(t/t') / log(N/N') of the seconds, and
+`extend_exponent`, the same of the `_extend` calls, which does not move with
+the load on the host. If the runs of one N take more than `--cap` seconds,
+the sweep stops there with a line that says so.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ def _extend_calls(workloads, seed: int, agents: int) -> int:
     return calls
 
 
+def _exponent(last: tuple | None, agents: int, at: int, value: float) -> float | None:
+    """log(value / value') / log(N / N') against the item `at` of `last`, the
+    row of the N before; None for the first N and for one that repeats it."""
+    if last is None or last[0] == agents:
+        return None
+    return round(math.log(value / last[at]) / math.log(agents / last[0]), 2)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -108,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = _load_workloads()
     _run(workloads, args.seed, min(args.agents))
     signal.signal(signal.SIGALRM, _on_alarm)
-    last = None  # (agents, seconds) of the N before
+    last = None  # (agents, seconds, extend_calls) of the N before
     for agents in args.agents:
         signal.alarm(args.cap)
         try:
@@ -120,16 +130,15 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         finally:
             signal.alarm(0)
-        exponent = None if last is None or last[0] == agents else \
-            math.log(seconds / last[1]) / math.log(agents / last[0])
         print(json.dumps({
             "agents": agents, "seconds": round(seconds, 4), "extend_calls": extend_calls,
             "triples": len(result.graph),
             "iterations": result.iterations_used,
             "digest": hashlib.sha256(serialize_turtle(result.graph).encode()).hexdigest(),
-            "exponent": None if exponent is None else round(exponent, 2),
+            "exponent": _exponent(last, agents, 1, seconds),
+            "extend_exponent": _exponent(last, agents, 2, extend_calls),
         }), flush=True)
-        last = (agents, seconds)
+        last = (agents, seconds, extend_calls)
     return 0
 
 
