@@ -56,13 +56,12 @@ def _read_inputs(paths: list[str]) -> list[Graph]:
         try:
             with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
                 text = handle.read()
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: {err}") from err
-        try:
             # one scope per file, so `[ ... ]` nodes never collide across inputs
             graphs.append(parse_turtle(text, scope=f"in{index}"))
         except TurtleSyntaxError as err:
             raise TurtleSyntaxError(f"{path}: {err.message}", err.line, err.column) from err
+        except ValueError as err:  # not UTF-8, or an IRI the model rejects
+            raise ValueError(f"{path}: {err}") from err
     return graphs
 
 
@@ -71,8 +70,10 @@ def _items(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _parse_layers(value: str | None) -> set[str] | None:
-    return None if value is None else set(_items(value))
+def _run(args) -> PipelineResult:
+    """The pipeline over the inputs, --layers and --max-iterations of `args`."""
+    layers = None if args.layers is None else set(_items(args.layers))
+    return run_pipeline(_read_inputs(args.input), layers, args.max_iterations)
 
 
 def _write_output(text: str, path: str | None):
@@ -84,8 +85,7 @@ def _write_output(text: str, path: str | None):
 
 
 def cmd_reason(args) -> int:
-    pipeline = run_pipeline(_read_inputs(args.input), _parse_layers(args.layers),
-                            args.max_iterations)
+    pipeline = _run(args)
     out = diff_inferred(pipeline.result, pipeline.data) if args.diff_only \
         else pipeline.result.graph
     _write_output(serialize_turtle(out), args.output)
@@ -98,8 +98,7 @@ def cmd_check(args) -> int:
         if name not in _FAIL_ON_KINDS:
             raise ValueError(f"unknown --fail-on kind {name!r}")
         kinds.add(_FAIL_ON_KINDS[name])
-    pipeline = run_pipeline(_read_inputs(args.input), _parse_layers(args.layers),
-                            args.max_iterations)
+    pipeline = _run(args)
     report = extract_findings(pipeline.result.graph, pipeline.result.provenance)
     sys.stdout.write(render(report, args.format, pipeline.result.graph))
     if any(f.kind in kinds for f in report.findings):
@@ -123,8 +122,7 @@ def cmd_rules(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    pipeline = run_pipeline(_read_inputs(args.input), _parse_layers(args.layers),
-                            args.max_iterations)
+    pipeline = _run(args)
     for record in pipeline.result.trace:
         sys.stdout.write(json.dumps({
             "iteration": record.iteration,

@@ -55,7 +55,8 @@ class Iri(_Interned):
 
     @staticmethod
     def _check(value: str) -> None:
-        if not value or _SPACE.search(value):
+        # Turtle writes an IRI as <value>, so a '>' in it would end it early.
+        if not value or _SPACE.search(value) or ">" in value:
             raise ValueError(f"invalid IRI: {value!r}")
 
 

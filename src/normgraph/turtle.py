@@ -9,8 +9,12 @@ collections, no numeric literals, no datatypes. Property lists nest at most
 `rules.MAX_NESTING` (100) levels deep; the `[` one level deeper is a syntax
 error, so deep input cannot exhaust the Python stack.
 
-The reader keeps one piece of state, its offset into the text. A
-`TurtleSyntaxError` works out its line and column from that offset when it is
+The reader is one recursive-descent parser over the text and its offset,
+`pos`. It reads white space and comments, a name, and a short string's body
+each with one regular expression (`_WS`, `_NAME`, `_SHORT_BODY`); where the
+body stops short of a closing quote, the character there names the error: the
+end of the text, a line break, or a backslash that starts no known escape. A
+`TurtleSyntaxError` works out its line and column from the offset when it is
 raised: columns count characters from 1, and only a line feed starts a line.
 The reader and the writer share one definition of a name (`_NAME`), which
 never ends in `.`.
@@ -34,32 +38,39 @@ class TurtleSyntaxError(Exception):
         self.column = column
 
 
-class _Scanner:
-    def __init__(self, text: str):
+_WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+# A name never ends in '.': a trailing dot terminates the statement.
+_NAME = re.compile(r"(?:[\w.-]*[\w-])?", re.ASCII)
+# The body of a short string, up to the first character that cannot go on it:
+# the closing quote, the end, a line break or a backslash without a known escape.
+_SHORT_BODY = re.compile(r'(?:[^"\\\r\n]+|\\[nrt"\\])*')
+_ESCAPE = re.compile(r"\\(.)")
+
+
+class _Parser:
+    def __init__(self, text: str, scope: str = ""):
         self.text = text
-        self.pos = 0
+        self.pos = 0  # offset of the next character to read, never past the end
+        self.prefixes = dict(DEFAULT_PREFIXES)
+        self.graph = Graph(prefix_map=self.prefixes)
+        self._blank_counter = 0
+        self.depth = 0  # open '[' around the current position
+        self._label_prefix = f"parse:{scope}:" if scope else "parse:"
 
     def error(self, message: str) -> TurtleSyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
         return TurtleSyntaxError(message, line, self.pos - self.text.rfind("\n", 0, self.pos))
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
+    def next_char(self) -> str:
+        """Skip white space and comments; the character after them, '' at the end."""
+        self.pos = _WS.match(self.text, self.pos).end()
         return self.text[self.pos:self.pos + 1]
 
-    def advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + n]
-        # Never past the end, so an error there reports the end's column.
-        self.pos += len(chunk)
-        return chunk
-
-    def skip_ws(self):
-        self.pos = _WS.match(self.text, self.pos).end()
-
-    def startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
+    def take(self, pattern: re.Pattern) -> str:
+        """Consume the text `pattern` matches at the offset."""
+        match = pattern.match(self.text, self.pos)
+        self.pos = match.end()
+        return match.group()
 
     def until(self, end: str, what: str) -> str:
         """The text up to the next `end`, which is consumed too."""
@@ -71,52 +82,6 @@ class _Scanner:
         self.pos = stop + len(end)
         return value
 
-
-_WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-# A name never ends in '.': a trailing dot terminates the statement.
-_NAME = re.compile(r"(?:[\w.-]*[\w-])?", re.ASCII)
-
-
-def _read_string(sc: _Scanner) -> str:
-    if sc.startswith('"""'):
-        sc.advance(3)
-        return sc.until('"""', "long string")
-    sc.advance()  # opening quote
-    out = []
-    while True:
-        if sc.eof():
-            raise sc.error("unterminated string")
-        c = sc.peek()
-        if c in "\r\n":
-            raise sc.error("newline in short string")
-        if c == '"':
-            sc.advance()
-            return "".join(out)
-        if c == "\\":
-            sc.advance()
-            esc = sc.advance()
-            if esc not in STRING_ESCAPES:
-                raise sc.error(f"unknown escape \\{esc}")
-            out.append(STRING_ESCAPES[esc])
-        else:
-            out.append(sc.advance())
-
-
-def _read_name(sc: _Scanner) -> str:
-    match = _NAME.match(sc.text, sc.pos)
-    sc.pos = match.end()
-    return match.group()
-
-
-class _Parser:
-    def __init__(self, text: str, scope: str = ""):
-        self.sc = _Scanner(text)
-        self.prefixes = dict(DEFAULT_PREFIXES)
-        self.graph = Graph(prefix_map=self.prefixes)
-        self._blank_counter = 0
-        self.depth = 0  # open '[' around the current position
-        self._label_prefix = f"parse:{scope}:" if scope else "parse:"
-
     def fresh_blank(self) -> BlankNode:
         # Anonymous "[ ... ]" nodes get a reserved sub-namespace so they can
         # never collide with explicit "_:label" nodes from the same document.
@@ -124,134 +89,129 @@ class _Parser:
         return BlankNode(f"{self._label_prefix}anon:{self._blank_counter}")
 
     def parse(self) -> Graph:
-        sc = self.sc
-        while True:
-            sc.skip_ws()
-            if sc.eof():
-                break
-            if sc.startswith("@prefix"):
+        while self.next_char():
+            if self.text.startswith("@prefix", self.pos):
                 self.parse_prefix()
-                continue
-            self.parse_statement()
+            else:
+                self.parse_statement()
         self.graph.prefix_map = dict(self.prefixes)
         return self.graph
 
     def parse_prefix(self):
-        sc = self.sc
-        sc.advance(len("@prefix"))
-        sc.skip_ws()
-        name = _read_name(sc)
-        if sc.peek() != ":":
-            raise sc.error("expected ':' in @prefix directive")
-        sc.advance()
-        sc.skip_ws()
-        if sc.peek() != "<":
-            raise sc.error("expected IRI in @prefix directive")
-        sc.advance()
-        iri = sc.until(">", "IRI")
-        sc.skip_ws()
-        if sc.peek() == ".":
-            sc.advance()
+        self.pos += len("@prefix")
+        self.next_char()
+        name = self.take(_NAME)
+        if not self.text.startswith(":", self.pos):
+            raise self.error("expected ':' in @prefix directive")
+        self.pos += 1
+        if self.next_char() != "<":
+            raise self.error("expected IRI in @prefix directive")
+        self.pos += 1
+        iri = self.until(">", "IRI")
+        if self.next_char() == ".":
+            self.pos += 1
         self.prefixes[name] = iri
 
     def expand(self, prefix: str, local: str) -> Iri:
         if prefix not in self.prefixes:
-            raise self.sc.error(f"undeclared prefix '{prefix}:'")
+            raise self.error(f"undeclared prefix '{prefix}:'")
         return Iri(self.prefixes[prefix] + local)
 
     def parse_term(self, as_subject: bool = False) -> Term:
-        sc = self.sc
-        sc.skip_ws()
-        c = sc.peek()
+        c = self.next_char()
         if c == "<":
-            sc.advance()
-            return Iri(sc.until(">", "IRI"))
+            self.pos += 1
+            return Iri(self.until(">", "IRI"))
         if c == '"':
             if as_subject:
-                raise sc.error("literal cannot be a subject")
-            return Literal(_read_string(sc))
+                raise self.error("literal cannot be a subject")
+            return self.parse_literal()
         if c == "[":
             return self.parse_bnode_property_list()
-        if sc.startswith("_:"):
-            sc.advance(2)
-            label = _read_name(sc)
+        if self.text.startswith("_:", self.pos):
+            self.pos += 2
+            label = self.take(_NAME)
             if not label:
-                raise sc.error("empty blank node label")
+                raise self.error("empty blank node label")
             # Extend the legal label alphabet with ':' so serialized
             # skolem/parse labels survive a round trip. Explicit labels get
             # their own sub-namespace, disjoint from anonymous "[ ... ]" ones.
-            while not sc.eof() and sc.peek() == ":":
-                sc.advance()
-                label += ":" + _read_name(sc)
+            while self.text.startswith(":", self.pos):
+                self.pos += 1
+                label += ":" + self.take(_NAME)
             return BlankNode(f"{self._label_prefix}id:{label}")
         if c == ":":
-            sc.advance()
-            return self.expand("", _read_name(sc))
-        name = _read_name(sc)
+            self.pos += 1
+            return self.expand("", self.take(_NAME))
+        name = self.take(_NAME)
         # An empty name: c is no name character, or it begins a run of dots.
         if not name and c != ".":
-            raise sc.error(f"unexpected character {c!r}")
-        if sc.peek() == ":":
-            sc.advance()
-            return self.expand(name, _read_name(sc))
+            raise self.error(f"unexpected character {c!r}")
+        if self.text.startswith(":", self.pos):
+            self.pos += 1
+            return self.expand(name, self.take(_NAME))
         if name == "a":
             return RDF_TYPE
-        raise sc.error(f"unexpected token {name!r}")
+        raise self.error(f"unexpected token {name!r}")
+
+    def parse_literal(self) -> Literal:
+        if self.text.startswith('"""', self.pos):
+            self.pos += 3
+            return Literal(self.until('"""', "long string"))
+        self.pos += 1  # opening quote
+        body = self.take(_SHORT_BODY)
+        stop = self.text[self.pos:self.pos + 1]
+        if stop == '"':
+            self.pos += 1
+            return Literal(_ESCAPE.sub(lambda m: STRING_ESCAPES[m[1]], body))
+        if stop == "\\":
+            escape = self.text[self.pos + 1:self.pos + 2]
+            self.pos += 1 + len(escape)
+            raise self.error(f"unknown escape \\{escape}")
+        raise self.error("newline in short string" if stop else "unterminated string")
 
     def parse_bnode_property_list(self) -> BlankNode:
-        sc = self.sc
         if self.depth == MAX_NESTING:
-            raise sc.error(f"nesting deeper than {MAX_NESTING} levels")
-        sc.advance()  # '['
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.pos += 1  # '['
         node = self.fresh_blank()
-        sc.skip_ws()
-        if sc.peek() != "]":
+        if self.next_char() != "]":
             self.depth += 1
             self.parse_predicate_object_list(node)
             self.depth -= 1
-            sc.skip_ws()
-            if sc.peek() != "]":
-                raise sc.error("expected ']'")
-        sc.advance()
+            if self.next_char() != "]":
+                raise self.error("expected ']'")
+        self.pos += 1
         return node
 
     def parse_predicate_object_list(self, subject: Term):
-        sc = self.sc
         while True:
-            sc.skip_ws()
             predicate = self.parse_term()
             if not isinstance(predicate, Iri):
-                raise sc.error("predicate must be an IRI")
+                raise self.error("predicate must be an IRI")
             while True:
-                obj = self.parse_term()
-                self.graph.insert(Triple(subject, predicate, obj))
-                sc.skip_ws()
-                if sc.peek() == ",":
-                    sc.advance()
-                    continue
-                break
-            sc.skip_ws()
-            if sc.peek() == ";":
-                sc.advance()
-                sc.skip_ws()
-                # A ';' may legally be followed by the list terminator.
-                if sc.peek() in ("]", ".", ""):
-                    return
-                continue
-            return
+                self.graph.insert(Triple(subject, predicate, self.parse_term()))
+                c = self.next_char()
+                if c != ",":
+                    break
+                self.pos += 1
+            if c != ";":
+                return
+            self.pos += 1
+            # A ';' may legally be followed by the list terminator.
+            if self.next_char() in ("]", ".", ""):
+                return
 
     def parse_statement(self):
-        sc = self.sc
         subject = self.parse_term(as_subject=True)
-        sc.skip_ws()
         # A bare property list such as "[ ... ]." is a complete statement.
-        if not (isinstance(subject, BlankNode) and sc.peek() in (".", "")):
+        if not (isinstance(subject, BlankNode) and self.next_char() in (".", "")):
             self.parse_predicate_object_list(subject)
-        sc.skip_ws()
-        if sc.peek() == ".":
-            sc.advance()
-        elif not sc.eof():
-            raise sc.error("expected '.' after statement")
+        c = self.next_char()
+        if c == ".":
+            self.pos += 1
+        elif c:
+            raise self.error("expected '.' after statement")
 
 
 def parse_turtle(text: str, scope: str = "") -> Graph:

@@ -313,6 +313,17 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err and str(good) not in err
 
 
+def test_an_iri_the_model_rejects_names_its_file(tmp_path, capsys):
+    for text in ("<a b> soa:p soa:b.\n", "<> soa:p soa:b.\n"):
+        bad = tmp_path / "bad-iri.ttl"
+        bad.write_text(text, encoding="utf-8")
+        code = main(["check", "-i", str(bad), "--layers", "core"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {bad}: invalid IRI: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_input_that_starts_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys):
     paths = _write_fixture(tmp_path, "optional-vs-prohibited-conflict")
     reports = []

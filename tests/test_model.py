@@ -62,6 +62,12 @@ def test_iri_rejects_whitespace_and_empty():
         Iri("https://example.org/a b")
 
 
+def test_iri_rejects_a_closing_angle_bracket():
+    # The writer would save it as <http://x/a>b>, which no reader takes back.
+    with pytest.raises(ValueError, match="invalid IRI"):
+        Iri("http://x/a>b")
+
+
 def test_terms_are_interned_and_compare_by_identity():
     assert Iri("x") is Iri("x")
     assert BlankNode("parse:x") is BlankNode("parse:x")

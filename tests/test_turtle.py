@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import normgraph
 import oracle
@@ -247,3 +248,24 @@ def test_reader_matches_the_frozen_reader(rng):
     for text in cases:
         new, frozen = _read_both(text, scope="in0")
         assert new == frozen, text
+
+
+# Turtle-ish tokens, joined after nothing, a subject and predicate, or those
+# and an opening quote, so that many texts reach an object and many a string.
+_TOKENS = ['<', '>', '"', '"""', '\\', '\\u', '\\t', '\u00e9', "'", '_:', '@prefix', '[', ']',
+           ';', ',', '.', ':', 'a', 'soa', 'p-1', 'b.c', '<https://e/>', '#', ' ', '\t', '\n',
+           '\r\n', '\r']
+_JOINED_TOKENS = st.builds(lambda start, tokens: start + "".join(tokens),
+                           st.sampled_from(["", "soa:s soa:p ", 'soa:s soa:p "']),
+                           st.lists(st.sampled_from(_TOKENS), max_size=40))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_JOINED_TOKENS)
+def test_reader_matches_the_frozen_reader_on_joined_tokens(text):
+    new, frozen = _read_both(text, scope="in0")
+    assert new == frozen
+    if not isinstance(new[0], set):  # only a syntax error or an IRI the model rejects
+        kind, message = new[0], new[1]
+        assert kind is TurtleSyntaxError or (kind is ValueError
+                                             and message.startswith("invalid IRI")), new
