@@ -2,7 +2,7 @@
 
 The data model is deliberately small: IRIs, blank nodes, and plain literals.
 No datatypes, no language tags, no named graphs. Graphs are sets of triples
-with subject/predicate/object indexes, plus blank-node-isomorphism comparison
+with subject and predicate indexes, plus blank-node-isomorphism comparison
 so that derived graphs containing anonymous individuals can be checked against
 expected ones.
 
@@ -131,18 +131,22 @@ def _index(index: dict, first: Term, second: Term, third: Term, t: Triple) -> bo
 class Graph:
     """A set of triples with two-level indexes and a prefix map.
 
-    Three indexes map one position to a second one and then to a bucket:
-    subject to predicate, predicate to object and object to subject. A bucket
-    maps the remaining term to its triple, so a pattern with two bound
-    positions is one lookup per level and a fully bound one is a membership
-    test. The indexes are the only store of the triples: `in` is a lookup in
-    the s→p→o index, and a whole-graph walk (`match_iter()` with nothing
-    bound) follows it, in insertion order grouped by subject and predicate,
-    so the walk and its work depend on neither hash seed nor term address.
+    Two indexes map one position to a second one and then to a bucket:
+    subject to predicate and predicate to object. A bucket maps the remaining
+    term to its triple, so a fully bound pattern is a membership test and one
+    that binds the predicate, or the subject alone, is one lookup per level.
+    Rule bodies seldom bind an object without its predicate, so no index
+    starts at the object: such a lookup reads each of the subject's buckets,
+    or each predicate's entry. The indexes are the only store of the
+    triples: `in` is a lookup in the s→p→o index, and a whole-graph walk
+    (`match_iter()` with nothing bound) follows it, in insertion order
+    grouped by subject and predicate, so the walk and its work depend on
+    neither hash seed nor term address.
     `insert` also keeps the size and two counts per predicate, its triples
     and its distinct subjects; its distinct objects are the size of its p→o
     entry. Join planning reads these through `count` and `distinct` in O(1),
-    except that a constant subject or object alone adds up its buckets.
+    except that a constant subject or object with no constant predicate, and
+    the whole graph's distinct objects, add up buckets.
     Triples are only ever added, so the size tells whether the graph has
     changed.
     """
@@ -150,7 +154,6 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = (), prefix_map: Optional[dict[str, str]] = None):
         self._sp: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         self._po: dict[Term, dict[Term, dict[Term, Triple]]] = {}
-        self._os: dict[Term, dict[Term, dict[Term, Triple]]] = {}
         # predicate -> [triples, distinct subjects]
         self._counts: dict[Term, list[int]] = {}
         self._size = 0
@@ -183,7 +186,6 @@ class Graph:
         if _index(self._sp, s, p, o, t):
             counts[1] += 1
         _index(self._po, p, o, s, t)
-        _index(self._os, o, s, p, t)
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -194,18 +196,19 @@ class Graph:
         the same prefix map. The indexes are copied level by level, which
         hashes no term again."""
         out = Graph(prefix_map=self.prefix_map)
-        out._sp, out._po, out._os = (
+        out._sp, out._po = (
             {first: {second: dict(bucket) for second, bucket in buckets.items()}
              for first, buckets in index.items()}
-            for index in (self._sp, self._po, self._os))
+            for index in (self._sp, self._po))
         out._counts = {p: list(counts) for p, counts in self._counts.items()}
         out._size = self._size
         return out
 
     def match_iter(self, s: Optional[Term] = None, p: Optional[Term] = None,
                    o: Optional[Term] = None) -> Iterator[Triple]:
-        """Unordered match: one index lookup per bound position. With nothing
-        bound it walks the s→p→o index, in insertion order."""
+        """Unordered match: one index lookup per bound position, save an object
+        without a predicate (see the class). With nothing bound it walks the
+        s→p→o index, in insertion order."""
         if s is not None:
             if p is not None:
                 bucket = self._sp.get(s, _NO_BUCKETS).get(p, _NO_BUCKETS)
@@ -213,14 +216,16 @@ class Graph:
                     return iter(bucket.values())
                 return iter([bucket[o]] if o in bucket else ())
             if o is not None:
-                return iter(self._os.get(o, _NO_BUCKETS).get(s, _NO_BUCKETS).values())
+                return (bucket[o] for bucket in self._sp.get(s, _NO_BUCKETS).values()
+                        if o in bucket)
             buckets = self._sp.get(s, _NO_BUCKETS)
         elif p is not None:
             if o is not None:
                 return iter(self._po.get(p, _NO_BUCKETS).get(o, _NO_BUCKETS).values())
             buckets = self._po.get(p, _NO_BUCKETS)
         elif o is not None:
-            buckets = self._os.get(o, _NO_BUCKETS)
+            return chain.from_iterable(objects[o].values() for objects in self._po.values()
+                                       if o in objects)
         else:
             return chain.from_iterable(bucket.values() for buckets in self._sp.values()
                                        for bucket in buckets.values())
@@ -237,7 +242,7 @@ class Graph:
         return self._counts.get(t, (0,))[0]
 
     def object_pool(self, t: Term) -> int:
-        return sum(map(len, self._os.get(t, _NO_BUCKETS).values()))
+        return sum(len(objects[t]) for objects in self._po.values() if t in objects)
 
     def count(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> int:
@@ -254,7 +259,7 @@ class Graph:
         if s is not None:
             if o is None:
                 return self.subject_pool(s)
-            return len(self._os.get(o, _NO_BUCKETS).get(s, _NO_BUCKETS))
+            return sum(o in bucket for bucket in self._sp.get(s, _NO_BUCKETS).values())
         if o is not None:
             return self.object_pool(o)
         return self._size
@@ -263,7 +268,7 @@ class Graph:
         """The number of distinct subjects, predicates and objects among the
         triples with predicate `p`, or among all triples for None."""
         if p is None:
-            return len(self._sp), len(self._po), len(self._os)
+            return len(self._sp), len(self._po), len(set().union(*self._po.values()))
         objects = self._po.get(p)
         if objects is None:
             return 0, 0, 0
@@ -271,12 +276,11 @@ class Graph:
 
     def check_indexes(self) -> bool:
         """Internal consistency: each index files every triple under its own
-        terms, the p→o and o→s indexes hold exactly the triples of the s→p→o
-        one, and the size and per-predicate counts are those of its triples."""
+        terms, the p→o index holds exactly the triples of the s→p→o one, and
+        the size and per-predicate counts are those of its triples."""
         filed = []
         for index, order in ((self._sp, lambda t: (t.subject, t.predicate, t.object)),
-                             (self._po, lambda t: (t.predicate, t.object, t.subject)),
-                             (self._os, lambda t: (t.object, t.subject, t.predicate))):
+                             (self._po, lambda t: (t.predicate, t.object, t.subject))):
             entries = [(first, second, third, t)
                        for first, buckets in index.items()
                        for second, bucket in buckets.items()
@@ -285,8 +289,7 @@ class Graph:
                 return False
             filed.append([t for *_, t in entries])
         triples = set(filed[0])
-        if len(triples) != self._size or any(
-                len(other) != self._size or not triples.issuperset(other) for other in filed[1:]):
+        if len(triples) != self._size or set(filed[1]) != triples:
             return False
         counts: dict[Term, list] = {}
         for t in triples:
@@ -296,7 +299,7 @@ class Graph:
         return {p: [n, len(subjects)] for p, (n, subjects) in counts.items()} == self._counts
 
     def terms(self) -> set[Term]:
-        return set(chain(self._sp, self._po, self._os))
+        return set(chain(self._sp, self._po, *self._po.values()))
 
     def blank_nodes(self) -> set[BlankNode]:
         return {t for t in self.terms() if isinstance(t, BlankNode)}
@@ -339,38 +342,26 @@ def _map_triple(t: Triple, mapping: dict[BlankNode, BlankNode]) -> Triple:
     return Triple(mapping.get(t.subject, t.subject), t.predicate, mapping.get(t.object, t.object))
 
 
-def _extend_mapping(sub: Graph, sup: Graph, blanks: list[BlankNode],
-                    mapping: dict[BlankNode, BlankNode], used: set[BlankNode],
-                    bijective: bool) -> bool:
+def _extend_mapping(sub: Graph, sup: Graph, blanks: list[tuple[BlankNode, Optional[tuple]]],
+                    candidates: list[tuple[BlankNode, Optional[tuple]]],
+                    mapping: dict[BlankNode, BlankNode], used: set[BlankNode]) -> bool:
+    """Maps `blanks`, sub's blank nodes still unmapped, onto `candidates`,
+    sup's blank nodes in term order. Each comes with its signature, or None
+    where any candidate may take any blank."""
     if not blanks:
         return all(_map_triple(t, mapping) in sup for t in sub.match_iter())
-    b = blanks[0]
-    sig = _signature(sub, b)
-    for cand in sorted(sup.blank_nodes(), key=term_key):
-        if cand in used:
-            continue
-        if bijective and _signature(sup, cand) != sig:
+    b, sig = blanks[0]
+    for cand, cand_sig in candidates:
+        if cand in used or cand_sig != sig:
             continue
         mapping[b] = cand
         used.add(cand)
         # Check only triples whose blanks are all mapped so far.
-        ok = True
-        for t in sub.match_iter(s=b):
-            mt_obj = t.object
-            if isinstance(mt_obj, BlankNode) and mt_obj not in mapping:
-                continue
-            if _map_triple(t, mapping) not in sup:
-                ok = False
-                break
-        if ok:
-            for t in sub.match_iter(o=b):
-                mt_sub = t.subject
-                if isinstance(mt_sub, BlankNode) and mt_sub not in mapping:
-                    continue
-                if _map_triple(t, mapping) not in sup:
-                    ok = False
-                    break
-        if ok and _extend_mapping(sub, sup, blanks[1:], mapping, used, bijective):
+        ok = all(_map_triple(t, mapping) in sup
+                 for t in chain(sub.match_iter(s=b), sub.match_iter(o=b))
+                 if not (isinstance(t.subject, BlankNode) and t.subject not in mapping
+                         or isinstance(t.object, BlankNode) and t.object not in mapping))
+        if ok and _extend_mapping(sub, sup, blanks[1:], candidates, mapping, used):
             return True
         del mapping[b]
         used.discard(cand)
@@ -386,8 +377,10 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
     b1, b2 = g1.blank_nodes(), g2.blank_nodes()
     if len(b1) != len(b2):
         return False
-    ordered = sorted(b1, key=lambda b: (_signature(g1, b), term_key(b)))
-    return _extend_mapping(g1, g2, ordered, {}, set(), bijective=True)
+    ordered = sorted(((b, _signature(g1, b)) for b in b1),
+                     key=lambda pair: (pair[1], term_key(pair[0])))
+    candidates = sorted(((b, _signature(g2, b)) for b in b2), key=lambda pair: term_key(pair[0]))
+    return _extend_mapping(g1, g2, ordered, candidates, {}, set())
 
 
 def contains_isomorphic(sub: Graph, sup: Graph) -> bool:
@@ -395,10 +388,11 @@ def contains_isomorphic(sub: Graph, sup: Graph) -> bool:
     sub's blank nodes map injectively onto sup's so every triple lands in sup."""
     if not all(t in sup for t in _ground_part(sub)):
         return False
-    ordered = sorted(sub.blank_nodes(), key=term_key)
+    ordered = [(b, None) for b in sorted(sub.blank_nodes(), key=term_key)]
     if not ordered:
         return True
-    return _extend_mapping(sub, sup, ordered, {}, set(), bijective=False)
+    candidates = [(b, None) for b in sorted(sup.blank_nodes(), key=term_key)]
+    return _extend_mapping(sub, sup, ordered, candidates, {}, set())
 
 
 # --- Well-known vocabulary -------------------------------------------------

@@ -95,7 +95,11 @@ How it runs:
 Blank nodes written in a WHERE group behave as fresh variables. Blank nodes
 in the template become skolem nodes named from the rule id, the blank's
 position, the solution, and the instantiation salt, so one instantiation call
-is reproducible bit-for-bit.
+is reproducible bit-for-bit. A solution that makes a template triple's
+subject a literal, or its predicate anything but an IRI, stops instantiation
+with a ValueError that names the rule. SPARQL 1.1 (section 16.2) would leave
+such a triple out of the output; this dialect stops, so that a rule that
+builds ill-formed triples is noticed.
 """
 
 from __future__ import annotations
@@ -1169,25 +1173,28 @@ def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
     triples, in solution order and then template order."""
     policy = skolem or SkolemPolicy()
     out: dict[Triple, None] = {}  # an ordered set
-    for binding in solutions:
-        blanks: dict[int, BlankNode] = {}
-        signature = ""  # the solution's, worked out when its first blank is minted
+    try:
+        for binding in solutions:
+            blanks: dict[int, BlankNode] = {}
+            signature = ""  # the solution's, worked out when its first blank is minted
 
-        def resolve(part: TemplateTerm) -> Term:
-            nonlocal signature
-            if isinstance(part, Variable):
-                if part not in binding:
-                    raise UnboundTemplateVariable(
-                        f"rule '{rq.rule_id}': ?{part.name} unbound at instantiation")
-                return binding[part]
-            if isinstance(part, TemplateBlank):
-                if part.index not in blanks:
-                    signature = signature or _solution_signature(binding)
-                    blanks[part.index] = BlankNode(
-                        policy.label(rq.rule_id, part.index, signature))
-                return blanks[part.index]
-            return part
+            def resolve(part: TemplateTerm) -> Term:
+                nonlocal signature
+                if isinstance(part, Variable):
+                    if part not in binding:
+                        raise UnboundTemplateVariable(
+                            f"rule '{rq.rule_id}': ?{part.name} unbound at instantiation")
+                    return binding[part]
+                if isinstance(part, TemplateBlank):
+                    if part.index not in blanks:
+                        signature = signature or _solution_signature(binding)
+                        blanks[part.index] = BlankNode(
+                            policy.label(rq.rule_id, part.index, signature))
+                    return blanks[part.index]
+                return part
 
-        for tt in rq.construct_template:
-            out[Triple(resolve(tt.subject), resolve(tt.predicate), resolve(tt.object))] = None
+            for tt in rq.construct_template:
+                out[Triple(resolve(tt.subject), resolve(tt.predicate), resolve(tt.object))] = None
+    except ValueError as err:  # a literal subject, or a predicate that is no IRI
+        raise ValueError(f"rule '{rq.rule_id}': {err}") from err
     return list(out)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from normgraph.cli import PipelineResult, run_pipeline
 from normgraph.model import (
@@ -12,6 +15,16 @@ from normgraph.model import (
     RDF_SUBJECT, RDF_TYPE, Term, Triple,
 )
 from normgraph.ontology import FIXTURES, fixture
+
+# Hypothesis caches constants read from the source while it collects a
+# property, whatever its database setting; keep that cache out of the checkout.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="normgraph-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
+
 
 _PIPELINE_CACHE: dict[str, PipelineResult] = {}
 

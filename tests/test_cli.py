@@ -347,6 +347,22 @@ def test_rule_syntax_error_names_the_rule_once(tmp_path, capsys):
     assert err.count("stray-brace") == 1, err
 
 
+def test_an_illegal_triple_from_a_rule_template_names_its_rule(tmp_path, capsys):
+    path = tmp_path / "rule.ttl"
+    for template, where, message in (
+            ("?y soa:p soa:c", "?x soa:q ?y", "triple subject cannot be a literal"),
+            ("?x ?y soa:c", "?x soa:q ?y", "triple predicate must be an IRI, got Literal"),
+            ("?x ?y soa:c", "?x soa:r ?y", "triple predicate must be an IRI, got BlankNode")):
+        path.write_text('soa:e soa:q "lit"; soa:r [].\n'
+                        ':illegal a :InferenceRule; :has-sparql-code """'
+                        f'CONSTRUCT{{{template}}} WHERE{{{where}}}""".\n', encoding="utf-8")
+        code = main(["check", "-i", str(path), "--layers", "core"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: rule 'illegal': {message}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # Three true statements and a rule that flags the one about ex:a as in
 # conflict with the one about ex:{other}. Each test uses a namespace, and so
 # rule texts, of its own: the parsed rules outlive a single test.

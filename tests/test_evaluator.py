@@ -882,7 +882,8 @@ def test_indexes_hold_after_random_insert_sequences():
                 want = {t for t in inserted
                         if s in (None, t.subject) and p in (None, t.predicate)
                         and o in (None, t.object)}
-                assert set(g.match_iter(s, p, o)) == want
+                matched = list(g.match_iter(s, p, o))
+                assert len(matched) == len(want) and set(matched) == want  # each once
             assert g.subject_pool(probe.subject) == sum(
                 t.subject == probe.subject for t in inserted)
             assert g.predicate_pool(probe.predicate) == sum(
@@ -933,7 +934,7 @@ def test_check_indexes_notices_a_triple_under_the_wrong_key():
     a, b, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "p")
     g = Graph([Triple(a, p, b)])
     assert g.check_indexes()
-    g._os[b][a][p] = Triple(b, p, a)
+    g._po[p][b][a] = Triple(b, p, a)
     assert not g.check_indexes()
 
 
