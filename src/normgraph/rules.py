@@ -3,20 +3,29 @@
 A rule is a CONSTRUCT template plus a WHERE group pattern. The dialect is a
 frozen subset of SPARQL 1.1:
 
-    rule      := CONSTRUCT '{' template '}' WHERE '{' group '}'
-    template  := triples with variables and (possibly nested) '[ ... ]'
-                 blank-node property lists
+    rule      := CONSTRUCT '{' statement* '}' WHERE '{' group '}'
+    statement := node verbs | blank
+    verbs     := verb node (',' node)* (';' verb node (',' node)*)* [';']
+    verb      := ?var | IRI
+    node      := ?var | IRI | literal (not as a subject) | blank
+    blank     := '[' [verbs] ']'
     group     := element*
-    element   := triples-block
+    element   := statement
                | '{' group '}' UNION '{' group '}'
                | NOT EXISTS '{' group '}'
                | FILTER '(' expr ')'
                | BIND '(' ground-term AS ?var ')'
     expr      := comparisons ?v = t, ?v != t (also var/var), combined with
-                 '&&', '||', and parentheses
+                 '&&', '||', and parentheses; t is no '[ ... ]'
 
-Keywords are case-insensitive and whitespace is free-form; `a` abbreviates
-rdf:type; `.` statement separators are optional between elements. A short
+The template and WHERE share the statement grammar: a `[ ... ]` stands only
+where a subject or an object goes, and only a bare `[ ... ]` is a statement
+without a predicate. Keywords are case-insensitive and whitespace is
+free-form; `a` abbreviates rdf:type; `.` statement separators are optional
+between elements. Prefixed names are read as in Turtle (`NAME`): a `.`
+inside a name belongs to it and one at its end ends the statement, so
+`?x :p :o.` is one statement and `:o.NOT` one name. An IRI the data model
+rejects (`<a b>`, `<>`) is a syntax error at its `<`. A short
 string literal knows Turtle's escapes (\\n, \\t, \\r, \\", \\\\) and no other,
 and no raw line break; a long one keeps its text as written. Braces,
 brackets and parentheses nest at most MAX_NESTING (100) levels deep.
@@ -236,23 +245,19 @@ class NotExists:
 
 
 @dataclass(frozen=True)
-class TemplateTriple:
-    subject: TemplateTerm
-    predicate: TemplateTerm
-    object: TemplateTerm
-
-
-@dataclass(frozen=True)
 class RuleQuery:
     rule_id: str
-    construct_template: tuple  # of TemplateTriple
+    construct_template: tuple  # of TriplePattern, whose terms may be TemplateBlank
     where_clause: GroupPattern
 
 
 # --- Tokenizer ---------------------------------------------------------------
 
 _KEYWORDS = {"construct", "where", "union", "not", "exists", "filter", "bind", "as"}
-_NAME = r"[A-Za-z0-9_\-]"
+# A name in rules and Turtle (prefix, local part, blank node label), maybe
+# empty: ASCII letters, digits, '_', '-' and '.', but a final '.' ends the statement.
+NAME = r"(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_WORD = r"[A-Za-z0-9_\-]"  # a letter of a variable name or a keyword
 # Each token kind is one alternative; a string, IRI or variable that does
 # not end as it should matches the one after it, which names the error.
 _TOKEN_RE = re.compile(rf"""
@@ -261,10 +266,10 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<string>"(?:\\.|[^"\\\r\n])*") | (?P<newline>"(?:\\.|[^"\\\r\n])*(?=[\r\n]))
   | (?P<open_string>")
   | (?P<punct>&&|\|\||!=|[{{}}()\[\];,=.])
-  | (?P<var>\?{_NAME}+) | (?P<bad_var>\?)
+  | (?P<var>\?{_WORD}+) | (?P<bad_var>\?)
   | (?P<iri><[^>]*>) | (?P<open_iri><)
-  | (?P<pname>{_NAME}*:{_NAME}*)
-  | (?P<word>{_NAME}+)
+  | (?P<pname>{NAME}:{NAME})
+  | (?P<word>{_WORD}+)
   | (?P<other>.)
 """, re.S | re.X)
 _ERRORS = {"open_long": "unterminated long string", "open_string": "unterminated string",
@@ -272,39 +277,38 @@ _ERRORS = {"open_long": "unterminated long string", "open_string": "unterminated
            "open_iri": "unterminated IRI"}
 # The escapes of a short string, in rules as in Turtle; any other is an error.
 STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_END = ("punct", "", -1)  # after the last token: a mark no text makes
 
 
-@dataclass
-class _Token:
-    kind: str  # keyword, var, iri, pname, literal, punct, a
-    value: object
-    pos: int
-
-
-def _tokenize(text: str, rule_id: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, rule_id: str) -> list[tuple]:
+    """The tokens of `text` as (kind, value, offset), then `_END`. A variable,
+    a literal and `a` are terms, whose value is the term; an IRI's value is
+    its text, a prefixed name's (prefix, local part), a keyword's lower case."""
+    tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, value, pos = m.lastgroup, m[0], m.start()
         if kind == "skip":
             continue
         if kind in _ERRORS:
             raise RuleSyntaxError(_ERRORS[kind], m.end() if kind == "newline" else pos, rule_id)
-        if kind == "long":
-            kind, value = "literal", value[3:-3]
-        elif kind == "string":
-            kind, value = "literal", _unescape(value, pos, rule_id)
-        elif kind in ("var", "iri"):
-            value = value[1:] if kind == "var" else value[1:-1]
+        if kind in ("long", "string"):
+            kind, value = "term", Literal(
+                value[3:-3] if kind == "long" else _unescape(value, pos, rule_id))
+        elif kind == "var":
+            kind, value = "term", Variable(value[1:])
+        elif kind == "iri":
+            value = value[1:-1]
         elif kind == "pname":
             value = tuple(value.split(":", 1))
         elif kind == "word" and value.lower() in _KEYWORDS:
             kind, value = "keyword", value.lower()
         elif kind == "word" and value == "a":
-            kind = "a"
+            kind, value = "term", RDF_TYPE
         elif kind != "punct":
             problem = "unknown keyword" if kind == "word" else "unexpected character"
             raise RuleSyntaxError(f"{problem} {value!r}", pos, rule_id)
-        tokens.append(_Token(kind, value, pos))
+        tokens.append((kind, value, pos))
+    tokens.append(_END)
     return tokens
 
 
@@ -331,67 +335,63 @@ MAX_BRANCHES = 64
 
 
 class _RuleParser:
+    """The template and WHERE read triples with the same methods: they go to
+    `triples`, and the n-th `[ ... ]` of the clause, from 0, is `blank(n)`."""
+
     def __init__(self, rule_id: str, text: str, prefixes: dict[str, str]):
         self.rule_id = rule_id
         self.tokens = _tokenize(text, rule_id)
         self.i = 0
         self.prefixes = dict(DEFAULT_PREFIXES)
         self.prefixes.update(prefixes)
-        self.blank_count = 0       # template blanks
-        self.where_blank_count = 0  # fresh variables for [] in WHERE
-        self.depth = 0              # braces, brackets and parentheses now open
+        self.depth = 0  # braces, brackets and parentheses now open
+        self.triples: list = []  # the template's, then the innermost open group's elements
+        self.blank, self.blanks = TemplateBlank, 0
 
-    def error(self, message: str) -> RuleSyntaxError:
-        pos = self.tokens[self.i].pos if self.i < len(self.tokens) else -1
-        return RuleSyntaxError(message, pos, self.rule_id)
+    def error(self, message: str, pos: Optional[int] = None) -> RuleSyntaxError:
+        """The error at `pos`, or else at the next token."""
+        return RuleSyntaxError(message, self.tokens[self.i][2] if pos is None else pos,
+                               self.rule_id)
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise RuleSyntaxError("unexpected end of rule", -1, self.rule_id)
+    def next(self) -> tuple:
+        tok = self.tokens[self.i]
+        if tok is _END:
+            raise self.error("unexpected end of rule")
         self.i += 1
         return tok
 
-    def expect_punct(self, value: str):
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            raise RuleSyntaxError(f"expected {value!r}", tok.pos, self.rule_id)
+    def at(self, *marks: str) -> bool:
+        """Whether the next token is one of these marks or keywords ('' ends the rule)."""
+        kind, value, _ = self.tokens[self.i]
+        return value in marks and kind in ("punct", "keyword")
 
-    def expect_keyword(self, value: str):
-        tok = self.next()
-        if tok.kind != "keyword" or tok.value != value:
-            raise RuleSyntaxError(f"expected {value.upper()}", tok.pos, self.rule_id)
+    def expect(self, mark: str):
+        if not self.at(mark):
+            shown = mark.upper() if mark.isalpha() else repr(mark)
+            raise self.error(f"expected {shown}", self.next()[2])
+        self.i += 1
 
     def opened(self):
         """Counts the opening token just read as one more level of nesting."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise RuleSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
-                                  self.tokens[self.i - 1].pos, self.rule_id)
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.value == value
-
-    def at_keyword(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "keyword" and tok.value == value
-
-    def expand(self, prefix: str, local: str, pos: int) -> Iri:
-        if prefix not in self.prefixes:
-            raise RuleSyntaxError(f"undeclared prefix '{prefix}:'", pos, self.rule_id)
-        return Iri(self.prefixes[prefix] + local)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels",
+                             self.tokens[self.i - 1][2])
 
     def parse_rule(self) -> RuleQuery:
-        self.expect_keyword("construct")
-        self.expect_punct("{")
-        template = self.parse_triples_until_close(in_template=True)
-        self.expect_keyword("where")
-        where, _ = self.braced()
-        if self.peek() is not None:
+        self.expect("construct")
+        self.expect("{")
+        template = self.triples
+        while not self.at("}"):
+            self.parse_statement()
+            while self.at("."):
+                self.i += 1
+        self.i += 1
+        self.expect("where")
+        # in WHERE a `[ ... ]` is a variable whose name no rule author can write
+        self.blank, self.blanks = (lambda n: Variable(f" bnode{n}")), 0
+        where, _ = self.parse_group()
+        if not self.at(""):
             raise self.error("trailing tokens after WHERE clause")
         rq = RuleQuery(self.rule_id, tuple(template), where)
         unbound = template_variables(rq) - bindable_variables(where)
@@ -401,191 +401,153 @@ class _RuleParser:
                 f"rule '{self.rule_id}': template variables never bound in WHERE: {names}")
         return rq
 
-    # template parsing ---------------------------------------------------
+    # triples, in the template and in WHERE ------------------------------
 
-    def parse_triples_until_close(self, in_template: bool) -> list[TemplateTriple]:
-        acc: list[TemplateTriple] = []
-        while not self.at_punct("}"):
-            self.parse_triples_block(acc, in_template)
-            while self.at_punct("."):
-                self.next()
-        self.expect_punct("}")
-        return acc
+    def parse_statement(self):
+        """A subject and its predicate-object list, which only a bare `[ ... ]` may leave out."""
+        bare = self.at("[")
+        subject = self.parse_term()
+        if isinstance(subject, Literal):
+            raise self.error("literal cannot be a subject")
+        if not (bare and self.at("", ".", "}")):
+            self.parse_predicate_objects(subject)
 
-    def parse_term(self, acc: list, in_template: bool):
-        tok = self.next()
-        if tok.kind == "var":
-            return Variable(tok.value)
-        if tok.kind == "iri":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            prefix, local = tok.value
-            return self.expand(prefix, local, tok.pos)
-        if tok.kind == "a":
-            return RDF_TYPE
-        if tok.kind == "literal":
-            return Literal(tok.value)
-        if tok.kind == "punct" and tok.value == "[":
-            return self.parse_property_list_node(acc, in_template)
-        raise RuleSyntaxError(f"unexpected token {tok.value!r}", tok.pos, self.rule_id)
+    def parse_predicate_objects(self, subject):
+        while True:
+            if self.at("["):
+                raise self.error("bad predicate")
+            predicate = self.parse_term()
+            if isinstance(predicate, Literal):
+                raise self.error("bad predicate")
+            self.triples.append(TriplePattern(subject, predicate, self.parse_term()))
+            while self.at(","):
+                self.i += 1
+                self.triples.append(TriplePattern(subject, predicate, self.parse_term()))
+            if not self.at(";"):
+                return
+            self.i += 1
+            if self.at("", ".", "}", "]"):  # a ';' may end the list, as in Turtle
+                return
 
-    def parse_property_list_node(self, acc: list, in_template: bool):
+    def parse_term(self):
+        """A subject, object, BIND value or FILTER operand, or a `[ ... ]`'s node."""
+        kind, value, pos = self.next()
+        if kind == "term":
+            return value
+        if kind == "pname":
+            prefix, local = value
+            if prefix not in self.prefixes:
+                raise self.error(f"undeclared prefix '{prefix}:'", pos)
+            kind, value = "iri", self.prefixes[prefix] + local
+        if kind == "iri":
+            try:
+                return Iri(value)
+            except ValueError as err:  # empty, or holding a space or '>'
+                raise self.error(str(err), pos) from None
+        if value == "[":
+            return self.parse_property_list()
+        raise self.error(f"unexpected token {value!r}", pos)
+
+    def parse_property_list(self):
+        """The node of the `[ ... ]` whose `[` was just read."""
         self.opened()
-        if in_template:
-            node: TemplateTerm = TemplateBlank(self.blank_count)
-            self.blank_count += 1
-        else:
-            # the leading space keeps these internal variables out of the
-            # namespace a rule author can reach
-            node = Variable(f" bnode{self.where_blank_count}")
-            self.where_blank_count += 1
-        if not self.at_punct("]"):
-            self.parse_predicate_objects(node, acc, in_template)
-        self.expect_punct("]")
+        node = self.blank(self.blanks)
+        self.blanks += 1
+        if not self.at("]"):
+            self.parse_predicate_objects(node)
+        self.expect("]")
         self.depth -= 1
         return node
 
-    def parse_predicate_objects(self, subject, acc: list, in_template: bool):
-        while True:
-            predicate = self.parse_term(acc, in_template)
-            if isinstance(predicate, (TemplateBlank, Literal)):
-                raise self.error("bad predicate")
-            while True:
-                obj = self.parse_term(acc, in_template)
-                if in_template:
-                    acc.append(TemplateTriple(subject, predicate, obj))
-                else:
-                    acc.append(TriplePattern(subject, predicate, obj))
-                if self.at_punct(","):
-                    self.next()
-                    continue
-                break
-            if self.at_punct(";"):
-                self.next()
-                # allow "; }" and "; ]" and "; ." like the Turtle reader
-                if self.at_punct("]") or self.at_punct("}") or self.at_punct(".") or self.peek() is None:
-                    return
-                continue
-            return
-
-    def parse_triples_block(self, acc: list, in_template: bool):
-        subject = self.parse_term(acc, in_template)
-        if isinstance(subject, Literal):
-            raise self.error("literal cannot be a subject")
-        # "[ ... ]" used as a whole statement
-        if isinstance(subject, (TemplateBlank, Variable)) and (
-                self.at_punct(".") or self.at_punct("}") or self.peek() is None):
-            return
-        self.parse_predicate_objects(subject, acc, in_template)
-
-    # WHERE parsing --------------------------------------------------------
-
-    def braced(self) -> tuple[GroupPattern, int]:
-        self.expect_punct("{")
-        group = self.parse_group()
-        self.expect_punct("}")
-        return group
+    # WHERE --------------------------------------------------------------
 
     def parse_group(self) -> tuple[GroupPattern, int]:
-        """The elements up to the closing brace of the group whose opening
-        brace was just read, and the number of branches the group has."""
+        """A braced group, and the number of branches it has."""
+        self.expect("{")
         self.opened()
         elements: list = []
+        outer, self.triples = self.triples, elements
         width = 1
-        while True:
-            tok = self.peek()
-            if tok is None or (tok.kind == "punct" and tok.value == "}"):
-                break
-            if tok.kind == "punct" and tok.value == ".":
-                self.next()
-                continue
-            if tok.kind == "punct" and tok.value == "{":
-                left, alternatives = self.braced()
+        while not self.at("", "}"):
+            kind, value, pos = self.tokens[self.i]
+            if self.at("."):
+                self.i += 1
+            elif self.at("{"):
+                left, alternatives = self.parse_group()
                 union: Union | None = None
-                while self.at_keyword("union"):
-                    self.next()
-                    right, more = self.braced()
+                while self.at("union"):
+                    self.i += 1
+                    right, more = self.parse_group()
                     union = Union(left if union is None else GroupPattern((union,)), right)
                     alternatives += more
                 width *= alternatives
                 if width > MAX_BRANCHES:
-                    raise RuleSyntaxError(f"more than {MAX_BRANCHES} UNION branches in a group",
-                                          tok.pos, self.rule_id)
+                    raise self.error(f"more than {MAX_BRANCHES} UNION branches in a group", pos)
                 # a bare braced group just flattens into the sequence
                 elements += (union,) if union else left.elements
-                continue
-            if tok.kind == "keyword" and tok.value == "not":
-                self.next()
-                self.expect_keyword("exists")
-                elements.append(NotExists(self.braced()[0]))
-                continue
-            if tok.kind == "keyword" and tok.value == "filter":
-                self.next()
-                self.expect_punct("(")
+            elif self.at("not"):
+                self.i += 1
+                self.expect("exists")
+                elements.append(NotExists(self.parse_group()[0]))
+            elif self.at("filter"):
+                self.i += 1
+                self.expect("(")
                 expr = self.parse_expr()
-                self.expect_punct(")")
+                self.expect(")")
                 elements.append(Filter(expr))
-                continue
-            if tok.kind == "keyword" and tok.value == "bind":
-                self.next()
-                self.expect_punct("(")
-                value = self.parse_term([], in_template=False)
+            elif self.at("bind"):
+                self.i += 1
+                self.expect("(")
+                value = self.parse_term()
                 if isinstance(value, Variable):
                     raise self.error("BIND accepts only ground terms")
-                self.expect_keyword("as")
-                var_tok = self.next()
-                if var_tok.kind != "var":
-                    raise RuleSyntaxError("expected variable after AS", var_tok.pos, self.rule_id)
-                self.expect_punct(")")
-                elements.append(Bind(value, Variable(var_tok.value)))
-                continue
-            if tok.kind == "keyword":
-                raise self.error(f"unexpected keyword {tok.value.upper()}")
-            patterns: list = []
-            self.parse_triples_block(patterns, in_template=False)
-            elements.extend(patterns)
+                self.expect("as")
+                _, var, pos = self.next()
+                if not isinstance(var, Variable):
+                    raise self.error("expected variable after AS", pos)
+                self.expect(")")
+                elements.append(Bind(value, var))
+            elif kind == "keyword":
+                raise self.error(f"unexpected keyword {value.upper()}")
+            else:
+                self.parse_statement()
+        self.expect("}")
+        self.triples = outer
         self.depth -= 1
         return GroupPattern(tuple(elements)), width
 
-    def parse_expr(self) -> Expr:
-        items = [self.parse_and()]
-        while self.at_punct("||"):
-            self.next()
-            items.append(self.parse_and())
-        return items[0] if len(items) == 1 else ExprOr(tuple(items))
-
-    def parse_and(self) -> Expr:
-        items = [self.parse_primary()]
-        while self.at_punct("&&"):
-            self.next()
-            items.append(self.parse_primary())
-        return items[0] if len(items) == 1 else ExprAnd(tuple(items))
+    def parse_expr(self, joiner: str = "||") -> Expr:
+        """`&&` chains joined by `||`, or with `joiner` '&&' primaries joined by `&&`."""
+        item, join = ((self.parse_primary, ExprAnd) if joiner == "&&"
+                      else (lambda: self.parse_expr("&&"), ExprOr))
+        items = [item()]
+        while self.at(joiner):
+            self.i += 1
+            items.append(item())
+        return items[0] if len(items) == 1 else join(tuple(items))
 
     def parse_primary(self) -> Expr:
-        if self.at_punct("("):
-            self.next()
+        if self.at("("):
+            self.i += 1
             self.opened()
             inner = self.parse_expr()
             # "(expr)" or "(operand op operand)" both arrive here; a closing
             # paren after a full expr ends the primary.
-            self.expect_punct(")")
+            self.expect(")")
             self.depth -= 1
             return inner
         left = self.parse_operand()
-        tok = self.next()
-        if tok.kind != "punct" or tok.value not in ("=", "!="):
-            raise RuleSyntaxError("expected '=' or '!='", tok.pos, self.rule_id)
-        right = self.parse_operand()
-        return Comparison(left, tok.value == "!=", right)
+        kind, op, pos = self.next()
+        if kind != "punct" or op not in ("=", "!="):
+            raise self.error("expected '=' or '!='", pos)
+        return Comparison(left, op == "!=", self.parse_operand())
 
     def parse_operand(self) -> PatternTerm:
-        tok = self.peek()
-        if tok is not None and tok.kind == "punct" and tok.value == "(":
+        if self.at("("):
             raise self.error("nested comparison operand")
-        term = self.parse_term([], in_template=False)
-        if isinstance(term, TemplateBlank):
+        if self.at("["):
             raise self.error("blank node in FILTER")
-        return term
+        return self.parse_term()
 
 
 def parse_rule(rule_id: str, text: str, prefixes: Optional[dict[str, str]] = None) -> RuleQuery:

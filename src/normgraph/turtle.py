@@ -16,8 +16,8 @@ body stops short of a closing quote, the character there names the error: the
 end of the text, a line break, or a backslash that starts no known escape. A
 `TurtleSyntaxError` works out its line and column from the offset when it is
 raised: columns count characters from 1, and only a line feed starts a line.
-The reader and the writer share one definition of a name (`_NAME`), which
-never ends in `.`.
+The reader, the writer and the rule reader share one definition of a name
+(`rules.NAME`), which never ends in `.`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 from .model import (
     BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
 )
-from .rules import MAX_NESTING, STRING_ESCAPES
+from .rules import MAX_NESTING, NAME, STRING_ESCAPES
 
 
 class TurtleSyntaxError(Exception):
@@ -39,8 +39,7 @@ class TurtleSyntaxError(Exception):
 
 
 _WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-# A name never ends in '.': a trailing dot terminates the statement.
-_NAME = re.compile(r"(?:[\w.-]*[\w-])?", re.ASCII)
+_NAME = re.compile(NAME)
 # The body of a short string, up to the first character that cannot go on it:
 # the closing quote, the end, a line break or a backslash without a known escape.
 _SHORT_BODY = re.compile(r'(?:[^"\\\r\n]+|\\[nrt"\\])*')

@@ -7,6 +7,7 @@ import shutil
 import tempfile
 
 import pytest
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from normgraph.cli import PipelineResult, run_pipeline
@@ -84,3 +85,29 @@ def random_graph(rng: random.Random, max_triples: int = 12,
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+# Rule text: the start of a template, of a WHERE group or of a FILTER, then
+# parts that are well-formed there or not, or single tokens, and maybe the
+# rest of the rule. Half the texts join parts only, so that many parse. The
+# parts that are not well-formed are the three constructs SPARQL 1.1 has no
+# place for: a lone variable, a `[ ... ]` predicate and a `[ ... ]` FILTER
+# operand.
+_STATEMENTS = ["?x :p ?y .", "[ :p ?x ] .", "?y a [ a :p ; :p [] ] .", "?x :p ?y , [] .", "[] .",
+               "?x .", "?x [ :p ?y ] ?y ."]
+_RULE_CLAUSES = [
+    ("CONSTRUCT{", _STATEMENTS, "}WHERE{?x :p ?y}"),
+    ("CONSTRUCT{?x :q ?y}WHERE{", _STATEMENTS + [
+        "FILTER(?x != ?y)", "NOT EXISTS{?x :p [] }", "{ ?x :p ?y } UNION { ?y :p ?x }",
+        "BIND(:p AS ?z)", "FILTER(?x = [ :p ?y ])"], "}"),
+    ("CONSTRUCT{?x :q ?y}WHERE{?x :p ?y FILTER(",
+     ["?x = ?y &&", "( ?y != :p || ?x = ?y ) ||", "[ :p ?y ] != ?x &&"], "?x != ?y)}")]
+_RULE_TOKENS = [
+    "?x", "?y", "?", ":p", "soa:o", ":has.part", "a", "<https://e/x>", "<a b>", "<>", "<", '"s"',
+    '"t\\n"', '"\\q"', '"""l"""', '"', "[", "]", "{", "}", "(", ")", ".", ";", ",", "=", "!=",
+    "&&", "||", "FILTER", "NOT", "EXISTS", "UNION", "BIND", "AS", "WHERE", "x", "#", "\n"]
+RULE_TEXTS = st.sampled_from(_RULE_CLAUSES).flatmap(lambda clause: st.builds(
+    lambda parts, close: clause[0] + " ".join(parts) + (clause[2] if close else ""),
+    st.lists(st.sampled_from(clause[1]), max_size=6)
+    | st.lists(st.sampled_from(clause[1] + _RULE_TOKENS), max_size=30),
+    st.booleans()))

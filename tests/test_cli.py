@@ -1,11 +1,19 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from hypothesis import given, settings
+
 from normgraph.cli import main
-from normgraph.model import OBLIGATORY, RDF_TYPE, Triple, isomorphic
+from normgraph.model import (
+    HAS_SPARQL_CODE, INFERENCE_RULE, OBLIGATORY, ONT_NS, RDF_TYPE, Graph, Iri, Literal, Triple,
+    isomorphic,
+)
 from normgraph.ontology import fixture, vocabulary
 from normgraph.turtle import parse_turtle, serialize_turtle
-from conftest import soa
+from conftest import RULE_TEXTS, soa
 
 
 def _write_fixture(tmp_path: Path, name: str) -> list[str]:
@@ -363,6 +371,17 @@ def test_an_illegal_triple_from_a_rule_template_names_its_rule(tmp_path, capsys)
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_an_invalid_iri_in_a_rule_body_is_one_error_line_naming_the_rule(tmp_path, capsys):
+    path = tmp_path / "rule.ttl"
+    for iri in ("<a b>", "<>"):
+        body = f"CONSTRUCT{{?x soa:r ?y}} WHERE{{?x soa:p ?y. ?y soa:p {iri}}}"
+        path.write_text('soa:a soa:p soa:b.\n:bad-iri a :InferenceRule; '
+                        f':has-sparql-code """{body}""".\n', encoding="utf-8")
+        assert main(["check", "-i", str(path), "--layers", "core"]) == 1
+        assert capsys.readouterr().err == (f"error: RuleSyntaxError: invalid IRI: {iri[1:-1]!r} "
+                                           f"at offset {body.index('<')} in rule 'bad-iri'\n")
+
+
 # Three true statements and a rule that flags the one about ex:a as in
 # conflict with the one about ex:{other}. Each test uses a namespace, and so
 # rule texts, of its own: the parsed rules outlive a single test.
@@ -403,3 +422,22 @@ def test_check_binds_one_rule_text_under_each_prefix_map(tmp_path, capsys):
     second = _check_flagging(tmp_path, capsys, two, "c")
     assert f'"{one}c"' in first and two not in first
     assert f'"{two}c"' in second and one not in second
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(RULE_TEXTS)
+def test_check_of_any_rule_text_keeps_the_exit_code_contract(text):
+    p = Iri(ONT_NS + "p")  # the `:p` of the generated rules
+    rule = soa("generated")
+    graph = Graph([Triple(soa("a"), p, soa("b")), Triple(soa("b"), p, soa("c")),
+                   Triple(soa("c"), p, Literal("c")), Triple(rule, RDF_TYPE, INFERENCE_RULE),
+                   Triple(rule, HAS_SPARQL_CODE, Literal(text))])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rule.ttl"
+        path.write_text(serialize_turtle(graph), encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", "-i", str(path), "--layers", "", "--max-iterations", "3"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err

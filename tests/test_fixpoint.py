@@ -15,7 +15,7 @@ from normgraph.engine import (
 from normgraph.model import Graph, Iri, Literal, RDF_TYPE, SOA_NS, Triple, graph_union
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
 from normgraph.rules import (
-    Bind, Comparison, Filter, GroupPattern, NotExists, RuleQuery, TemplateTriple, TriplePattern,
+    Bind, Comparison, Filter, GroupPattern, NotExists, RuleQuery, TriplePattern,
     Union, Variable, parse_rule,
 )
 from normgraph.turtle import parse_turtle, serialize_turtle
@@ -389,7 +389,7 @@ class _Rules:
         bound = [part for el in where.elements if isinstance(el, TriplePattern)
                  for part in (el.subject, el.object) if isinstance(part, Variable)] or self.iris
         template = tuple(
-            TemplateTriple(rnd.choice(bound), rnd.choice(self.preds), rnd.choice(bound))
+            TriplePattern(rnd.choice(bound), rnd.choice(self.preds), rnd.choice(bound))
             for _ in range(rnd.randrange(1, 3)))
         return RuleEntry(rule_id, RuleQuery(rule_id, template, where))
 
@@ -447,7 +447,7 @@ class _UnionRules(_Rules):
         if rnd.random() < 0.3:
             union = Union(GroupPattern((union,)), self.branch(out))
         where = GroupPattern((TriplePattern(a, rnd.choice(self.preds), b), union))
-        return RuleEntry(rule_id, RuleQuery(rule_id, (TemplateTriple(a, out.predicate, b),),
+        return RuleEntry(rule_id, RuleQuery(rule_id, (TriplePattern(a, out.predicate, b),),
                                             where))
 
 

@@ -4,6 +4,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from normgraph.model import (
     Graph, HOLD, Iri, Literal, OBLIGATORY, RDF_OBJECT, RDF_PREDICATE,
@@ -12,10 +13,11 @@ from normgraph.model import (
 from normgraph.ontology import fixture
 from normgraph.rules import (
     Bind, BindConflict, Comparison, Filter, GroupPattern, NotExists, RuleSyntaxError,
-    SkolemPolicy, TriplePattern, UnboundTemplateVariable, Union,
-    Variable, bindable_variables, evaluate_where, instantiate, parse_rule,
+    SkolemPolicy, TemplateBlank, TriplePattern, UnboundTemplateVariable, Union,
+    Variable, _expr_variables, bindable_variables, evaluate_where, instantiate, parse_rule,
 )
-from conftest import soa
+from normgraph.turtle import serialize_turtle
+from conftest import RULE_TEXTS, soa
 
 V = Variable
 
@@ -36,14 +38,12 @@ def test_variables_are_interned_and_compare_by_identity():
 
 
 def test_parse_hold_true_rule_shape():
-    from normgraph.rules import TemplateTriple
-
     rq = parse_rule("hold-true", """
         CONSTRUCT{?s ?p ?o}
         WHERE{?r a :true,:hold; rdf:subject ?s; rdf:predicate ?p; rdf:object ?o}
     """)
     assert rq.construct_template == (
-        TemplateTriple(V("s"), V("p"), V("o")),)
+        TriplePattern(V("s"), V("p"), V("o")),)
     tps = rq.where_clause.elements
     assert tps == (
         TriplePattern(V("r"), RDF_TYPE, TRUE),
@@ -143,7 +143,7 @@ def test_keywords_are_case_insensitive():
 
 
 def test_whitespace_is_free_form():
-    rq = parse_rule("squashed", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist.NOT EXISTS{?x :not ?y}}")
+    rq = parse_rule("squashed", "CONSTRUCT{?x a :Rexist}WHERE{?x a ?c.NOT EXISTS{?x :not ?y}}")
     assert any(isinstance(el, NotExists) for el in rq.where_clause.elements)
 
 
@@ -204,6 +204,82 @@ def test_a_raw_line_break_in_a_short_string_is_a_syntax_error_at_the_break():
 def test_bind_of_variable_is_rejected():
     with pytest.raises(RuleSyntaxError):
         parse_rule("bad", "CONSTRUCT{?x a ?y}WHERE{?x a :Rexist. BIND(?x AS ?y)}")
+
+
+def test_an_invalid_iri_is_a_syntax_error_at_its_bracket_that_names_the_rule():
+    for iri in ("<a b>", "<>"):
+        text = f"CONSTRUCT{{?x :q {iri}}} WHERE{{?x :p ?y}}"
+        with pytest.raises(RuleSyntaxError, match=r"^invalid IRI: .* in rule 'iri'$") as err:
+            parse_rule("iri", text)
+        assert err.value.pos == text.index("<")
+    # a prefixed name under a namespace that makes no IRI fails at the name
+    text = "CONSTRUCT{?x :q ?y} WHERE{?x e:p ?y}"
+    with pytest.raises(RuleSyntaxError, match=r"^invalid IRI: 'a bp'") as err:
+        parse_rule("iri", text, {"e": "a b"})
+    assert err.value.pos == text.index("e:p")
+
+
+def test_prefixed_names_are_read_as_in_turtle():
+    # a dot inside a name belongs to it, as in Turtle and SPARQL 1.1
+    rq = parse_rule("dotted", "CONSTRUCT{?x :q ?y} WHERE{?x soa:has.part ?y}")
+    assert rq.where_clause.elements == (TriplePattern(V("x"), soa("has.part"), V("y")),)
+    # the name the Turtle writer gives that IRI
+    assert "soa:a soa:has.part soa:b ." in serialize_turtle(
+        Graph([Triple(soa("a"), soa("has.part"), soa("b"))]))
+    # a dot at its end ends the statement
+    rq = parse_rule("dot", "CONSTRUCT{?x :q ?y} WHERE{?x soa:p soa:o.?x soa:r ?y.}")
+    assert rq.where_clause.elements == (TriplePattern(V("x"), soa("p"), soa("o")),
+                                        TriplePattern(V("x"), soa("r"), V("y")))
+    # so a dot between a name and a keyword is part of the name
+    with pytest.raises(RuleSyntaxError, match="unexpected keyword EXISTS"):
+        parse_rule("squashed", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist.NOT EXISTS{?x :not ?y}}")
+
+
+def test_a_statement_needs_a_predicate_unless_it_is_a_bare_property_list():
+    # a lone variable is no statement, in the template or in WHERE
+    for text, at in (("CONSTRUCT{?x :q ?y. ?x} WHERE{?x :p ?y}", 22),
+                     ("CONSTRUCT{?x :q ?y} WHERE{?x :p ?y. ?z}", 38)):
+        with pytest.raises(RuleSyntaxError, match="unexpected token '}'") as err:
+            parse_rule("bare", text)
+        assert err.value.pos == at and text[at] == "}"
+    rq = parse_rule("bare", "CONSTRUCT{[a :Rexist; :q ?y]} WHERE{[soa:p ?y]. ?x :p ?y}")
+    assert len(rq.construct_template) == 2 and len(rq.where_clause.elements) == 2
+
+
+def test_a_property_list_is_no_predicate_and_no_filter_operand():
+    for text, message in (
+            ("CONSTRUCT{?x [ :r :s ] ?y} WHERE{?x :p ?y}", "bad predicate"),
+            ("CONSTRUCT{?x :q ?y} WHERE{?x [ :r :s ] ?y}", "bad predicate"),
+            ("CONSTRUCT{?x :q ?y} WHERE{?x :p ?y; [] ?y}", "bad predicate"),
+            ("CONSTRUCT{?x :q ?y} WHERE{?x :p ?y FILTER(?y = [ :a :b ])}", "blank node in FILTER"),
+            ("CONSTRUCT{?x :q ?y} WHERE{?x :p ?y FILTER([] != ?y)}", "blank node in FILTER")):
+        with pytest.raises(RuleSyntaxError, match=message) as err:
+            parse_rule("bracket", text)
+        assert err.value.pos == text.index("["), text
+
+
+def _all_elements(gp: GroupPattern):
+    for el in gp.elements:
+        yield el
+        for inner in ((el.inner,) if isinstance(el, NotExists)
+                      else (el.left, el.right) if isinstance(el, Union) else ()):
+            yield from _all_elements(inner)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(RULE_TEXTS)
+def test_rule_text_parses_or_is_a_syntax_error(text):
+    try:
+        rq = parse_rule("generated", text)
+    except (RuleSyntaxError, UnboundTemplateVariable):
+        return
+    # a `[ ... ]` is never a predicate, nor a FILTER operand
+    assert not any(isinstance(tp.predicate, TemplateBlank) for tp in rq.construct_template)
+    for el in _all_elements(rq.where_clause):
+        if isinstance(el, TriplePattern):
+            assert not (isinstance(el.predicate, Variable) and el.predicate.name.startswith(" "))
+        elif isinstance(el, Filter):
+            assert not any(v.name.startswith(" ") for v in _expr_variables(el.expr))
 
 
 # --- evaluation --------------------------------------------------------------
