@@ -1,8 +1,9 @@
 """Command-line entry point: parse inputs, run the fixpoint, report findings.
 
-Exit codes: 0 clean, 1 error (syntax, missing rule body, BIND of a bound
-variable, no fixpoint), 2 findings of a --fail-on kind present (check only).
-Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 clean, 1 error (syntax, missing rule body, no fixpoint), 2
+findings of a --fail-on kind present (check only). Reports go to stdout,
+diagnostics to stderr. A user rule's type and body are read from one input
+file, with that file's prefixes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .ontology import (
     LAYER_NAMES, UnknownLayer, builtin_ruleset, catalog_entries, vocabulary,
 )
 from .report import KIND_LABEL, KIND_ORDER, extract_findings, render
-from .rules import BindConflict, RuleSyntaxError, UnboundTemplateVariable
+from .rules import RuleSyntaxError, UnboundTemplateVariable
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 
 # Every kind but compliance can fail a check; --fail-on names a kind by its
@@ -29,8 +30,7 @@ from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 _FAIL_ON_KINDS = {KIND_LABEL[kind].lower(): kind for kind in KIND_ORDER if kind != "Compliance"}
 
 _USER_ERRORS = (TurtleSyntaxError, RuleSyntaxError, UnboundTemplateVariable,
-                BindConflict, MissingRuleBody, MaxIterationsExceeded, UnknownLayer,
-                ValueError, OSError)
+                MissingRuleBody, MaxIterationsExceeded, UnknownLayer, ValueError, OSError)
 
 
 @dataclass
@@ -42,9 +42,12 @@ class PipelineResult:
 def run_pipeline(inputs: list[Graph], layers: set[str] | None = None,
                  max_iterations: int = 100) -> PipelineResult:
     """Union the inputs with the built-in vocabulary, split user rules from
-    data, add the requested built-in layers, and run to fixpoint."""
+    data, add the requested built-in layers, and run to fixpoint. Each input's
+    rules are read under its own prefixes, in input order."""
     merged = graph_union(vocabulary(), *inputs)
-    rules = builtin_ruleset(layers) + load_rules(merged)
+    rules = builtin_ruleset(layers)
+    for graph in inputs:
+        rules += load_rules(graph)
     data = strip_rules(merged)
     result = run_fixpoint(data, rules, EngineConfig(max_iterations=max_iterations))
     return PipelineResult(data, result)

@@ -41,11 +41,10 @@ into (see `GroupPattern.branches`), whose solutions are the rule's:
     ?ne} UNION {?ne :not ?e}` does, a rule with solutions whose guard an
     added triple matches is evaluated in full instead.
 
-Every rule is skipped this way except one where a BIND may rebind a bound
-variable, which raises BindConflict when full evaluation reaches it. A
-skipped rule is instantiated like any other, with the same solutions in the
-same order and the same salt, so the graph, the skolem labels, the
-provenance and the trace are the ones full evaluation gives.
+Every rule can be skipped this way. A skipped rule is instantiated like any
+other, with the same solutions in the same order and the same salt, so the
+graph, the skolem labels, the provenance and the trace are the ones full
+evaluation gives.
 
 The engine is conflict-blind by construction: nothing branches on the
 abnormality predicates, so contradictions and conflicts accumulate in the
@@ -69,7 +68,7 @@ from .model import (
 from . import rules as _rules
 from .rules import (
     Binding, GroupPattern, NotExists, RuleQuery, SkolemPolicy, TriplePattern, Variable,
-    evaluate_where, instantiate, parse_rule, rebinds,
+    evaluate_where, instantiate, parse_rule,
 )
 
 
@@ -195,11 +194,8 @@ class WakeTest(NamedTuple):
                            for inner, bound in self.probes[frozenset(b)])]
 
 
-def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
-    """The rule's wake test; None for a rule where a BIND may rebind a
-    variable, which is always evaluated in full."""
-    if rebinds(where):
-        return None
+def _wake_test(where: GroupPattern) -> WakeTest:
+    """The rule's wake test."""
     # the anchors of each parity, once each: branches share patterns
     anchors: dict[tuple, None] = {}
     guards: dict[tuple, None] = {}
@@ -233,12 +229,12 @@ def _wake_test(where: GroupPattern) -> Optional[WakeTest]:
                     (*_anchor(around[k], around[:k] + around[k + 1:]), shapes)] = None
             bound = set(scope)
             groups = []
-            for place, el in zip(branch.places, branch.elements):
+            for el in branch.elements:
                 bound.update(_rules._binds(el))
                 if isinstance(el, NotExists):
                     groups.append((el.inner, tuple(bound)))
-                    _, before, common = nested.get(place, (el, bound, own))
-                    nested[place] = (el, before & bound, [tp for tp in common if tp in own])
+                    _, before, common = nested.get(id(el), (el, bound, own))
+                    nested[id(el)] = (el, before & bound, [tp for tp in common if tp in own])
             if gp is where:
                 probes[frozenset(bound)] = tuple(groups)
         for el, bound, common in nested.values():
@@ -300,9 +296,9 @@ class RuleEntry:
     layer: str = "user"
 
     @cached_property
-    def wake(self) -> Optional[WakeTest]:
-        """None for a rule that is always evaluated in full. Worked out the
-        first time a fixpoint asks, in its second iteration, and kept."""
+    def wake(self) -> WakeTest:
+        """Worked out the first time a fixpoint asks, in its second
+        iteration, and kept."""
         return _wake_test(self.query.where_clause)
 
 
@@ -423,9 +419,9 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
     for iteration in range(1, cfg.max_iterations + 1):
         pending: list[Triple] = []
         for position, entry in enumerate(rules):
-            wake, solutions = entry.wake, None
-            if delta is not None and wake is not None and not _matches(wake.anchors, delta):
-                solutions = wake.kept(graph, last[position], delta)
+            solutions = None
+            if delta is not None and not _matches(entry.wake.anchors, delta):
+                solutions = entry.wake.kept(graph, last[position], delta)
             if solutions is None:
                 solutions = evaluate_where(graph, entry.query.where_clause)
             last[position] = solutions

@@ -14,7 +14,7 @@ frozen subset of SPARQL 1.1:
                | '{' group '}' UNION '{' group '}'
                | NOT EXISTS '{' group '}'
                | FILTER '(' expr ')'
-               | BIND '(' ground-term AS ?var ')'
+               | BIND '(' ground-term AS ?var ')'   (?var unbound where written)
     expr      := comparisons ?v = t, ?v != t (also var/var), combined with
                  '&&', '||', and parentheses; t is no '[ ... ]'
 
@@ -56,10 +56,10 @@ How it runs:
     branches, and a NOT EXISTS fails when any branch of its group has a
     solution. A group has at most MAX_BRANCHES (64) branches.
   - Every binding that reaches an element of a branch binds the same
-    variables. Where a BIND of a branch, or of a NOT EXISTS group under
-    one, rebinds a variable, the group is searched in full and in written
-    order, and raises the BindConflict at the first element, in written
-    order, that a binding reaches. Elsewhere a BIND is a one-row join.
+    variables. A BIND of a variable bound where it is written, in a branch
+    or in a NOT EXISTS group under one, is a syntax error at its BIND (as in
+    SPARQL 1.1, section 18.2.1), so a BIND is a one-row join. A group built
+    by hand with such a BIND raises BindConflict before it is searched.
   - A branch is planned as one unit: its triple patterns and BINDs in the
     order with the fewest estimated bindings in total that a bounded search
     finds (`_order`), from per-predicate counts and exact counts for
@@ -82,22 +82,21 @@ How it runs:
     ?w}}` and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
     ?a ?t ?v. ?b ?t ?w. FILTER(?v != ?w)}` (its ?a and ?b either way
     round), `?a`, `?b` and `?x` bound where they are written
-    (`_role_guard`). Unless a BIND of the group rebinds, a pattern step
-    whose one free variable is `?b`, once `?a` and `?x` are bound, takes as
-    candidates the subjects that hold every (t, v) that `?a` holds for a
-    member t of C other than `?x` (`_holders`), and keeps those its pattern
-    matches; when `?a` holds no such pair it takes the pattern's matches. This loses no solution: for such a t, containment gives `?b` a
-    value for t, and agreement makes every value `?a` has for t equal to
-    every value `?b` has, so `?a` has one, v, and `?b` holds (t, v). Both
-    guards still run, so the solutions are the same (Graefe, ICDE 1989;
-    Helmer & Moerkotte, VLDB 1997).
+    (`_role_guard`). A pattern step whose one free variable is `?b`, once
+    `?a` and `?x` are bound, takes as candidates the subjects that hold
+    every (t, v) that `?a` holds for a member t of C other than `?x`
+    (`_holders`), and keeps those its pattern matches; when `?a` holds no
+    such pair it takes the pattern's matches. This loses no solution: for
+    such a t, containment gives `?b` a value for t, and agreement makes
+    every value `?a` has for t equal to every value `?b` has, so `?a` has
+    one, v, and `?b` holds (t, v). Both guards still run, so the solutions
+    are the same (Graefe, ICDE 1989; Helmer & Moerkotte, VLDB 1997).
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
     search stops at the first solution, and the probe at the first branch
     that gives one. Each call checks the group's kept plan against the
     graph inline, by size and then by the weak reference, and plans only
     when that fails; it searches with the binding it is given, which
-    nothing changes. A group where a BIND rebinds is probed by the full
-    search, in written order. A full evaluation sorts its solutions once,
+    nothing changes. A full evaluation sorts its solutions once,
     at the end; one branch never gives a solution twice, so only a group
     with several branches deduplicates them.
 
@@ -197,7 +196,6 @@ class Bind:
 
 class _Branch(NamedTuple):
     elements: tuple  # triple patterns, FILTER, NOT EXISTS and BIND, in written order
-    places: tuple    # each element's number in the written order of the group
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,7 @@ class GroupPattern:
     def branches(self) -> tuple[_Branch, ...]:
         """The group with every UNION distributed into it: the branches
         whose solutions together are the group's."""
-        return tuple(_Branch(*branch) for branch in _distribute(self, 0)[0])
+        return tuple(map(_Branch, _distribute(self)))
 
     @cached_property
     def analyses(self) -> dict:
@@ -217,20 +215,14 @@ class GroupPattern:
         return {}
 
 
-def _distribute(gp: GroupPattern, place: int) -> tuple[list, int]:
-    """The branches of the group as (elements, places), numbering elements
-    from `place` in written order, UNION groups included; and the next."""
-    branches = [((), ())]
+def _distribute(gp: GroupPattern) -> list[tuple]:
+    """The elements of each branch of the group, in written order."""
+    branches = [()]
     for el in gp.elements:
-        if isinstance(el, Union):
-            left, place = _distribute(el.left, place)
-            right, place = _distribute(el.right, place)
-            alternatives = left + right
-        else:
-            alternatives, place = [((el,), (place,))], place + 1
-        branches = [(elements + more, places + at)
-                    for elements, places in branches for more, at in alternatives]
-    return branches, place
+        alternatives = (_distribute(el.left) + _distribute(el.right) if isinstance(el, Union)
+                        else [(el,)])
+        branches = [elements + more for elements in branches for more in alternatives]
+    return branches
 
 
 @dataclass(frozen=True)
@@ -347,6 +339,7 @@ class _RuleParser:
         self.depth = 0  # braces, brackets and parentheses now open
         self.triples: list = []  # the template's, then the innermost open group's elements
         self.blank, self.blanks = TemplateBlank, 0
+        self.bind_at: dict[int, int] = {}  # the offset of each BIND keyword, by its Bind's id
 
     def error(self, message: str, pos: Optional[int] = None) -> RuleSyntaxError:
         """The error at `pos`, or else at the next token."""
@@ -393,6 +386,10 @@ class _RuleParser:
         where, _ = self.parse_group()
         if not self.at(""):
             raise self.error("trailing tokens after WHERE clause")
+        rebound = rebinds(where)
+        if rebound:
+            pos, name = min((self.bind_at[id(el)], el.var.name) for el in rebound)
+            raise self.error(f"variable ?{name} is already bound", pos)
         rq = RuleQuery(self.rule_id, tuple(template), where)
         unbound = template_variables(rq) - bindable_variables(where)
         if unbound:
@@ -498,15 +495,18 @@ class _RuleParser:
             elif self.at("bind"):
                 self.i += 1
                 self.expect("(")
+                if self.at("["):
+                    raise self.error("BIND accepts only ground terms")
                 value = self.parse_term()
                 if isinstance(value, Variable):
                     raise self.error("BIND accepts only ground terms")
                 self.expect("as")
-                _, var, pos = self.next()
+                _, var, at = self.next()
                 if not isinstance(var, Variable):
-                    raise self.error("expected variable after AS", pos)
+                    raise self.error("expected variable after AS", at)
                 self.expect(")")
                 elements.append(Bind(value, var))
+                self.bind_at[id(elements[-1])] = pos
             elif kind == "keyword":
                 raise self.error(f"unexpected keyword {value.upper()}")
             else:
@@ -621,10 +621,6 @@ def _bind(g: Graph, step: tuple, binding: Binding) -> tuple:
     return ({**binding, step[1]: step[2]},)
 
 
-def _conflict(g: Graph, step: tuple, binding: Binding) -> tuple:
-    raise BindConflict(f"variable ?{step[1].name} is already bound")
-
-
 def _compare(g: Graph, step: tuple, binding: Binding) -> tuple:
     _, left, right, negated = step
     get = binding.get
@@ -668,7 +664,7 @@ def _nested(gp: GroupPattern):
     pending = [(gp, 0)]
     while pending:
         group, depth = pending.pop()
-        for el in {p: e for b in group.branches for p, e in zip(b.places, b.elements)}.values():
+        for el in {id(e): e for b in group.branches for e in b.elements}.values():
             yield el, depth
             if isinstance(el, NotExists):
                 pending.append((el.inner, depth + 1))
@@ -802,14 +798,14 @@ def _shape(tp: TriplePattern) -> tuple:
                  for t in (tp.subject, tp.predicate, tp.object))
 
 
-def _compile(el, bound: set, conflicts: bool, stars: tuple = ()) -> tuple:
+def _compile(el, bound: set, stars: tuple = ()) -> tuple:
     """The step that runs `el` on a binding of the variables `bound`, as
     `run(g, step, binding)` for its first item `run`; a triple pattern's,
     `(None, s, p, o, var, free, read, star)`, runs by `_extend`: its terms,
     None where free, the variable of one free position or those of several,
     their reader, and, if that one free variable is the ?b of a role star
     in `stars` whose ?a and ?x are bound, (a, C, x, its position). A BIND of
-    a bound variable joins, or with `conflicts` raises."""
+    a bound variable, one planned after a step that binds it, joins."""
     def free(part) -> bool:
         return isinstance(part, Variable) and part not in bound
     if isinstance(el, TriplePattern):
@@ -822,8 +818,7 @@ def _compile(el, bound: set, conflicts: bool, stars: tuple = ()) -> tuple:
                 fresh[0] if len(at) == 1 else None, fresh if len(at) > 1 else (),
                 _READ[sum(1 << i for i in at)], star)
     if isinstance(el, Bind):
-        return (_bind, el.var, el.value) if free(el.var) else (
-            (_conflict, el.var) if conflicts else (_compare, el.var, el.value, False))
+        return (_bind, el.var, el.value) if free(el.var) else (_compare, el.var, el.value, False)
     if isinstance(el, NotExists):
         return _not_exists, el.inner
     if isinstance(el.expr, Comparison) and not (free(el.expr.left) or free(el.expr.right)):
@@ -831,7 +826,7 @@ def _compile(el, bound: set, conflicts: bool, stars: tuple = ()) -> tuple:
     return _filter, el.expr
 
 
-def _program(segment: _Segment, steps: tuple, seeded: Iterable, conflicts: bool = False) -> tuple:
+def _program(segment: _Segment, steps: tuple, seeded: Iterable) -> tuple:
     """The steps in this order compiled for a seed binding `seeded`, kept as
     orders repeat; the pattern steps of the orders compiled before are shared."""
     for order, program in segment.programs:
@@ -840,7 +835,7 @@ def _program(segment: _Segment, steps: tuple, seeded: Iterable, conflicts: bool 
     bound, program = set(seeded), []
     known = {step: step for _, old in segment.programs for step in old if step[0] is None}
     for el in steps:
-        step = _compile(el, bound, conflicts, () if conflicts else segment.stars)
+        step = _compile(el, bound, segment.stars)
         program.append(known.get(step, step) if step[0] is None else step)
         bound.update(_binds(el))
     segment.programs.append((steps, tuple(program)))
@@ -854,35 +849,36 @@ class _Analysis:
     parts: list     # per branch, a _Segment to order per graph state, or None
     steps: list     # per branch, its elements in the order to search them, None if dead
     programs: list  # per branch, its steps compiled (see `_program`), None if dead
-    places: Optional[tuple] = None  # if a BIND rebinds, each branch's places (steps as written)
     state: Optional[tuple] = None  # (weak reference to the graph, its size)
 
 
 def _analyse(gp: GroupPattern, seeded: frozenset) -> _Analysis:
     """The group's plan for a seed binding the variables `seeded`. A branch
-    with at most one binder, or any where a BIND rebinds (written order),
-    has one order whatever the graph holds: it is compiled here, once."""
+    with at most one binder has one order whatever the graph holds: it is
+    compiled here, once. A group where a BIND rebinds (see `rebinds`), which
+    only one built by hand can be, raises BindConflict."""
     if seeded not in gp.analyses:
-        rebinding, analysis = rebinds(gp, seeded), _Analysis([], [], [])
+        rebound = rebinds(gp, seeded)
+        if rebound:
+            raise BindConflict(f"variable ?{rebound[0].var.name} is already bound")
+        analysis = _Analysis([], [], [])
         for branch in gp.branches:
             part = _segment(branch.elements, seeded)
-            fixed = rebinding or len(part.binders) < 2
-            steps = (branch.elements if rebinding else tuple(_order(part))) if fixed else ()
+            fixed = len(part.binders) < 2
+            steps = tuple(_order(part)) if fixed else ()
             analysis.parts.append(None if fixed else part)
             analysis.steps.append(steps)
-            analysis.programs.append(_program(part, steps, seeded, rebinding) if fixed else ())
-        analysis.places = tuple(branch.places for branch in gp.branches) if rebinding else None
+            analysis.programs.append(_program(part, steps, seeded) if fixed else ())
         gp.analyses[seeded] = analysis
     return gp.analyses[seeded]
 
 
-def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> bool:
-    """Whether evaluating the group, with a seed binding the variables
-    `seeded`, can raise BindConflict: whether a BIND of a branch, or of a
-    NOT EXISTS group under one, targets a variable bound where it is
-    written. A group that many branches share is looked at once per set of
-    variables bound before it."""
-    pending, seen = [(gp, frozenset(seeded))], set()
+def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> list[Bind]:
+    """The BINDs of the group's branches, and of the NOT EXISTS groups under
+    them, that target a variable bound where they are written, with a seed
+    binding the variables `seeded`. A group that many branches share is
+    looked at once per set of variables bound before it."""
+    pending, seen, found = [(gp, frozenset(seeded))], set(), []
     while pending:
         group, before = pending.pop()
         if (id(group), before) in seen:
@@ -892,11 +888,11 @@ def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> bool:
             bound = set(before)
             for el in branch.elements:
                 if isinstance(el, Bind) and el.var in bound:
-                    return True
+                    found.append(el)
                 if isinstance(el, NotExists):
                     pending.append((el.inner, frozenset(bound)))
                 bound.update(_binds(el))
-    return False
+    return found
 
 
 def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
@@ -1017,14 +1013,10 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
     return analysis.steps
 
 
-def _search(g: Graph, program: tuple, seed: Binding, limit: Optional[int],
-            conflicts: Optional[list] = None) -> list[Binding]:
+def _search(g: Graph, program: tuple, seed: Binding, limit: Optional[int]) -> list[Binding]:
     """The solutions of a compiled branch, depth first, up to `limit` of
     them, with neither dedupe nor sort. The search keeps its own stack, so a
-    long run of patterns costs no Python recursion. If `conflicts` is a list,
-    it appends (step, conflict) for the first binding to raise BindConflict
-    at a step and goes on above that step only, so that the last entry is
-    the first step, in written order, that any binding conflicts at."""
+    long run of patterns costs no Python recursion."""
     if not program:
         return [seed]
     found, stack, last = [], [], len(program) - 1  # stack: the bindings left at each step above
@@ -1033,14 +1025,7 @@ def _search(g: Graph, program: tuple, seed: Binding, limit: Optional[int],
         step = program[depth]
         run = step[0] or _extend
         for b in rows:
-            try:
-                nxt = run(g, step, b)
-            except BindConflict as err:
-                if conflicts is None:
-                    raise
-                conflicts.append((depth, err))
-                last = depth - 1
-                break
+            nxt = run(g, step, b)
             if depth == last:
                 found += nxt
                 if limit is not None and len(found) >= limit:
@@ -1051,7 +1036,7 @@ def _search(g: Graph, program: tuple, seed: Binding, limit: Optional[int],
                 break
         else:
             rows = None
-        if rows is None or depth > last:  # no binding left to run at this step
+        if rows is None:  # no binding left to run at this step
             if not stack:
                 return found
             depth, rows = depth - 1, stack.pop()
@@ -1067,10 +1052,9 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
 
     With `limit`, at most that many solutions come back, in no particular
     order: an existence probe, as NOT EXISTS asks it, which stops at the
-    branch that reaches the limit. A group where a BIND rebinds a variable
-    is searched in full, and raises the BindConflict at the first place, in
-    the group's written order, that any branch conflicts at, as the full
-    evaluation does. The search never changes the seed, so it is not copied.
+    branch that reaches the limit. The search never changes the seed, so it
+    is not copied. A group where a BIND rebinds (see `rebinds`) raises
+    BindConflict before any search.
     """
     seed = seed or {}
     seeded = frozenset(seed)
@@ -1079,20 +1063,13 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     if state is None or state[1] != len(g) or state[0]() is not g:
         _plan(g, gp, seeded)
         analysis = gp.analyses[seeded]
-    found, conflicts = [], []
-    for index, program in enumerate(analysis.programs):
+    found = []
+    for program in analysis.programs:
         if program is None:  # a dead branch (see `_plan`)
             continue
-        if analysis.places is None:
-            found += _search(g, program, seed, limit)
-            if limit is not None and len(found) >= limit:
-                break
-        else:
-            reached: list = []
-            found += _search(g, program, seed, None, reached)
-            conflicts += ((analysis.places[index][step], err) for step, err in reached[-1:])
-    if conflicts:
-        raise min(conflicts, key=lambda place_err: place_err[0])[1]
+        found += _search(g, program, seed, limit)
+        if limit is not None and len(found) >= limit:
+            break
     if limit is not None:
         return found[:limit]
     if len(analysis.programs) > 1:

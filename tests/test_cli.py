@@ -288,7 +288,7 @@ def test_check_bind_of_a_bound_variable_is_one_error_line(tmp_path, capsys):
     code = main(["check", "-i", str(_check_rule(tmp_path, "?x soa:p ?y. BIND(soa:c AS ?y)")),
                  "--layers", "core"])
     assert code == 1
-    _assert_one_error_line(capsys, "BindConflict")
+    _assert_one_error_line(capsys, "RuleSyntaxError")
 
 
 def test_check_deeply_nested_turtle_is_one_error_line(tmp_path, capsys):
@@ -422,6 +422,35 @@ def test_check_binds_one_rule_text_under_each_prefix_map(tmp_path, capsys):
     second = _check_flagging(tmp_path, capsys, two, "c")
     assert f'"{one}c"' in first and two not in first
     assert f'"{two}c"' in second and one not in second
+
+
+# a rule whose prefix for :p and :q is `{p}`; it names its type and body in full
+_RULE = (f"<{ONT_NS}x> a <{INFERENCE_RULE.value}>; <{HAS_SPARQL_CODE.value}>"
+         ' "CONSTRUCT{{?a {p}:q ?x}} WHERE{{?a {p}:p ?x}}".\n')
+
+
+def _inferred(capsys, *paths) -> set:
+    """The triples `reason --diff-only` infers from the files, with no built-in layer."""
+    assert main(["reason", *_inputs(map(str, paths)), "--layers", "", "--diff-only"]) == 0
+    return parse_turtle(capsys.readouterr().out).triples()
+
+
+def test_a_rule_reads_the_default_prefix_its_file_declares(tmp_path, capsys):
+    ex = "http://example.org/"
+    path = tmp_path / "own.ttl"
+    path.write_text(f"@prefix : <{ex}>.\n:s0 :p :o0.\n" + _RULE.format(p=""), encoding="utf-8")
+    assert _inferred(capsys, path) == {Triple(Iri(ex + "s0"), Iri(ex + "q"), Iri(ex + "o0"))}
+
+
+def test_a_rule_reads_its_own_file_s_prefixes_whatever_the_other_inputs_bind(tmp_path, capsys):
+    a, b = "http://example.org/a/", "http://example.org/b/"
+    pa, pb = tmp_path / "pa.ttl", tmp_path / "pb.ttl"
+    pa.write_text(f"@prefix ex: <{a}>.\nex:x ex:p ex:y.\n", encoding="utf-8")
+    pb.write_text(f"@prefix ex: <{b}>.\nex:s ex:p ex:o.\n" + _RULE.format(p="ex"),
+                  encoding="utf-8")
+    want = {Triple(Iri(b + "s"), Iri(b + "q"), Iri(b + "o"))}
+    assert _inferred(capsys, pb) == want
+    assert _inferred(capsys, pa, pb) == want
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

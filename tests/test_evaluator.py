@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
 import oracle
 from normgraph.engine import load_rules
 from normgraph.model import (
@@ -13,7 +15,8 @@ from normgraph.model import (
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
 from normgraph.rules import (
     Bind, BindConflict, Comparison, ExprAnd, ExprOr, Filter, GroupPattern,
-    NotExists, TriplePattern, Union, Variable, evaluate_where, parse_rule,
+    NotExists, RuleSyntaxError, TriplePattern, Union, Variable, evaluate_where, parse_rule,
+    rebinds,
 )
 from normgraph.turtle import parse_turtle
 from conftest import run_fixture
@@ -122,11 +125,22 @@ def test_evaluator_matches_oracle_on_random_groups():
     seen = {"nonempty": 0, "empty": 0, "raised": 0}
     for case in range(800):
         g, gp, seed = groups.graph(), groups.group(0), groups.seed()
+        rebound = rebinds(gp, seed or ())
+        if rebound:
+            # a BIND of a bound variable, which only a group built by hand
+            # can hold, raises before any search, whatever the graph holds
+            named = {f"variable ?{el.var.name} is already bound" for el in rebound}
+            for got in (_outcome(evaluate_where, g, gp, seed),
+                        _outcome(evaluate_where, g, gp, seed, limit=1)):
+                assert got[:2] == ("raised", "BindConflict") and got[2] in named, f"case {case}"
+            seen["raised"] += 1
+            continue
         want = _outcome(oracle.evaluate_where, g, gp, seed)
+        assert want[0] == "ok", f"case {case}: {gp} seed={seed}"
         got = _outcome(evaluate_where, g, gp, seed)
         assert got == want, f"case {case}: {gp} seed={seed}"
         _assert_probe_agrees(g, gp, seed, want)
-        seen["raised" if want[0] == "raised" else "nonempty" if want[1] else "empty"] += 1
+        seen["nonempty" if want[1] else "empty"] += 1
     # the generator must reach every outcome often enough to mean something
     assert min(seen.values()) >= 40, seen
 
@@ -157,38 +171,28 @@ def test_union_branches_that_bind_different_variables_give_each_solution_once():
     assert evaluate_where(g, gp) == want
 
 
+def _assert_rebinds_at(where: str, name: str, at: str):
+    """Parsing WHERE{`where`} fails at the first `at`: ?`name` is bound there."""
+    text = "CONSTRUCT{}WHERE{" + where + "}"
+    with pytest.raises(RuleSyntaxError, match=rf"variable \?{name} is already bound") as err:
+        parse_rule("rebind", text, {"ex": EX})
+    assert err.value.pos == text.index(at) and err.value.rule_id == "rebind"
+
+
 def test_bind_conflict_is_raised_at_the_first_element_any_solution_conflicts_at():
-    a, b, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "p")
-    g = Graph([Triple(a, p, b)])
-    # the left branch reaches the BIND of ?x first, depth first; the right
-    # branch conflicts one element earlier, at the BIND of ?z
-    union = Union(GroupPattern((TriplePattern(V("x"), p, V("y")),)),
-                  GroupPattern((TriplePattern(V("z"), p, V("w")),)))
-    gp = GroupPattern((union, Bind(a, V("z")), Bind(b, V("x"))))
-    want = _outcome(oracle.evaluate_where, g, gp)
-    assert want == ("raised", "BindConflict", "variable ?z is already bound")
-    for outer in (gp, GroupPattern((NotExists(gp),)), GroupPattern((Union(gp, gp),))):
-        assert _outcome(evaluate_where, g, outer) == want
-        assert _outcome(evaluate_where, g, outer, limit=1) == want
+    # the left branch rebinds ?x at the second BIND; the right one ?z at the first
+    body = "{?x ex:p ?y} UNION {?z ex:p ?w} BIND(ex:a AS ?z) BIND(ex:b AS ?x)"
+    for where in (body, f"NOT EXISTS{{{body}}}", f"{{{body}}} UNION {{{body}}}"):
+        _assert_rebinds_at(where, "z", "BIND(ex:a")
 
 
 def test_two_unions_in_a_row_raise_at_the_smallest_written_place_unlike_the_oracle():
-    a, b, c, d, p, q, r = (Iri(EX + x) for x in "abcdpqr")
-    g = Graph([Triple(a, p, b), Triple(a, q, c), Triple(a, r, d)])
-    # {?x ex:p ?u} UNION {?x ex:q ?w} {?x ex:r ?k. BIND(ex:c AS ?w)} UNION {BIND(ex:c AS ?u)}
-    first = Union(GroupPattern((TriplePattern(V("x"), p, V("u")),)),
-                  GroupPattern((TriplePattern(V("x"), q, V("w")),)))
-    second = Union(GroupPattern((TriplePattern(V("x"), r, V("k")), Bind(c, V("w")))),
-                   GroupPattern((Bind(c, V("u")),)))
-    gp = GroupPattern((first, second))
-    # element by element, the second UNION runs in full for the first UNION's
-    # left solution, whose right branch rebinds ?u; the engine raises at the
-    # BIND of ?w, written before that of ?u, as the README states
-    assert _outcome(oracle.evaluate_where, g, gp) == (
-        "raised", "BindConflict", "variable ?u is already bound")
-    want = ("raised", "BindConflict", "variable ?w is already bound")
-    assert _outcome(evaluate_where, g, gp) == want
-    assert _outcome(evaluate_where, g, gp, limit=1) == want
+    # element by element, the second UNION would run in full for the first
+    # UNION's left solution, whose right branch rebinds ?u; the parser names
+    # the BIND of ?w, written first
+    _assert_rebinds_at("{?x ex:p ?u} UNION {?x ex:q ?w} "
+                       "{?x ex:r ?k. BIND(ex:c AS ?w)} UNION {BIND(ex:c AS ?u)}",
+                       "w", "BIND(ex:c AS ?w)")
 
 
 def _fixture_graphs():
@@ -355,17 +359,9 @@ def test_a_bind_planned_after_the_pattern_that_binds_its_variable_joins_with_its
 
 
 def test_group_with_a_bind_keeps_its_guards_in_written_order():
-    a, q = Iri(EX + "a"), Iri(EX + "q")
-    g = _fanned_graph(Iri(EX + "r"))
-    # `?x q ?z` has no match: run first it would hide the conflict
-    gp = GroupPattern((TriplePattern(V("x"), Iri(EX + "p"), V("y")),
-                       NotExists(GroupPattern((Bind(a, V("y")),))),
-                       TriplePattern(V("x"), q, V("z"))))
-    want = _outcome(oracle.evaluate_where, g, gp)
-    assert want == ("raised", "BindConflict", "variable ?y is already bound")
-    assert _outcome(evaluate_where, g, gp) == want
-    assert _outcome(evaluate_where, g, gp, limit=1) == want
-    assert _steps(g, gp) == gp.elements
+    # a conflict no longer depends on what the graph holds or on the order
+    # the group runs in: it is found where the rule is read
+    _assert_rebinds_at("?x ex:p ?y NOT EXISTS{BIND(ex:a AS ?y)} ?x ex:q ?z", "y", "BIND")
 
 
 def test_hot_rule_runs_its_filter_then_the_shallow_not_exists_first():
@@ -1185,10 +1181,12 @@ def test_role_star_generator_compiles_only_for_both_guards_of_a_role_star():
         "containment only": outer + _ROLE_GUARDS.split("\n")[1],
         "agreement only": outer + _ROLE_GUARDS.split("\n")[2],
         "another ?x": outer + " ?y a ex:Role." + _ROLE_GUARDS.replace("?t!=?x", "?t!=?y", 1),
-        "rebinding": outer + _ROLE_GUARDS + " NOT EXISTS{?a ex:p3 ?z. BIND(ex:v0 AS ?z)}",
     }
     for name, text in cases.items():
         gp = _where(text)
         want = _outcome(oracle.evaluate_where, g, gp, seed)
         assert _outcome(evaluate_where, g, gp, seed) == want, name
         assert bool(_generated(g, gp, seed)) == (name == "both guards"), name
+    # a BIND of a bound variable, which once turned the generator off, is a syntax error
+    with pytest.raises(RuleSyntaxError, match=r"variable \?z is already bound"):
+        _where(outer + _ROLE_GUARDS + " NOT EXISTS{?a ex:p3 ?z. BIND(ex:v0 AS ?z)}")

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oracle
 from normgraph.engine import (
     MaxIterationsExceeded, RuleEntry, RuleSet, load_rules, run_fixpoint, strip_rules,
@@ -15,8 +17,8 @@ from normgraph.engine import (
 from normgraph.model import Graph, Iri, Literal, RDF_TYPE, SOA_NS, Triple, graph_union
 from normgraph.ontology import FIXTURES, builtin_ruleset, fixture, vocabulary
 from normgraph.rules import (
-    Bind, Comparison, Filter, GroupPattern, NotExists, RuleQuery, TriplePattern,
-    Union, Variable, parse_rule,
+    Bind, Comparison, Filter, GroupPattern, NotExists, RuleQuery, RuleSyntaxError,
+    TriplePattern, Union, Variable, parse_rule,
 )
 from normgraph.turtle import parse_turtle, serialize_turtle
 
@@ -219,13 +221,10 @@ def test_every_catalog_rule_has_a_wake_test_and_those_with_union_or_bind_are_ski
               if any(isinstance(el, Union) for el in e.query.where_clause.elements)}
     assert len(binds) == 2 and len(binds | unions) == 15
     assert {"ds-rexist", "op-to-not-ob-self"} <= unions
-    # a branch that rebinds a variable keeps its rule in full evaluation
-    rules = _rules(
-        rebind="""CONSTRUCT{?x ex:q ex:a}
-            WHERE{{?x ex:p ?y BIND(ex:b AS ?y)} UNION {?x ex:r ex:a}}""",
-        fresh="""CONSTRUCT{?x ex:q ?y}
-            WHERE{{?x ex:p ex:a BIND(ex:b AS ?y)} UNION {?x ex:r ?y}}""")
-    assert [e.wake is None for e in rules] == [True, False]
+    # a branch that rebinds a variable, once kept in full evaluation, is a syntax error
+    with pytest.raises(RuleSyntaxError, match=r"variable \?y is already bound"):
+        _rules(rebind="""CONSTRUCT{?x ex:q ex:a}
+            WHERE{{?x ex:p ?y BIND(ex:b AS ?y)} UNION {?x ex:r ex:a}}""")
 
     full = _full_evaluations(monkeypatch)
     data, user_rules, _ = fixture("cash-card-norms")

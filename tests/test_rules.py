@@ -4,10 +4,11 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from normgraph.model import (
-    Graph, HOLD, Iri, Literal, OBLIGATORY, RDF_OBJECT, RDF_PREDICATE,
+    Graph, HOLD, Iri, Literal, OBLIGATORY, ONT_NS, RDF_OBJECT, RDF_PREDICATE,
     RDF_SUBJECT, RDF_TYPE, REXIST, TRUE, Triple, term_key,
 )
 from normgraph.ontology import fixture
@@ -258,6 +259,13 @@ def test_a_property_list_is_no_predicate_and_no_filter_operand():
         assert err.value.pos == text.index("["), text
 
 
+def test_a_property_list_is_no_bind_value():
+    text = "CONSTRUCT{?x :q ?y} WHERE{?x :p ?y BIND([ :a :b ] AS ?z)}"
+    with pytest.raises(RuleSyntaxError, match="BIND accepts only ground terms") as err:
+        parse_rule("bracket", text)
+    assert err.value.pos == text.index("[")
+
+
 def _all_elements(gp: GroupPattern):
     for el in gp.elements:
         yield el
@@ -280,6 +288,31 @@ def test_rule_text_parses_or_is_a_syntax_error(text):
             assert not (isinstance(el.predicate, Variable) and el.predicate.name.startswith(" "))
         elif isinstance(el, Filter):
             assert not any(v.name.startswith(" ") for v in _expr_variables(el.expr))
+
+
+def _nested_elements(inner):
+    """`inner`, or a bare group, a UNION or a NOT EXISTS of a few of them."""
+    body = st.lists(inner, max_size=3).map(" ".join)
+    union = st.tuples(body, body).map(lambda pair: "{{ {} }} UNION {{ {} }}".format(*pair))
+    return inner | body.map("{{ {} }}".format) | union | body.map("NOT EXISTS{{ {} }}".format)
+
+
+# WHERE bodies of patterns and BINDs that may or may not rebind ?b, nested at most 2 deep
+_BIND_BODIES = st.lists(_nested_elements(_nested_elements(st.sampled_from(
+    ["?a :p ?b .", "?b :q ?c .", "BIND(:k AS ?b)", "BIND(:k AS ?d)"]))), max_size=4).map(" ".join)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["", "?a :r ?b"]), _BIND_BODIES)
+def test_an_accepted_rule_never_rebinds_a_variable(template, body):
+    try:
+        rq = parse_rule("generated", f"CONSTRUCT{{{template}}}WHERE{{{body}}}")
+    except (RuleSyntaxError, UnboundTemplateVariable):
+        return
+    a, k, x = (Iri(ONT_NS + name) for name in ("a", "k", "x"))
+    p, q = Iri(ONT_NS + "p"), Iri(ONT_NS + "q")
+    g = _graph(Triple(a, p, k), Triple(k, q, x), Triple(a, p, x), Triple(x, q, k))
+    assert evaluate_where(g, rq.where_clause) == oracle.evaluate_where(g, rq.where_clause)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -346,10 +379,15 @@ def test_filter_with_unbound_variable_rejects_solution():
 
 
 def test_bind_conflict_is_raised():
-    rq = parse_rule("rebind", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist. BIND(:Rexist AS ?x)}")
-    g = _graph(Triple(soa("e"), RDF_TYPE, REXIST))
-    with pytest.raises(BindConflict):
-        evaluate_where(g, rq.where_clause)
+    text = "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist. BIND(:Rexist AS ?x)}"
+    with pytest.raises(RuleSyntaxError, match=r"variable \?x is already bound") as err:
+        parse_rule("rebind", text)
+    assert err.value.pos == text.index("BIND") and err.value.rule_id == "rebind"
+    # the same group built by hand raises before any search, whatever the graph holds
+    gp = GroupPattern((TriplePattern(V("x"), RDF_TYPE, REXIST), Bind(REXIST, V("x"))))
+    for g in (_graph(), _graph(Triple(soa("e"), RDF_TYPE, REXIST))):
+        with pytest.raises(BindConflict, match=r"variable \?x is already bound"):
+            evaluate_where(g, gp)
 
 
 def test_rebinds_looks_at_a_shared_not_exists_group_once_per_bound_set(monkeypatch):
@@ -362,15 +400,17 @@ def test_rebinds_looks_at_a_shared_not_exists_group_once_per_bound_set(monkeypat
             body = f"?a :r ?b. {unions} NOT EXISTS {{ {body} }}"
         return parse_rule("deep", f"CONSTRUCT {{?a :s ?b}} WHERE {{ {body} }}").where_clause
 
+    where = nested("?a :r ?b. BIND(:d AS ?e)")
     calls = []
     binds = rules._binds
     monkeypatch.setattr(rules, "_binds", lambda el: calls.append(1) or binds(el))
-    assert not rules.rebinds(nested("?a :r ?b. BIND(:d AS ?e)"))
+    assert not rules.rebinds(where)
     # each group's 64 branches share the NOT EXISTS under them: it is looked
     # at once per set of variables bound before it, not once per path to it
     assert len(calls) < 5000
     # ?c is bound three groups up on the paths through a `:q` branch
-    assert rules.rebinds(nested("?a :r ?b. BIND(:d AS ?c)"))
+    with pytest.raises(RuleSyntaxError, match=r"variable \?c is already bound"):
+        nested("?a :r ?b. BIND(:d AS ?c)")
 
 
 def test_union_commutes(rng):
