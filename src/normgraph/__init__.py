@@ -14,8 +14,8 @@ from .ontology import (
 )
 from .report import Finding, Report, StatementView, extract_findings, render
 from .rules import (
-    BindConflict, RuleQuery, RuleSyntaxError, SkolemPolicy,
-    UnboundTemplateVariable, evaluate_where, instantiate, parse_rule,
+    BindConflict, RuleQuery, RuleSyntaxError, UnboundTemplateVariable,
+    evaluate_where, instantiate, parse_rule,
 )
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 

@@ -41,14 +41,14 @@ class PipelineResult:
 
 def run_pipeline(inputs: list[Graph], layers: set[str] | None = None,
                  max_iterations: int = 100) -> PipelineResult:
-    """Union the inputs with the built-in vocabulary, split user rules from
-    data, add the requested built-in layers, and run to fixpoint. Each input's
-    rules are read under its own prefixes, in input order."""
-    merged = graph_union(vocabulary(), *inputs)
+    """Split each input into its rules and its data, union the data with the
+    built-in vocabulary, add the requested built-in layers, and run to
+    fixpoint. Each input's rules are read under its own prefixes, in input
+    order, and a rule's type and body count only in the same input."""
     rules = builtin_ruleset(layers)
     for graph in inputs:
         rules += load_rules(graph)
-    data = strip_rules(merged)
+    data = graph_union(vocabulary(), *map(strip_rules, inputs))
     result = run_fixpoint(data, rules, EngineConfig(max_iterations=max_iterations))
     return PipelineResult(data, result)
 

@@ -67,7 +67,7 @@ from .model import (
 )
 from . import rules as _rules
 from .rules import (
-    Binding, GroupPattern, NotExists, RuleQuery, SkolemPolicy, TriplePattern, Variable,
+    Binding, GroupPattern, NotExists, RuleQuery, TriplePattern, Variable,
     evaluate_where, instantiate, parse_rule,
 )
 
@@ -380,18 +380,21 @@ def rule_entry(rule_id: str, text: str, prefixes: frozenset, layer: str) -> Rule
 
 
 def load_rules(g: Graph) -> RuleSet:
-    """One rule per individual typed :InferenceRule carrying a rule body."""
+    """One rule per individual typed :InferenceRule, which must carry
+    exactly one literal rule body."""
     subjects = sorted({t.subject for t in g.match_iter(p=RDF_TYPE, o=INFERENCE_RULE)},
                       key=term_key)
     prefixes = frozenset(g.prefix_map.items())
     out = RuleSet()
     for subject in subjects:
         bodies = [t.object for t in g.match_iter(s=subject, p=HAS_SPARQL_CODE)]
-        literals = [b for b in bodies if isinstance(b, Literal)]
         rule_id = _rule_id_for_subject(subject)
-        if not literals:
+        if not bodies:
             raise MissingRuleBody(f"inference rule {rule_id} has no rule body")
-        out.add(rule_entry(rule_id, literals[0].value, prefixes, "user"))
+        if len(bodies) > 1 or not isinstance(bodies[0], Literal):
+            raise MissingRuleBody(f"inference rule {rule_id} has {len(bodies)} rule body "
+                                  f"value(s); it needs exactly one literal")
+        out.add(rule_entry(rule_id, bodies[0].value, prefixes, "user"))
     return out
 
 
@@ -425,7 +428,7 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
             if solutions is None:
                 solutions = evaluate_where(graph, entry.query.where_clause)
             last[position] = solutions
-            produced = instantiate(entry.query, solutions, SkolemPolicy(salt=f"i{iteration}"))
+            produced = instantiate(entry.query, solutions, f"i{iteration}")
             added = 0
             for t in produced:
                 if t in graph or t in provenance:  # provenance holds this pass's triples too

@@ -84,8 +84,7 @@ def _single_value(g: Graph, node: Term, predicate: Iri) -> Optional[Term]:
 
 
 def statement_view(g: Graph, node: Term) -> StatementView:
-    classes = tuple(c for c in _TRUTH_CLASSES
-                    if any(True for _ in g.match_iter(s=node, p=RDF_TYPE, o=c)))
+    classes = tuple(c for c in _TRUTH_CLASSES if g.count(node, RDF_TYPE, c))
     return StatementView(
         node=node,
         subject=_single_value(g, node, RDF_SUBJECT),
@@ -160,9 +159,9 @@ def _describe_eventuality(g: Graph, e: Term) -> str:
             # Keep the action/state classes, drop modality and meta typing.
             if obj in (REXIST, MODALITY, DEONTIC_MODALITY):
                 continue
-            if any(True for _ in g.match_iter(s=obj, p=RDF_TYPE, o=EVENTUALITY)):
+            if g.count(obj, RDF_TYPE, EVENTUALITY):
                 classes.append(_local(obj))
-        elif any(True for _ in g.match_iter(s=t.predicate, p=RDF_TYPE, o=THEMATIC_ROLE)):
+        elif g.count(t.predicate, RDF_TYPE, THEMATIC_ROLE):
             roles.append(f"{_local(t.predicate)}={_local(t.object)}")
     label = "+".join(sorted(classes)) if classes else _local(e)
     if roles:

@@ -974,22 +974,16 @@ def _estimate(g: Graph, shape: tuple) -> tuple[int, list]:
 _estimates: tuple = (None, -1, {})
 
 
-def _plan_run(segment: _Segment, known: dict) -> list:
-    """Puts a branch in order for the graph as it is (see `_order`), from
-    the estimates `known` holds for each of its shapes. Joins commute, a
-    BIND is a one-row join, and a guard sees the same values of the
-    variables it mentions wherever it runs, so the order never changes the
-    solutions."""
-    return _order(segment, [known[shape] for shape in segment.shapes])
-
-
 def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Optional[tuple]]:
     """Each branch's steps in the order to search them, for a seed binding
     `seeded`, kept with their programs on the group's _Analysis until another
     graph, or the same one grown, asks. The graph is held weakly, so a new one
     at a freed address is not taken for it; a stale order only costs time.
 
-    Each shape's estimate is read once per graph state. A planned branch
+    Each shape's estimate is read once per graph state, and `_order` puts
+    each branch in order from them. Joins commute, a BIND is a one-row join,
+    and a guard sees the same values of the variables it mentions wherever
+    it runs, so the order never changes the solutions. A planned branch
     with a pattern that matches no triple has no solution: it is dead, its
     steps and program None, and is neither ordered nor searched. A graph
     only grows, so the verdict holds until its size changes."""
@@ -1007,7 +1001,7 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
                 if any(not known[shape][0] for shape in part.shapes):
                     analysis.steps[i] = analysis.programs[i] = None
                     continue
-                analysis.steps[i] = tuple(_plan_run(part, known))
+                analysis.steps[i] = tuple(_order(part, [known[shape] for shape in part.shapes]))
                 analysis.programs[i] = _program(part, analysis.steps[i], seeded)
         analysis.state = state
     return analysis.steps
@@ -1081,36 +1075,18 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
 # --- Instantiation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkolemPolicy:
-    """Names blank nodes created by rule templates.
-
-    The label is a pure function of (rule id, template blank position, salt,
-    solution), so instantiating the same rule on the same solution with the
-    same policy reproduces identical triples across runs and processes. The
-    fixpoint engine salts the policy with its iteration counter: an unguarded
-    rule therefore mints a new individual on every pass, exactly like a fresh
-    anonymous node would, and only NOT EXISTS guards stop the loop.
-    """
-
-    salt: str = ""
-
-    def label(self, rule_id: str, index: int, signature: str) -> str:
-        digest = hashlib.sha1(
-            f"{rule_id}\x00{index}\x00{self.salt}\x00{signature}".encode()).hexdigest()[:12]
-        return f"skolem:{rule_id}:{index}:{digest}"
-
-
 def _solution_signature(binding: Binding) -> str:
     return ",".join(f"{v.name}={render_term(t)}"
                     for v, t in sorted(binding.items(), key=lambda kv: kv[0].name))
 
 
-def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
-                skolem: Optional[SkolemPolicy] = None) -> list[Triple]:
+def instantiate(rq: RuleQuery, solutions: Iterable[Binding], salt: str = "") -> list[Triple]:
     """Expand the CONSTRUCT template once per solution: the distinct
-    triples, in solution order and then template order."""
-    policy = skolem or SkolemPolicy()
+    triples, in solution order and then template order. A template blank's
+    label is a pure function of rule id, blank position, salt and solution,
+    so reruns in any process give identical triples. The fixpoint salts with
+    its iteration: an unguarded rule mints a new individual on every pass,
+    as a fresh anonymous node would, and only NOT EXISTS guards stop it."""
     out: dict[Triple, None] = {}  # an ordered set
     try:
         for binding in solutions:
@@ -1127,8 +1103,10 @@ def instantiate(rq: RuleQuery, solutions: Iterable[Binding],
                 if isinstance(part, TemplateBlank):
                     if part.index not in blanks:
                         signature = signature or _solution_signature(binding)
+                        digest = hashlib.sha1(f"{rq.rule_id}\x00{part.index}\x00{salt}"
+                                              f"\x00{signature}".encode()).hexdigest()[:12]
                         blanks[part.index] = BlankNode(
-                            policy.label(rq.rule_id, part.index, signature))
+                            f"skolem:{rq.rule_id}:{part.index}:{digest}")
                     return blanks[part.index]
                 return part
 

@@ -1,17 +1,20 @@
+import importlib.resources
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import given, settings
 
-from normgraph.cli import main
+from normgraph.cli import main, run_pipeline
 from normgraph.model import (
-    HAS_SPARQL_CODE, INFERENCE_RULE, OBLIGATORY, ONT_NS, RDF_TYPE, Graph, Iri, Literal, Triple,
-    isomorphic,
+    HAS_SPARQL_CODE, INFERENCE_RULE, OBLIGATORY, ONT_NS, RDF_TYPE, SOA_NS, Graph, Iri, Literal,
+    Triple, isomorphic,
 )
-from normgraph.ontology import fixture, vocabulary
+from normgraph.ontology import FIXTURES, fixture, vocabulary
+from normgraph.report import extract_findings, render
 from normgraph.turtle import parse_turtle, serialize_turtle
 from conftest import RULE_TEXTS, soa
 
@@ -453,6 +456,43 @@ def test_a_rule_reads_its_own_file_s_prefixes_whatever_the_other_inputs_bind(tmp
     assert _inferred(capsys, pa, pb) == want
 
 
+def test_a_rule_body_in_a_file_that_does_not_type_its_subject_is_data(tmp_path, capsys):
+    ex = "http://example.org/split/"
+    typed, untyped = tmp_path / "typed.ttl", tmp_path / "untyped.ttl"
+    typed.write_text(f"@prefix ex: <{ex}>.\nex:s ex:p ex:o.\nex:r a :InferenceRule; "
+                     ':has-sparql-code "CONSTRUCT{?a ex:q ?x} WHERE{?a ex:p ?x}".\n',
+                     encoding="utf-8")
+    stray = "CONSTRUCT{?a ex:zz ?x} WHERE{?a ex:p ?x}"
+    untyped.write_text(f'@prefix ex: <{ex}>.\nex:r :has-sparql-code "{stray}".\n',
+                       encoding="utf-8")
+    assert main(["reason", "-i", str(typed), "-i", str(untyped), "--layers", ""]) == 0
+    g = parse_turtle(capsys.readouterr().out)
+    r, s, o = Iri(ex + "r"), Iri(ex + "s"), Iri(ex + "o")
+    assert Triple(r, HAS_SPARQL_CODE, Literal(stray)) in g
+    assert Triple(r, RDF_TYPE, INFERENCE_RULE) not in g
+    assert Triple(s, Iri(ex + "q"), o) in g and Triple(s, Iri(ex + "zz"), o) not in g
+
+
+def test_a_rule_with_two_bodies_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "two.ttl"
+    path.write_text('soa:a soa:p soa:b.\n:two-bodies a :InferenceRule; :has-sparql-code '
+                    '"CONSTRUCT{?x soa:q ?y} WHERE{?x soa:p ?y}", '
+                    '"CONSTRUCT{?x soa:zz ?y} WHERE{?x soa:p ?y}".\n', encoding="utf-8")
+    assert main(["check", "-i", str(path), "--layers", ""]) == 1
+    assert capsys.readouterr().err == ("error: MissingRuleBody: inference rule two-bodies has "
+                                       "2 rule body value(s); it needs exactly one literal\n")
+
+
+def test_a_rule_with_an_iri_beside_its_literal_body_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "iri.ttl"
+    path.write_text('soa:a soa:p soa:b.\n:iri-body a :InferenceRule; :has-sparql-code '
+                    '"CONSTRUCT{?x soa:q ?y} WHERE{?x soa:p ?y}", soa:elsewhere.\n',
+                    encoding="utf-8")
+    assert main(["check", "-i", str(path), "--layers", ""]) == 1
+    assert capsys.readouterr().err == ("error: MissingRuleBody: inference rule iri-body has "
+                                       "2 rule body value(s); it needs exactly one literal\n")
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(RULE_TEXTS)
 def test_check_of_any_rule_text_keeps_the_exit_code_contract(text):
@@ -470,3 +510,69 @@ def test_check_of_any_rule_text_keeps_the_exit_code_contract(text):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err
+
+
+# --- run_pipeline over each fixture's own files ---------------------------------
+
+
+def _fixture_texts(name: str) -> list[str]:
+    """The fixture's data.ttl, and its rules.ttl if it has one, as written."""
+    folder = importlib.resources.files("normgraph") / "fixtures" / name
+    return [(folder / file).read_text(encoding="utf-8")
+            for file in ("data.ttl", "rules.ttl") if (folder / file).is_file()]
+
+
+def _pipeline(name: str, texts: list[str]):
+    """The fixture's pipeline over the texts, with its layers, and its finding counts."""
+    inputs = [parse_turtle(text, scope=f"in{index}") for index, text in enumerate(texts)]
+    pipe = run_pipeline(inputs, set(FIXTURES[name].layers))
+    return pipe, extract_findings(pipe.result.graph, pipe.result.provenance).counts()
+
+
+_RUNNABLE = [name for name, info in FIXTURES.items() if not info.expects_error]
+
+
+def test_renaming_every_soa_name_renames_the_result():
+    suffix = "-renamed"
+
+    def rename(term):
+        renamed = isinstance(term, Iri) and term.value.startswith(SOA_NS)
+        return Iri(term.value + suffix) if renamed else term
+
+    assert len(_RUNNABLE) == 19
+    for name in _RUNNABLE:
+        texts = _fixture_texts(name)
+        renamed_texts = [re.sub(r"(?<![\w:-])soa:([\w-]+)", rf"soa:\1{suffix}", text)
+                         for text in texts]
+        assert renamed_texts != texts, name
+        pipe, counts = _pipeline(name, texts)
+        renamed, renamed_counts = _pipeline(name, renamed_texts)
+        want = Graph(Triple(rename(t.subject), rename(t.predicate), rename(t.object))
+                     for t in pipe.result.graph.match_iter())
+        assert isomorphic(renamed.result.graph, want), name
+        assert renamed_counts == counts, name
+        assert renamed.result.iterations_used == pipe.result.iterations_used, name
+
+
+def test_the_order_of_the_inputs_does_not_change_the_result():
+    for name in _RUNNABLE:
+        texts = _fixture_texts(name)
+        pipe, counts = _pipeline(name, texts)
+        reversed_pipe, reversed_counts = _pipeline(name, texts[::-1])
+        assert isomorphic(reversed_pipe.result.graph, pipe.result.graph), name
+        assert reversed_counts == counts, name
+
+
+def test_the_readme_library_example_reports_what_run_pipeline_reports(tmp_path, monkeypatch,
+                                                                      capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    example = re.search(r"## Library\n\n```python\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        re.S).group(1)
+    text = "\n".join(_fixture_texts("building-norms"))
+    (tmp_path / "state-of-affairs.ttl").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    pipe = run_pipeline([parse_turtle(text)], {"core", "dts", "compliance"})
+    report = extract_findings(pipe.result.graph, pipe.result.provenance)
+    assert report.findings and printed == render(report, "text", pipe.result.graph) + "\n"

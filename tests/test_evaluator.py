@@ -239,8 +239,8 @@ def test_plans_are_reused_until_the_graph_changes(monkeypatch):
     g = Graph([Triple(Iri(EX + "a"), p, Iri(EX + "b"))])
     gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), p, V("z"))))
     planned = []
-    original = rules._plan_run
-    monkeypatch.setattr(rules, "_plan_run",
+    original = rules._order
+    monkeypatch.setattr(rules, "_order",
                         lambda *args: planned.append(1) or original(*args))
     evaluate_where(g, gp)
     evaluate_where(g, gp)
@@ -559,22 +559,24 @@ def _estimated_total(g, binders, seeded) -> float:
 
 def test_planned_orders_cost_at_most_the_greedy_and_keep_every_guard_in_place(monkeypatch):
     from normgraph import rules
-    plan_run, greedy = rules._plan_run, rules._greedy
+    order, greedy = rules._order, rules._greedy
     runs, greedy_orders = [], []
 
     def recorded_greedy(*args):
         runs.append(greedy(*args))
         return runs[-1]
 
-    def recorded_plan_run(segment, known):
+    def recorded_order(segment, estimates=None):
+        if estimates is None:  # a fixed branch keeps its written order
+            return order(segment)
         runs.clear()
-        steps = plan_run(segment, known)
+        steps = order(segment, estimates)
         # the first run starts where the plain greedy does and is never cut short
         greedy_orders.append(([segment.binders[i] for i in runs[0][0]], steps))
         return steps
 
     monkeypatch.setattr(rules, "_greedy", recorded_greedy)
-    monkeypatch.setattr(rules, "_plan_run", recorded_plan_run)
+    monkeypatch.setattr(rules, "_order", recorded_order)
     groups = _Interleaved(random.Random(1618))
     cheaper = guards = dead = 0
     for case in range(5000):
@@ -947,8 +949,8 @@ def test_a_group_is_planned_once_per_graph_state(monkeypatch):
     a, b, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "p")
     gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), p, V("z"))))
     planned = []
-    original = rules._plan_run
-    monkeypatch.setattr(rules, "_plan_run",
+    original = rules._order
+    monkeypatch.setattr(rules, "_order",
                         lambda *args: planned.append(1) or original(*args))
     g = Graph([Triple(a, p, b)])
     evaluate_where(g, gp)

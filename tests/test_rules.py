@@ -14,8 +14,8 @@ from normgraph.model import (
 from normgraph.ontology import fixture
 from normgraph.rules import (
     Bind, BindConflict, Comparison, Filter, GroupPattern, NotExists, RuleSyntaxError,
-    SkolemPolicy, TemplateBlank, TriplePattern, UnboundTemplateVariable, Union,
-    Variable, _expr_variables, bindable_variables, evaluate_where, instantiate, parse_rule,
+    TemplateBlank, TriplePattern, UnboundTemplateVariable, Union, Variable,
+    _expr_variables, bindable_variables, evaluate_where, instantiate, parse_rule,
 )
 from normgraph.turtle import serialize_turtle
 from conftest import RULE_TEXTS, soa
@@ -637,7 +637,7 @@ def test_guarded_wife_rule_creates_one_fresh_node():
     """)
     g = _graph(Triple(soa("John"), RDF_TYPE, soa("Man")))
     sols = evaluate_where(g, rq.where_clause)
-    produced = instantiate(rq, sols, SkolemPolicy())
+    produced = instantiate(rq, sols)
     assert len(produced) == 1
     triple = produced[0]
     assert triple.predicate == soa("wife-of")
@@ -652,7 +652,7 @@ def test_ground_template_deduplicates_across_solutions():
                Triple(soa("e3"), RDF_TYPE, REXIST))
     sols = evaluate_where(g, rq.where_clause)
     assert len(sols) == 3
-    produced = instantiate(rq, sols, SkolemPolicy())
+    produced = instantiate(rq, sols)
     assert len(produced) == 1
 
 
@@ -663,14 +663,14 @@ def test_instantiation_is_deterministic_label_identical():
     """)
     g = _graph(Triple(soa("e1"), RDF_TYPE, REXIST), Triple(soa("e2"), RDF_TYPE, REXIST))
     sols = evaluate_where(g, rq.where_clause)
-    first = Graph(instantiate(rq, sols, SkolemPolicy(salt="i1")))
-    second = Graph(instantiate(rq, sols, SkolemPolicy(salt="i1")))
+    first = Graph(instantiate(rq, sols, "i1"))
+    second = Graph(instantiate(rq, sols, "i1"))
     assert first.triples() == second.triples()
     from normgraph.model import isomorphic
 
     assert isomorphic(first, second)
     # a different salt renames but stays isomorphic
-    other = Graph(instantiate(rq, sols, SkolemPolicy(salt="i2")))
+    other = Graph(instantiate(rq, sols, "i2"))
     assert other.triples() != first.triples()
     assert isomorphic(first, other)
 
@@ -679,7 +679,7 @@ def test_distinct_solutions_get_distinct_skolems():
     rq = parse_rule("mk", "CONSTRUCT{[soa:wife-of ?x]}WHERE{?x a soa:Man}")
     g = _graph(Triple(soa("John"), RDF_TYPE, soa("Man")),
                Triple(soa("Jim"), RDF_TYPE, soa("Man")))
-    produced = Graph(instantiate(rq, evaluate_where(g, rq.where_clause), SkolemPolicy()))
+    produced = Graph(instantiate(rq, evaluate_where(g, rq.where_clause)))
     assert len(produced.blank_nodes()) == 2
 
 
@@ -687,7 +687,7 @@ def test_instantiate_lists_distinct_triples_by_solution_then_template():
     rq = parse_rule("order", "CONSTRUCT{?x :hold :true. soa:all soa:seen ?x. ?x :hold :true}"
                              "WHERE{?x a :Rexist}")
     e1, e2, everything, seen = soa("e1"), soa("e2"), soa("all"), soa("seen")
-    produced = instantiate(rq, [{V("x"): e2}, {V("x"): e1}, {V("x"): e2}], SkolemPolicy())
+    produced = instantiate(rq, [{V("x"): e2}, {V("x"): e1}, {V("x"): e2}])
     assert produced == [Triple(e2, HOLD, TRUE), Triple(everything, seen, e2),
                         Triple(e1, HOLD, TRUE), Triple(everything, seen, e1)]
 
@@ -700,18 +700,18 @@ def test_instantiate_works_out_a_solution_signature_only_for_its_first_blank(mon
                         lambda binding: calls.append(1) or signature(binding))
     two_blanks = parse_rule("two", "CONSTRUCT{[a :false; rdf:subject [soa:has-agent ?x]]}"
                                    "WHERE{?x a :Rexist}")
-    produced = instantiate(two_blanks, [{V("x"): soa("e1")}, {V("x"): soa("e2")}], SkolemPolicy())
+    produced = instantiate(two_blanks, [{V("x"): soa("e1")}, {V("x"): soa("e2")}])
     assert len({t.subject for t in produced}) == 4 and len(calls) == 2
     calls.clear()
     instantiate(parse_rule("none", "CONSTRUCT{?x :hold :true}WHERE{?x a :Rexist}"),
-                [{V("x"): soa("e1")}], SkolemPolicy())
+                [{V("x"): soa("e1")}])
     assert calls == []
 
 
 def test_instantiate_checks_bound_variables():
     rq = parse_rule("ok", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist}")
     with pytest.raises(UnboundTemplateVariable):
-        instantiate(rq, [{}], SkolemPolicy())
+        instantiate(rq, [{}])
 
 
 def test_filter_short_circuits_left_to_right_over_unbound_variables():
