@@ -121,9 +121,9 @@ from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
-    BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
-    _Interned, render_term, term_key,
+    BlankNode, Graph, Iri, Literal, RDF_TYPE, Term, Triple, _Interned, render_term, term_key,
 )
+from .turtle import MAX_NESTING, NAME, STRING_ESCAPES, _NAME, _Parser  # noqa: F401 (importable from here)
 
 
 class RuleSyntaxError(Exception):
@@ -243,143 +243,108 @@ class RuleQuery:
     where_clause: GroupPattern
 
 
-# --- Tokenizer ---------------------------------------------------------------
-
-_KEYWORDS = {"construct", "where", "union", "not", "exists", "filter", "bind", "as"}
-# A name in rules and Turtle (prefix, local part, blank node label), maybe
-# empty: ASCII letters, digits, '_', '-' and '.', but a final '.' ends the statement.
-NAME = r"(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
-_WORD = r"[A-Za-z0-9_\-]"  # a letter of a variable name or a keyword
-# Each token kind is one alternative; a string, IRI or variable that does
-# not end as it should matches the one after it, which names the error.
-_TOKEN_RE = re.compile(rf"""
-    (?P<skip>[ \t\r\n]+|\#[^\n]*)
-  | (?P<long>\"\"\"(?:(?!\"\"\").)*\"\"\") | (?P<open_long>\"\"\")
-  | (?P<string>"(?:\\.|[^"\\\r\n])*") | (?P<newline>"(?:\\.|[^"\\\r\n])*(?=[\r\n]))
-  | (?P<open_string>")
-  | (?P<punct>&&|\|\||!=|[{{}}()\[\];,=.])
-  | (?P<var>\?{_WORD}+) | (?P<bad_var>\?)
-  | (?P<iri><[^>]*>) | (?P<open_iri><)
-  | (?P<pname>{NAME}:{NAME})
-  | (?P<word>{_WORD}+)
-  | (?P<other>.)
-""", re.S | re.X)
-_ERRORS = {"open_long": "unterminated long string", "open_string": "unterminated string",
-           "newline": "newline in short string", "bad_var": "bad variable name",
-           "open_iri": "unterminated IRI"}
-# The escapes of a short string, in rules as in Turtle; any other is an error.
-STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_END = ("punct", "", -1)  # after the last token: a mark no text makes
-
-
-def _tokenize(text: str, rule_id: str) -> list[tuple]:
-    """The tokens of `text` as (kind, value, offset), then `_END`. A variable,
-    a literal and `a` are terms, whose value is the term; an IRI's value is
-    its text, a prefixed name's (prefix, local part), a keyword's lower case."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, value, pos = m.lastgroup, m[0], m.start()
-        if kind == "skip":
-            continue
-        if kind in _ERRORS:
-            raise RuleSyntaxError(_ERRORS[kind], m.end() if kind == "newline" else pos, rule_id)
-        if kind in ("long", "string"):
-            kind, value = "term", Literal(
-                value[3:-3] if kind == "long" else _unescape(value, pos, rule_id))
-        elif kind == "var":
-            kind, value = "term", Variable(value[1:])
-        elif kind == "iri":
-            value = value[1:-1]
-        elif kind == "pname":
-            value = tuple(value.split(":", 1))
-        elif kind == "word" and value.lower() in _KEYWORDS:
-            kind, value = "keyword", value.lower()
-        elif kind == "word" and value == "a":
-            kind, value = "term", RDF_TYPE
-        elif kind != "punct":
-            problem = "unknown keyword" if kind == "word" else "unexpected character"
-            raise RuleSyntaxError(f"{problem} {value!r}", pos, rule_id)
-        tokens.append((kind, value, pos))
-    tokens.append(_END)
-    return tokens
-
-
-def _unescape(string: str, pos: int, rule_id: str) -> str:
-    """The value of the short string token `string`, found at offset `pos`."""
-    def replace(escape: re.Match) -> str:
-        if escape[1] not in STRING_ESCAPES:
-            raise RuleSyntaxError(f"unknown escape {escape[0]}", pos + 1 + escape.start(),
-                                  rule_id)
-        return STRING_ESCAPES[escape[1]]
-    return re.sub(r"\\(.)", replace, string[1:-1], flags=re.S)
-
-
 # --- Parser ------------------------------------------------------------------
 
-# The deepest nesting of braces, brackets and parentheses a rule may have,
-# and of `[ ... ]` property lists in Turtle. The parsers, the evaluator and
-# the fixpoint's rule analysis recurse once or a few times per level;
-# evaluation runs out of Python stack at ~475 nested NOT EXISTS.
-MAX_NESTING = 100
+_KEYWORDS = ("construct", "where", "union", "not", "exists", "filter", "bind", "as")
+_WORD = r"[A-Za-z0-9_\-]"  # a letter of a variable name or a keyword
+# Punctuation, or a keyword that does not begin a prefixed name
+_MARK = re.compile(rf"&&|\|\||!=|[{{}}()\[\];,=.]|(?!{NAME}:)(?:{'|'.join(_KEYWORDS)})(?!{_WORD})",
+                   re.I)
+_VARIABLE = re.compile(f"{_WORD}*")
 # The most branches a WHERE group may have once its UNIONs are distributed
 # (see GroupPattern.branches); each is planned and searched on its own.
 MAX_BRANCHES = 64
 
 
-class _RuleParser:
-    """The template and WHERE read triples with the same methods: they go to
-    `triples`, and the n-th `[ ... ]` of the clause, from 0, is `blank(n)`."""
+class _RuleParser(_Parser):
+    """The Turtle reader, with variables and the SPARQL constructs on the
+    same text and offset. The template and WHERE read triples with the same
+    methods: they go to `triples`, and the n-th `[ ... ]` of the clause,
+    from 0, is `blank(n)`."""
+
+    ENDS = ("]", ".", "}", "")
 
     def __init__(self, rule_id: str, text: str, prefixes: dict[str, str]):
-        self.rule_id = rule_id
-        self.tokens = _tokenize(text, rule_id)
-        self.i = 0
-        self.prefixes = dict(DEFAULT_PREFIXES)
+        super().__init__(text)
         self.prefixes.update(prefixes)
-        self.depth = 0  # braces, brackets and parentheses now open
+        self.rule_id = rule_id
         self.triples: list = []  # the template's, then the innermost open group's elements
-        self.blank, self.blanks = TemplateBlank, 0
+        self.blank = TemplateBlank
         self.bind_at: dict[int, int] = {}  # the offset of each BIND keyword, by its Bind's id
 
     def error(self, message: str, pos: Optional[int] = None) -> RuleSyntaxError:
-        """The error at `pos`, or else at the next token."""
-        return RuleSyntaxError(message, self.tokens[self.i][2] if pos is None else pos,
-                               self.rule_id)
+        return RuleSyntaxError(message, self.pos if pos is None else pos, self.rule_id)
 
-    def next(self) -> tuple:
-        tok = self.tokens[self.i]
-        if tok is _END:
-            raise self.error("unexpected end of rule")
-        self.i += 1
-        return tok
+    def add(self, subject, predicate, object):
+        self.triples.append(TriplePattern(subject, predicate, object))
+
+    def fresh_blank(self):
+        self.blanks += 1
+        return self.blank(self.blanks - 1)
+
+    def iri(self, value: str, start: int) -> Iri:
+        try:
+            return Iri(value)
+        except ValueError as err:  # empty, or holding a space or '>'
+            raise self.error(str(err), start) from None
+
+    def escape_at(self, backslash: int, escape: str) -> int:
+        return backslash
+
+    def parse_other(self, c: str):
+        """A variable, or else a prefixed name or `a`; no mark is a term."""
+        if c == "?":
+            self.pos += 1
+            name = self.take(_VARIABLE)
+            if not name:
+                raise self.error("bad variable name", self.pos - 1)
+            return Variable(name)
+        mark = self.mark()
+        if mark is not None:
+            raise self.error(f"unexpected token {mark!r}" if mark else "unexpected end of rule")
+        return super().parse_other(c)
+
+    def parse_label(self, start: int) -> Iri:
+        """`_:` is a prefix like any other: a rule has no blank node labels."""
+        return self.expand("_", self.take(_NAME), start)
+
+    def parse_predicate(self):
+        if self.next_char() == "[":
+            raise self.error("bad predicate")
+        predicate = self.parse_term()
+        if isinstance(predicate, Literal):
+            raise self.error("bad predicate")
+        return predicate
+
+    def mark(self) -> Optional[str]:
+        """The punctuation or keyword (in lower case) next, '' at the end, or None."""
+        c = self.next_char()
+        if not c:
+            return ""
+        found = _MARK.match(self.text, self.pos)
+        return found and found[0].lower()
 
     def at(self, *marks: str) -> bool:
-        """Whether the next token is one of these marks or keywords ('' ends the rule)."""
-        kind, value, _ = self.tokens[self.i]
-        return value in marks and kind in ("punct", "keyword")
+        return self.mark() in marks
 
     def expect(self, mark: str):
-        if not self.at(mark):
-            shown = mark.upper() if mark.isalpha() else repr(mark)
-            raise self.error(f"expected {shown}", self.next()[2])
-        self.i += 1
+        if self.mark() != mark:
+            raise self.unexpected(f"expected {mark.upper() if mark.isalpha() else repr(mark)}")
+        self.pos += len(mark)
 
-    def opened(self):
-        """Counts the opening token just read as one more level of nesting."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels",
-                             self.tokens[self.i - 1][2])
+    def unexpected(self, message: str) -> RuleSyntaxError:
+        """`message` at the next token, which `mark` has found, or the end of the rule."""
+        return self.error(message if self.pos < len(self.text) else "unexpected end of rule")
 
     def parse_rule(self) -> RuleQuery:
         self.expect("construct")
         self.expect("{")
         template = self.triples
         while not self.at("}"):
-            self.parse_statement()
+            self.parse_triples()
             while self.at("."):
-                self.i += 1
-        self.i += 1
+                self.pos += 1
+        self.pos += 1
         self.expect("where")
         # in WHERE a `[ ... ]` is a variable whose name no rule author can write
         self.blank, self.blanks = (lambda n: Variable(f" bnode{n}")), 0
@@ -398,82 +363,33 @@ class _RuleParser:
                 f"rule '{self.rule_id}': template variables never bound in WHERE: {names}")
         return rq
 
-    # triples, in the template and in WHERE ------------------------------
-
-    def parse_statement(self):
+    def parse_triples(self):
         """A subject and its predicate-object list, which only a bare `[ ... ]` may leave out."""
-        bare = self.at("[")
-        subject = self.parse_term()
-        if isinstance(subject, Literal):
-            raise self.error("literal cannot be a subject")
-        if not (bare and self.at("", ".", "}")):
-            self.parse_predicate_objects(subject)
-
-    def parse_predicate_objects(self, subject):
-        while True:
-            if self.at("["):
-                raise self.error("bad predicate")
-            predicate = self.parse_term()
-            if isinstance(predicate, Literal):
-                raise self.error("bad predicate")
-            self.triples.append(TriplePattern(subject, predicate, self.parse_term()))
-            while self.at(","):
-                self.i += 1
-                self.triples.append(TriplePattern(subject, predicate, self.parse_term()))
-            if not self.at(";"):
-                return
-            self.i += 1
-            if self.at("", ".", "}", "]"):  # a ';' may end the list, as in Turtle
-                return
-
-    def parse_term(self):
-        """A subject, object, BIND value or FILTER operand, or a `[ ... ]`'s node."""
-        kind, value, pos = self.next()
-        if kind == "term":
-            return value
-        if kind == "pname":
-            prefix, local = value
-            if prefix not in self.prefixes:
-                raise self.error(f"undeclared prefix '{prefix}:'", pos)
-            kind, value = "iri", self.prefixes[prefix] + local
-        if kind == "iri":
-            try:
-                return Iri(value)
-            except ValueError as err:  # empty, or holding a space or '>'
-                raise self.error(str(err), pos) from None
-        if value == "[":
-            return self.parse_property_list()
-        raise self.error(f"unexpected token {value!r}", pos)
-
-    def parse_property_list(self):
-        """The node of the `[ ... ]` whose `[` was just read."""
-        self.opened()
-        node = self.blank(self.blanks)
-        self.blanks += 1
-        if not self.at("]"):
-            self.parse_predicate_objects(node)
-        self.expect("]")
-        self.depth -= 1
-        return node
+        bare = self.next_char() == "["
+        subject = self.parse_term(as_subject=True)
+        if not (bare and self.next_char() in self.ENDS):
+            self.parse_predicate_object_list(subject)
 
     # WHERE --------------------------------------------------------------
 
     def parse_group(self) -> tuple[GroupPattern, int]:
         """A braced group, and the number of branches it has."""
-        self.expect("{")
+        if self.mark() != "{":
+            raise self.unexpected("expected '{'")
         self.opened()
+        self.pos += 1
         elements: list = []
         outer, self.triples = self.triples, elements
         width = 1
-        while not self.at("", "}"):
-            kind, value, pos = self.tokens[self.i]
-            if self.at("."):
-                self.i += 1
-            elif self.at("{"):
+        while (mark := self.mark()) not in ("", "}"):
+            pos = self.pos
+            if mark == ".":
+                self.pos += 1
+            elif mark == "{":
                 left, alternatives = self.parse_group()
                 union: Union | None = None
                 while self.at("union"):
-                    self.i += 1
+                    self.pos += len("union")
                     right, more = self.parse_group()
                     union = Union(left if union is None else GroupPattern((union,)), right)
                     alternatives += more
@@ -482,35 +398,35 @@ class _RuleParser:
                     raise self.error(f"more than {MAX_BRANCHES} UNION branches in a group", pos)
                 # a bare braced group just flattens into the sequence
                 elements += (union,) if union else left.elements
-            elif self.at("not"):
-                self.i += 1
+            elif mark == "not":
+                self.pos += len("not")
                 self.expect("exists")
                 elements.append(NotExists(self.parse_group()[0]))
-            elif self.at("filter"):
-                self.i += 1
+            elif mark == "filter":
+                self.pos += len("filter")
                 self.expect("(")
                 expr = self.parse_expr()
                 self.expect(")")
                 elements.append(Filter(expr))
-            elif self.at("bind"):
-                self.i += 1
+            elif mark == "bind":
+                self.pos += len("bind")
                 self.expect("(")
-                if self.at("["):
+                if self.next_char() == "[":
                     raise self.error("BIND accepts only ground terms")
                 value = self.parse_term()
                 if isinstance(value, Variable):
                     raise self.error("BIND accepts only ground terms")
                 self.expect("as")
-                _, var, at = self.next()
-                if not isinstance(var, Variable):
-                    raise self.error("expected variable after AS", at)
+                if self.next_char() != "?":
+                    raise self.unexpected("expected variable after AS")
+                var = self.parse_term()
                 self.expect(")")
                 elements.append(Bind(value, var))
                 self.bind_at[id(elements[-1])] = pos
-            elif kind == "keyword":
-                raise self.error(f"unexpected keyword {value.upper()}")
+            elif mark in _KEYWORDS:
+                raise self.error(f"unexpected keyword {mark.upper()}")
             else:
-                self.parse_statement()
+                self.parse_triples()
         self.expect("}")
         self.triples = outer
         self.depth -= 1
@@ -522,14 +438,14 @@ class _RuleParser:
                       else (lambda: self.parse_expr("&&"), ExprOr))
         items = [item()]
         while self.at(joiner):
-            self.i += 1
+            self.pos += 2
             items.append(item())
         return items[0] if len(items) == 1 else join(tuple(items))
 
     def parse_primary(self) -> Expr:
         if self.at("("):
-            self.i += 1
             self.opened()
+            self.pos += 1
             inner = self.parse_expr()
             # "(expr)" or "(operand op operand)" both arrive here; a closing
             # paren after a full expr ends the primary.
@@ -537,15 +453,17 @@ class _RuleParser:
             self.depth -= 1
             return inner
         left = self.parse_operand()
-        kind, op, pos = self.next()
-        if kind != "punct" or op not in ("=", "!="):
-            raise self.error("expected '=' or '!='", pos)
+        op = self.mark()
+        if op not in ("=", "!="):
+            raise self.unexpected("expected '=' or '!='")
+        self.pos += len(op)
         return Comparison(left, op == "!=", self.parse_operand())
 
     def parse_operand(self) -> PatternTerm:
-        if self.at("("):
+        c = self.next_char()
+        if c == "(":
             raise self.error("nested comparison operand")
-        if self.at("["):
+        if c == "[":
             raise self.error("blank node in FILTER")
         return self.parse_term()
 

@@ -6,7 +6,7 @@ short (double-quoted) and long (triple-double-quoted) string literals, and
 `#` comments. Long strings preserve their inner text byte-for-byte, which is
 what lets rule bodies travel inside `has-sparql-code` literals. No
 collections, no numeric literals, no datatypes. Property lists nest at most
-`rules.MAX_NESTING` (100) levels deep; the `[` one level deeper is a syntax
+`MAX_NESTING` (100) levels deep; the `[` one level deeper is a syntax
 error, so deep input cannot exhaust the Python stack.
 
 The reader is one recursive-descent parser over the text and its offset,
@@ -17,7 +17,7 @@ end of the text, a line break, or a backslash that starts no known escape. A
 `TurtleSyntaxError` works out its line and column from the offset when it is
 raised: columns count characters from 1, and only a line feed starts a line.
 The reader, the writer and the rule reader share one definition of a name
-(`rules.NAME`), which never ends in `.`.
+(`NAME`), which never ends in `.`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,17 @@ import re
 from .model import (
     BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
 )
-from .rules import MAX_NESTING, NAME, STRING_ESCAPES
+
+# A name in Turtle and rules (prefix, local part, blank node label), maybe
+# empty: ASCII letters, digits, '_', '-' and '.', but a final '.' ends the statement.
+NAME = r"(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+# The escapes of a short string, in Turtle as in rules; any other is an error.
+STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# The deepest nesting of `[ ... ]` property lists in Turtle, and of braces,
+# brackets and parentheses in a rule. The readers, the evaluator and the
+# fixpoint's rule analysis recurse once or a few times per level; evaluation
+# runs out of Python stack at ~475 nested NOT EXISTS.
+MAX_NESTING = 100
 
 
 class TurtleSyntaxError(Exception):
@@ -47,23 +57,51 @@ _ESCAPE = re.compile(r"\\(.)")
 
 
 class _Parser:
+    """The reader of the triples grammar. The rule reader subclasses it and
+    overrides where rule text differs: `error`, `add`, `fresh_blank`, `iri`,
+    `escape_at`, `parse_other`, `parse_label`, `parse_predicate` and `ENDS`."""
+
+    ENDS = ("]", ".", "")  # what may follow a ';' and end its list
+
     def __init__(self, text: str, scope: str = ""):
         self.text = text
         self.pos = 0  # offset of the next character to read, never past the end
         self.prefixes = dict(DEFAULT_PREFIXES)
         self.graph = Graph(prefix_map=self.prefixes)
-        self._blank_counter = 0
-        self.depth = 0  # open '[' around the current position
+        self.blanks = 0  # anonymous blank nodes made so far
+        self.depth = 0  # levels of nesting open around the current position
         self._label_prefix = f"parse:{scope}:" if scope else "parse:"
 
-    def error(self, message: str) -> TurtleSyntaxError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        return TurtleSyntaxError(message, line, self.pos - self.text.rfind("\n", 0, self.pos))
+    def error(self, message: str, pos: int | None = None) -> Exception:
+        """The error at `pos`, or else at the offset."""
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        return TurtleSyntaxError(message, line, pos - self.text.rfind("\n", 0, pos))
+
+    def add(self, subject: Term, predicate: Term, object: Term):
+        self.graph.insert(Triple(subject, predicate, object))
+
+    def fresh_blank(self) -> Term:
+        # Anonymous "[ ... ]" nodes get a reserved sub-namespace so they can
+        # never collide with explicit "_:label" nodes from the same document.
+        self.blanks += 1
+        return BlankNode(f"{self._label_prefix}anon:{self.blanks}")
+
+    def iri(self, value: str, start: int) -> Iri:
+        """The IRI `value`, written at offset `start`."""
+        return Iri(value)
+
+    def escape_at(self, backslash: int, escape: str) -> int:
+        """The offset an unknown escape is reported at: after it."""
+        return backslash + 1 + len(escape)
 
     def next_char(self) -> str:
         """Skip white space and comments; the character after them, '' at the end."""
-        self.pos = _WS.match(self.text, self.pos).end()
-        return self.text[self.pos:self.pos + 1]
+        c = self.text[self.pos:self.pos + 1]
+        if c in " \t\r\n#":  # or '', the end
+            self.pos = _WS.match(self.text, self.pos).end()
+            c = self.text[self.pos:self.pos + 1]
+        return c
 
     def take(self, pattern: re.Pattern) -> str:
         """Consume the text `pattern` matches at the offset."""
@@ -81,11 +119,11 @@ class _Parser:
         self.pos = stop + len(end)
         return value
 
-    def fresh_blank(self) -> BlankNode:
-        # Anonymous "[ ... ]" nodes get a reserved sub-namespace so they can
-        # never collide with explicit "_:label" nodes from the same document.
-        self._blank_counter += 1
-        return BlankNode(f"{self._label_prefix}anon:{self._blank_counter}")
+    def opened(self):
+        """Counts the bracket at the offset as one more level of nesting."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
     def parse(self) -> Graph:
         while self.next_char():
@@ -111,47 +149,54 @@ class _Parser:
             self.pos += 1
         self.prefixes[name] = iri
 
-    def expand(self, prefix: str, local: str) -> Iri:
+    def expand(self, prefix: str, local: str, start: int) -> Iri:
         if prefix not in self.prefixes:
             raise self.error(f"undeclared prefix '{prefix}:'")
-        return Iri(self.prefixes[prefix] + local)
+        return self.iri(self.prefixes[prefix] + local, start)
 
     def parse_term(self, as_subject: bool = False) -> Term:
         c = self.next_char()
         if c == "<":
+            start = self.pos
             self.pos += 1
-            return Iri(self.until(">", "IRI"))
+            return self.iri(self.until(">", "IRI"), start)
         if c == '"':
             if as_subject:
                 raise self.error("literal cannot be a subject")
             return self.parse_literal()
         if c == "[":
             return self.parse_bnode_property_list()
-        if self.text.startswith("_:", self.pos):
-            self.pos += 2
-            label = self.take(_NAME)
-            if not label:
-                raise self.error("empty blank node label")
-            # Extend the legal label alphabet with ':' so serialized
-            # skolem/parse labels survive a round trip. Explicit labels get
-            # their own sub-namespace, disjoint from anonymous "[ ... ]" ones.
-            while self.text.startswith(":", self.pos):
-                self.pos += 1
-                label += ":" + self.take(_NAME)
-            return BlankNode(f"{self._label_prefix}id:{label}")
-        if c == ":":
-            self.pos += 1
-            return self.expand("", self.take(_NAME))
+        return self.parse_other(c)
+
+    def parse_other(self, c: str) -> Term:
+        """The term, starting with `c`, that is no IRI, literal or `[ ... ]`:
+        a prefixed name, `a` or a blank node label."""
+        start = self.pos
         name = self.take(_NAME)
+        if self.text.startswith(":", self.pos):
+            self.pos += 1
+            if name == "_":
+                return self.parse_label(start)
+            return self.expand(name, self.take(_NAME), start)
+        if name == "a":
+            return RDF_TYPE
         # An empty name: c is no name character, or it begins a run of dots.
         if not name and c != ".":
             raise self.error(f"unexpected character {c!r}")
-        if self.text.startswith(":", self.pos):
-            self.pos += 1
-            return self.expand(name, self.take(_NAME))
-        if name == "a":
-            return RDF_TYPE
         raise self.error(f"unexpected token {name!r}")
+
+    def parse_label(self, start: int) -> Term:
+        """The blank node whose label follows the `_:` at offset `start`."""
+        label = self.take(_NAME)
+        if not label:
+            raise self.error("empty blank node label")
+        # Extend the legal label alphabet with ':' so serialized
+        # skolem/parse labels survive a round trip. Explicit labels get
+        # their own sub-namespace, disjoint from anonymous "[ ... ]" ones.
+        while self.text.startswith(":", self.pos):
+            self.pos += 1
+            label += ":" + self.take(_NAME)
+        return BlankNode(f"{self._label_prefix}id:{label}")
 
     def parse_literal(self) -> Literal:
         if self.text.startswith('"""', self.pos):
@@ -165,31 +210,26 @@ class _Parser:
             return Literal(_ESCAPE.sub(lambda m: STRING_ESCAPES[m[1]], body))
         if stop == "\\":
             escape = self.text[self.pos + 1:self.pos + 2]
-            self.pos += 1 + len(escape)
-            raise self.error(f"unknown escape \\{escape}")
+            raise self.error(f"unknown escape \\{escape}", self.escape_at(self.pos, escape))
         raise self.error("newline in short string" if stop else "unterminated string")
 
-    def parse_bnode_property_list(self) -> BlankNode:
-        if self.depth == MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+    def parse_bnode_property_list(self) -> Term:
+        self.opened()
         self.pos += 1  # '['
         node = self.fresh_blank()
         if self.next_char() != "]":
-            self.depth += 1
             self.parse_predicate_object_list(node)
-            self.depth -= 1
             if self.next_char() != "]":
                 raise self.error("expected ']'")
         self.pos += 1
+        self.depth -= 1
         return node
 
     def parse_predicate_object_list(self, subject: Term):
         while True:
-            predicate = self.parse_term()
-            if not isinstance(predicate, Iri):
-                raise self.error("predicate must be an IRI")
+            predicate = self.parse_predicate()
             while True:
-                self.graph.insert(Triple(subject, predicate, self.parse_term()))
+                self.add(subject, predicate, self.parse_term())
                 c = self.next_char()
                 if c != ",":
                     break
@@ -198,8 +238,14 @@ class _Parser:
                 return
             self.pos += 1
             # A ';' may legally be followed by the list terminator.
-            if self.next_char() in ("]", ".", ""):
+            if self.next_char() in self.ENDS:
                 return
+
+    def parse_predicate(self) -> Term:
+        predicate = self.parse_term()
+        if not isinstance(predicate, Iri):
+            raise self.error("predicate must be an IRI")
+        return predicate
 
     def parse_statement(self):
         subject = self.parse_term(as_subject=True)

