@@ -63,7 +63,7 @@ def _read_inputs(paths: list[str]) -> list[Graph]:
             graphs.append(parse_turtle(text, scope=f"in{index}"))
         except TurtleSyntaxError as err:
             raise TurtleSyntaxError(f"{path}: {err.message}", err.line, err.column) from err
-        except ValueError as err:  # not UTF-8, or an IRI the model rejects
+        except ValueError as err:  # not UTF-8
             raise ValueError(f"{path}: {err}") from err
     return graphs
 

@@ -282,12 +282,6 @@ class _RuleParser(_Parser):
         self.blanks += 1
         return self.blank(self.blanks - 1)
 
-    def iri(self, value: str, start: int) -> Iri:
-        try:
-            return Iri(value)
-        except ValueError as err:  # empty, or holding a space or '>'
-            raise self.error(str(err), start) from None
-
     def escape_at(self, backslash: int, escape: str) -> int:
         return backslash
 

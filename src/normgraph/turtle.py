@@ -58,7 +58,7 @@ _ESCAPE = re.compile(r"\\(.)")
 
 class _Parser:
     """The reader of the triples grammar. The rule reader subclasses it and
-    overrides where rule text differs: `error`, `add`, `fresh_blank`, `iri`,
+    overrides where rule text differs: `error`, `add`, `fresh_blank`,
     `escape_at`, `parse_other`, `parse_label`, `parse_predicate` and `ENDS`."""
 
     ENDS = ("]", ".", "")  # what may follow a ';' and end its list
@@ -88,8 +88,11 @@ class _Parser:
         return BlankNode(f"{self._label_prefix}anon:{self.blanks}")
 
     def iri(self, value: str, start: int) -> Iri:
-        """The IRI `value`, written at offset `start`."""
-        return Iri(value)
+        """The IRI `value`, or a syntax error at `start`, where it is written."""
+        try:
+            return Iri(value)
+        except ValueError as err:  # empty, or holding white space
+            raise self.error(str(err), start) from None
 
     def escape_at(self, backslash: int, escape: str) -> int:
         """The offset an unknown escape is reported at: after it."""
@@ -135,6 +138,7 @@ class _Parser:
         return self.graph
 
     def parse_prefix(self):
+        start = self.pos
         self.pos += len("@prefix")
         self.next_char()
         name = self.take(_NAME)
@@ -145,6 +149,8 @@ class _Parser:
             raise self.error("expected IRI in @prefix directive")
         self.pos += 1
         iri = self.until(">", "IRI")
+        if iri:  # one that is no IRI makes none; an empty one makes the local name one
+            self.iri(iri, start)
         if self.next_char() == ".":
             self.pos += 1
         self.prefixes[name] = iri

@@ -16,8 +16,10 @@ against it.
 
 `_Parser` is the Turtle reader, with its `_Scanner`, `_read_string` and
 `_read_name`, as it stood when it kept `line` and `col` in step with `pos`
-one character at a time. The tests compare the reader's triples, prefix map
-and errors (message, line and column) against it.
+one character at a time, but for one later change: an IRI the model rejects
+is a syntax error at its `<` or name, and a namespace that makes no IRI one
+at its `@prefix`. The tests compare the reader's triples, prefix map and
+errors (message, line and column) against it.
 """
 
 from __future__ import annotations
@@ -334,6 +336,14 @@ def _read_name(sc: _Scanner) -> str:
     return name
 
 
+def _iri(value: str, at: tuple[int, int]) -> Iri:
+    """The IRI `value`, or a syntax error at `at`, the line and column it is written at."""
+    try:
+        return Iri(value)
+    except ValueError as err:
+        raise TurtleSyntaxError(str(err), *at) from None
+
+
 class _Parser:
     def __init__(self, text: str, scope: str = ""):
         self.sc = _Scanner(text)
@@ -363,6 +373,7 @@ class _Parser:
 
     def parse_prefix(self):
         sc = self.sc
+        at = (sc.line, sc.col)
         sc.advance(len("@prefix"))
         sc.skip_ws()
         name = _read_name(sc)
@@ -379,21 +390,24 @@ class _Parser:
         if sc.eof():
             raise sc.error("unterminated IRI")
         iri = sc.text[start:sc.pos]
+        if iri:
+            _iri(iri, at)
         sc.advance()
         sc.skip_ws()
         if sc.peek() == ".":
             sc.advance()
         self.prefixes[name] = iri
 
-    def expand(self, prefix: str, local: str) -> Iri:
+    def expand(self, prefix: str, local: str, at: tuple[int, int]) -> Iri:
         if prefix not in self.prefixes:
             raise self.sc.error(f"undeclared prefix '{prefix}:'")
-        return Iri(self.prefixes[prefix] + local)
+        return _iri(self.prefixes[prefix] + local, at)
 
     def parse_term(self, as_subject: bool = False) -> Term:
         sc = self.sc
         sc.skip_ws()
         c = sc.peek()
+        at = (sc.line, sc.col)
         if c == "<":
             sc.advance()
             start = sc.pos
@@ -403,7 +417,7 @@ class _Parser:
                 raise sc.error("unterminated IRI")
             value = sc.text[start:sc.pos]
             sc.advance()
-            return Iri(value)
+            return _iri(value, at)
         if c == '"':
             if as_subject:
                 raise sc.error("literal cannot be a subject")
@@ -425,11 +439,11 @@ class _Parser:
         if c == ":" or c in _NAME_CHARS:
             if c == ":":
                 sc.advance()
-                return self.expand("", _read_name(sc))
+                return self.expand("", _read_name(sc), at)
             name = _read_name(sc)
             if sc.peek() == ":":
                 sc.advance()
-                return self.expand(name, _read_name(sc))
+                return self.expand(name, _read_name(sc), at)
             if name == "a":
                 return RDF_TYPE
             raise sc.error(f"unexpected token {name!r}")

@@ -112,6 +112,17 @@ def test_nesting_deeper_than_the_limit_is_an_error_at_the_bracket():
     assert (err.value.line, err.value.column) == (2, 7 * MAX_NESTING + 1)
 
 
+def test_an_iri_the_model_rejects_is_an_error_where_it_is_written():
+    for text, at in (("soa:a soa:p\n  <a b>.", (2, 3)), ("<> soa:p soa:b.", (1, 1)),
+                     ("@prefix e: <>.\nsoa:a soa:p e:.", (2, 13)),
+                     ("soa:a soa:p soa:b.\n@prefix e: <a b>.", (2, 1))):
+        with pytest.raises(TurtleSyntaxError, match="^invalid IRI: ") as err:
+            parse_turtle(text)
+        assert (err.value.line, err.value.column) == at, text
+    # an empty namespace makes IRIs of the local names
+    assert Triple(soa("a"), soa("p"), Iri("x")) in parse_turtle("@prefix e: <>. soa:a soa:p e:x.")
+
+
 def test_unterminated_long_string():
     with pytest.raises(TurtleSyntaxError):
         parse_turtle('soa:a soa:p """oops.')
@@ -265,7 +276,5 @@ _JOINED_TOKENS = st.builds(lambda start, tokens: start + "".join(tokens),
 def test_reader_matches_the_frozen_reader_on_joined_tokens(text):
     new, frozen = _read_both(text, scope="in0")
     assert new == frozen
-    if not isinstance(new[0], set):  # only a syntax error or an IRI the model rejects
-        kind, message = new[0], new[1]
-        assert kind is TurtleSyntaxError or (kind is ValueError
-                                             and message.startswith("invalid IRI")), new
+    if not isinstance(new[0], set):  # only a syntax error
+        assert new[0] is TurtleSyntaxError, new
