@@ -356,10 +356,16 @@ class RunResult:
     trace: list[TraceRecord] = field(default_factory=list)
 
 
-def _rule_id_for_subject(subject: Term) -> str:
+def _rule_id_for_subject(subject: Term, prefixes: dict[str, str]) -> str:
+    """A blank node's label, or an IRI's local name: the text after the
+    longest namespace in `prefixes` it extends, or else after its last '#' or '/'."""
     if isinstance(subject, BlankNode):
         return subject.label
     if isinstance(subject, Iri):
+        namespaces = [ns for ns in prefixes.values()
+                      if ns and subject.value.startswith(ns) and subject.value != ns]
+        if namespaces:
+            return subject.value[len(max(namespaces, key=len)):]
         for sep in ("#", "/"):
             if sep in subject.value:
                 local = subject.value.rsplit(sep, 1)[1]
@@ -388,7 +394,7 @@ def load_rules(g: Graph) -> RuleSet:
     out = RuleSet()
     for subject in subjects:
         bodies = [t.object for t in g.match_iter(s=subject, p=HAS_SPARQL_CODE)]
-        rule_id = _rule_id_for_subject(subject)
+        rule_id = _rule_id_for_subject(subject, g.prefix_map)
         if not bodies:
             raise MissingRuleBody(f"inference rule {rule_id} has no rule body")
         if len(bodies) > 1 or not isinstance(bodies[0], Literal):

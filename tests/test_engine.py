@@ -40,6 +40,14 @@ def test_load_rules_missing_body():
         load_rules(g)
 
 
+def test_an_iri_named_rule_takes_its_local_name_under_the_file_prefixes():
+    body = '"""CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist}"""'
+    g = parse_turtle("@prefix ex: <https://example.org/rules#part/>.\n"
+                     + "".join(f"{name} a :InferenceRule; :has-sparql-code {body}.\n"
+                               for name in ("soa:r", ":r2", "ex:r3", "<https://example.org/x#r4>")))
+    assert sorted(entry.rule_id for entry in load_rules(g).entries) == ["r", "r2", "r3", "r4"]
+
+
 def test_load_rules_propagates_rule_syntax_error():
     from normgraph.rules import RuleSyntaxError
 
