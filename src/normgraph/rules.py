@@ -20,17 +20,24 @@ frozen subset of SPARQL 1.1:
 
 The template and WHERE share the statement grammar: a `[ ... ]` stands only
 where a subject or an object goes, and only a bare `[ ... ]` is a statement
-without a predicate. Keywords are case-insensitive and whitespace is
-free-form; `a` abbreviates rdf:type; `.` statement separators are optional
-between elements. Prefixed names are read as in Turtle (`NAME`): a `.`
-inside a name belongs to it and one at its end ends the statement, so
-`?x :p :o.` is one statement and `:o.NOT` one name. An IRI the data model
-rejects (`<a b>`, `<>`) is a syntax error at its `<`. A short
-string literal knows Turtle's escapes (\\n, \\t, \\r, \\", \\\\) and no other,
-and no raw line break; a long one keeps its text as written. Braces,
-brackets and parentheses nest at most MAX_NESTING (100) levels deep.
-Anything outside this grammar is a syntax error: the evaluator would rather
-fail loudly than silently mis-evaluate a rule.
+without a predicate.
+
+Rule text is read by the Turtle reader, subclassed (`_RuleParser`): IRIs,
+prefixed names, literals and their escapes, `a`, `[ ... ]` and
+predicate-object lists read as in Turtle. So a `.` inside a name belongs to
+it and one at its end ends the statement (`:o.NOT` is one name); a short
+string knows the escapes \\n, \\t, \\r, \\" and \\\\ and no raw line break,
+and a long one keeps its text as written; an IRI the data model rejects
+(`<a b>`, `<>`) is an error at its `<` or name. Rule text adds variables,
+keywords (in any case), braced groups, UNION, NOT EXISTS, FILTER and BIND,
+and differs where the subclass overrides the reader: `?x` and keywords go
+where Turtle has terms; `.` is optional between elements, and a `;` may come
+before `}`; `_:` is a prefix like any other, not a blank node label; and a
+RuleSyntaxError gives the offset of the first problem met reading from the
+start (of an unknown escape, its backslash). Braces, brackets and
+parentheses nest at most MAX_NESTING (100) levels deep. Anything outside
+this grammar is a syntax error: the evaluator would rather fail loudly than
+silently mis-evaluate a rule.
 
 Evaluation is set-semantics, left to right, each element joining with the
 accumulated solutions:
@@ -247,8 +254,8 @@ class RuleQuery:
 
 _KEYWORDS = ("construct", "where", "union", "not", "exists", "filter", "bind", "as")
 _WORD = r"[A-Za-z0-9_\-]"  # a letter of a variable name or a keyword
-# Punctuation, or a keyword that does not begin a prefixed name
-_MARK = re.compile(rf"&&|\|\||!=|[{{}}()\[\];,=.]|(?!{NAME}:)(?:{'|'.join(_KEYWORDS)})(?!{_WORD})",
+# Punctuation, a keyword that does not begin a prefixed name, or the end
+_MARK = re.compile(rf"&&|\|\||!=|[{{}}()\[\];,=.]|(?!{NAME}:)(?:{'|'.join(_KEYWORDS)})(?!{_WORD})|\Z",
                    re.I)
 _VARIABLE = re.compile(f"{_WORD}*")
 # The most branches a WHERE group may have once its UNIONs are distributed
@@ -285,18 +292,18 @@ class _RuleParser(_Parser):
     def escape_at(self, backslash: int, escape: str) -> int:
         return backslash
 
-    def parse_other(self, c: str):
-        """A variable, or else a prefixed name or `a`; no mark is a term."""
-        if c == "?":
+    def parse_term(self, as_subject: bool = False):
+        """A variable, or a term as in Turtle; no mark but `[` is a term."""
+        if self.next_char() == "?":
             self.pos += 1
             name = self.take(_VARIABLE)
             if not name:
                 raise self.error("bad variable name", self.pos - 1)
             return Variable(name)
         mark = self.mark()
-        if mark is not None:
+        if mark is not None and mark != "[":
             raise self.error(f"unexpected token {mark!r}" if mark else "unexpected end of rule")
-        return super().parse_other(c)
+        return super().parse_term(as_subject)
 
     def parse_label(self, start: int) -> Iri:
         """`_:` is a prefix like any other: a rule has no blank node labels."""
@@ -312,14 +319,9 @@ class _RuleParser(_Parser):
 
     def mark(self) -> Optional[str]:
         """The punctuation or keyword (in lower case) next, '' at the end, or None."""
-        c = self.next_char()
-        if not c:
-            return ""
+        self.next_char()
         found = _MARK.match(self.text, self.pos)
         return found and found[0].lower()
-
-    def at(self, *marks: str) -> bool:
-        return self.mark() in marks
 
     def expect(self, mark: str):
         if self.mark() != mark:
@@ -334,16 +336,16 @@ class _RuleParser(_Parser):
         self.expect("construct")
         self.expect("{")
         template = self.triples
-        while not self.at("}"):
+        while self.mark() != "}":
             self.parse_triples()
-            while self.at("."):
+            while self.mark() == ".":
                 self.pos += 1
         self.pos += 1
         self.expect("where")
         # in WHERE a `[ ... ]` is a variable whose name no rule author can write
         self.blank, self.blanks = (lambda n: Variable(f" bnode{n}")), 0
         where, _ = self.parse_group()
-        if not self.at(""):
+        if self.mark() != "":
             raise self.error("trailing tokens after WHERE clause")
         rebound = rebinds(where)
         if rebound:
@@ -368,10 +370,8 @@ class _RuleParser(_Parser):
 
     def parse_group(self) -> tuple[GroupPattern, int]:
         """A braced group, and the number of branches it has."""
-        if self.mark() != "{":
-            raise self.unexpected("expected '{'")
+        self.expect("{")
         self.opened()
-        self.pos += 1
         elements: list = []
         outer, self.triples = self.triples, elements
         width = 1
@@ -382,7 +382,7 @@ class _RuleParser(_Parser):
             elif mark == "{":
                 left, alternatives = self.parse_group()
                 union: Union | None = None
-                while self.at("union"):
+                while self.mark() == "union":
                     self.pos += len("union")
                     right, more = self.parse_group()
                     union = Union(left if union is None else GroupPattern((union,)), right)
@@ -431,15 +431,15 @@ class _RuleParser(_Parser):
         item, join = ((self.parse_primary, ExprAnd) if joiner == "&&"
                       else (lambda: self.parse_expr("&&"), ExprOr))
         items = [item()]
-        while self.at(joiner):
+        while self.mark() == joiner:
             self.pos += 2
             items.append(item())
         return items[0] if len(items) == 1 else join(tuple(items))
 
     def parse_primary(self) -> Expr:
-        if self.at("("):
-            self.opened()
+        if self.mark() == "(":
             self.pos += 1
+            self.opened()
             inner = self.parse_expr()
             # "(expr)" or "(operand op operand)" both arrive here; a closing
             # paren after a full expr ends the primary.

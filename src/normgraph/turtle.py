@@ -17,7 +17,10 @@ end of the text, a line break, or a backslash that starts no known escape. A
 `TurtleSyntaxError` works out its line and column from the offset when it is
 raised: columns count characters from 1, and only a line feed starts a line.
 The reader, the writer and the rule reader share one definition of a name
-(`NAME`), which never ends in `.`.
+(`NAME`), which never ends in `.`. The rule reader (`rules._RuleParser`) is
+this reader, subclassed: rule text reads its IRIs, names, literals, `a`,
+`[ ... ]` and predicate-object lists with these methods, and adds what
+SPARQL has on the same text and offset.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ _ESCAPE = re.compile(r"\\(.)")
 class _Parser:
     """The reader of the triples grammar. The rule reader subclasses it and
     overrides where rule text differs: `error`, `add`, `fresh_blank`,
-    `escape_at`, `parse_other`, `parse_label`, `parse_predicate` and `ENDS`."""
+    `escape_at`, `parse_term`, `parse_label`, `parse_predicate` and `ENDS`."""
 
     ENDS = ("]", ".", "")  # what may follow a ';' and end its list
 
@@ -123,9 +126,9 @@ class _Parser:
         return value
 
     def opened(self):
-        """Counts the bracket at the offset as one more level of nesting."""
+        """Counts the bracket just read as one more level of nesting."""
         if self.depth == MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos - 1)
         self.depth += 1
 
     def parse(self) -> Graph:
@@ -172,17 +175,14 @@ class _Parser:
             return self.parse_literal()
         if c == "[":
             return self.parse_bnode_property_list()
-        return self.parse_other(c)
-
-    def parse_other(self, c: str) -> Term:
-        """The term, starting with `c`, that is no IRI, literal or `[ ... ]`:
-        a prefixed name, `a` or a blank node label."""
         start = self.pos
-        name = self.take(_NAME)
+        if self.text.startswith("_:", start):
+            self.pos += 2
+            return self.parse_label(start)
+        # a prefixed name or `a`
+        name = "" if c == ":" else self.take(_NAME)
         if self.text.startswith(":", self.pos):
             self.pos += 1
-            if name == "_":
-                return self.parse_label(start)
             return self.expand(name, self.take(_NAME), start)
         if name == "a":
             return RDF_TYPE
@@ -220,8 +220,8 @@ class _Parser:
         raise self.error("newline in short string" if stop else "unterminated string")
 
     def parse_bnode_property_list(self) -> Term:
-        self.opened()
         self.pos += 1  # '['
+        self.opened()
         node = self.fresh_blank()
         if self.next_char() != "]":
             self.parse_predicate_object_list(node)

@@ -281,6 +281,7 @@ _WHERE = "CONSTRUCT{?x :q ?y}WHERE{"
     (_WHERE + "?x :p FILTER}", "unexpected token 'filter' at offset 31"),
     (_WHERE + "?x e:p ?y}", "undeclared prefix 'e:' at offset 31"),
     (_WHERE + "?x :p", "unexpected end of rule at offset 30"),
+    (_WHERE + "?x :p ?y} foo", "trailing tokens after WHERE clause at offset 35"),
     ('CONSTRUCT{"s" :q ?y}WHERE{?x :p ?y}', "literal cannot be a subject at offset 10"),
     # a syntax error before a lexical error
     (_WHERE + "?x ?y} $", "unexpected token '}' at offset 30"),
