@@ -130,7 +130,8 @@ from typing import Iterable, NamedTuple, Optional
 from .model import (
     BlankNode, Graph, Iri, Literal, RDF_TYPE, Term, Triple, _Interned, render_term, term_key,
 )
-from .turtle import MAX_NESTING, NAME, STRING_ESCAPES, _NAME, _Parser  # noqa: F401 (importable from here)
+# MAX_NESTING, NAME and STRING_ESCAPES stay importable from here
+from .turtle import MAX_NESTING, NAME, STRING_ESCAPES, _NAME, _Parser  # noqa: F401
 
 
 class RuleSyntaxError(Exception):
@@ -255,8 +256,9 @@ class RuleQuery:
 _KEYWORDS = ("construct", "where", "union", "not", "exists", "filter", "bind", "as")
 _WORD = r"[A-Za-z0-9_\-]"  # a letter of a variable name or a keyword
 # Punctuation, a keyword that does not begin a prefixed name, or the end
-_MARK = re.compile(rf"&&|\|\||!=|[{{}}()\[\];,=.]|(?!{NAME}:)(?:{'|'.join(_KEYWORDS)})(?!{_WORD})|\Z",
-                   re.I)
+_MARK = re.compile(
+    rf"&&|\|\||!=|[{{}}()\[\];,=.]|(?!{NAME}:)(?:{'|'.join(_KEYWORDS)})(?!{_WORD})|\Z", re.I)
+_MARK_START = "&|!{}()[];,=." + "".join(k[0] + k[0].upper() for k in _KEYWORDS)  # or the end
 _VARIABLE = re.compile(f"{_WORD}*")
 # The most branches a WHERE group may have once its UNIONs are distributed
 # (see GroupPattern.branches); each is planned and searched on its own.
@@ -319,7 +321,9 @@ class _RuleParser(_Parser):
 
     def mark(self) -> Optional[str]:
         """The punctuation or keyword (in lower case) next, '' at the end, or None."""
-        self.next_char()
+        c = self.next_char()
+        if c and c not in _MARK_START:
+            return None
         found = _MARK.match(self.text, self.pos)
         return found and found[0].lower()
 

@@ -152,7 +152,7 @@ class _Parser:
             raise self.error("expected IRI in @prefix directive")
         self.pos += 1
         iri = self.until(">", "IRI")
-        if iri:  # one that is no IRI makes none; an empty one makes the local name one
+        if iri:  # a namespace that is no IRI makes none; an empty one makes local names IRIs
             self.iri(iri, start)
         if self.next_char() == ".":
             self.pos += 1
