@@ -10,17 +10,17 @@ collections, no numeric literals, no datatypes. Property lists nest at most
 error, so deep input cannot exhaust the Python stack.
 
 The reader is one recursive-descent parser over the text and its offset,
-`pos`. It reads white space and comments, a name, and a short string's body
-each with one regular expression (`_WS`, `_NAME`, `_SHORT_BODY`); where the
-body stops short of a closing quote, the character there names the error: the
-end of the text, a line break, or a backslash that starts no known escape. A
-`TurtleSyntaxError` works out its line and column from the offset when it is
-raised: columns count characters from 1, and only a line feed starts a line.
-The reader, the writer and the rule reader share one definition of a name
-(`NAME`), which never ends in `.`. The rule reader (`rules._RuleParser`) is
-this reader, subclassed: rule text reads its IRIs, names, literals, `a`,
-`[ ... ]` and predicate-object lists with these methods, and adds what
-SPARQL has on the same text and offset.
+`pos`. It reads white space and comments, a name, a prefixed name and a short
+string's body each with one regular expression (`_WS`, `_NAME`, `_PNAME`,
+`_SHORT_BODY`); where the body stops short of a closing quote, the character
+there names the error: the end of the text, a line break, or a backslash that
+starts no known escape. A `TurtleSyntaxError` works out its line and column
+from the offset when it is raised: columns count characters from 1, and only a
+line feed starts a line. The reader, the writer and the rule reader share one
+definition of a name (`NAME`), which never ends in `.`. The rule reader
+(`rules._RuleParser`) is this reader, subclassed: rule text reads its IRIs,
+names, literals, `a`, `[ ... ]` and predicate-object lists with these methods,
+and adds what SPARQL has on the same text and offset.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ class TurtleSyntaxError(Exception):
 
 _WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _NAME = re.compile(NAME)
+_PNAME = re.compile(f"({NAME}):({NAME})")  # a prefixed name: its prefix and its local part
 # The body of a short string, up to the first character that cannot go on it:
 # the closing quote, the end, a line break or a backslash without a known escape.
 _SHORT_BODY = re.compile(r'(?:[^"\\\r\n]+|\\[nrt"\\])*')
@@ -179,11 +180,11 @@ class _Parser:
         if self.text.startswith("_:", start):
             self.pos += 2
             return self.parse_label(start)
-        # a prefixed name or `a`
-        name = "" if c == ":" else self.take(_NAME)
-        if self.text.startswith(":", self.pos):
-            self.pos += 1
-            return self.expand(name, self.take(_NAME), start)
+        pname = _PNAME.match(self.text, start)
+        if pname:
+            self.pos = pname.end()
+            return self.expand(pname[1], pname[2], start)
+        name = self.take(_NAME)
         if name == "a":
             return RDF_TYPE
         # An empty name: c is no name character, or it begins a run of dots.
