@@ -304,7 +304,7 @@ class _RuleParser(_Parser):
             return Variable(name)
         mark = self.mark()
         if mark is not None and mark != "[":
-            raise self.error(f"unexpected token {mark!r}" if mark else "unexpected end of rule")
+            raise self.unexpected(f"unexpected token {mark!r}")
         return super().parse_term(as_subject)
 
     def parse_label(self, start: int) -> Iri:

@@ -17,9 +17,9 @@ against it.
 `_Parser` is the Turtle reader, with its `_Scanner`, `_read_string` and
 `_read_name`, as it stood when it kept `line` and `col` in step with `pos`
 one character at a time, but for one later change: an IRI the model rejects
-is a syntax error at its `<` or name, and a namespace that makes no IRI one
-at its `@prefix`. The tests compare the reader's triples, prefix map and
-errors (message, line and column) against it.
+is a syntax error at its `<` or name, and so is a `@prefix` whose namespace
+can make no IRI, at the directive. The tests compare the reader's triples,
+prefix map and errors (message, line and column) against it.
 """
 
 from __future__ import annotations
