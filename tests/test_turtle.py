@@ -243,6 +243,15 @@ _EDGE_CASES = [
     "soa:a soa:p soa:b.\n# trailing comment", "[", "[].", "[ soa:p [ soa:q ] ",
     'soa:a soa:p "x\\q".', 'soa:a soa:p "x\ny".', 'soa:a soa:p "x\ry".',
     "soa:a soa:p soa:b ;", "soa:a soa:p soa:b.\r\n\tsoa:c soa:p soa:d\r\nsoa:e",
+    # `a` and names that only begin like it, labels with colons, trailing dots
+    "soa:a soa:p a.", "soa:a soa:p a.b.", "soa:a a- soa:b.", "soa:a aa soa:b.", "a soa:p soa:b.",
+    "a:b soa:p soa:c.", "soa:a soa:p a..:x.", "_:x:y soa:p _:x:.", "_::x soa:p soa:b.",
+    "soa:a soa:p _:x.", "soa:a soa:p _:.x:.y.", "soa:a soa:p soa:b...",
+    # a term right after a comment, a comment right after a term
+    "#c\nsoa:a soa:p soa:b.", "soa:a soa:p#c\nsoa:b.", "soa:a#c\n#d\nsoa:p soa:b#e",
+    # a name right before ';', ',' or ']'
+    "soa:a soa:p soa:b;soa:q soa:c,soa:d.", "soa:a soa:p [soa:q soa:b].", "[soa:p a].",
+    "soa:a soa:p _:x;a _:y,_:z:w.",
 ]
 
 
@@ -265,7 +274,8 @@ def test_reader_matches_the_frozen_reader(rng):
 # and an opening quote, so that many texts reach an object and many a string.
 _TOKENS = ['<', '>', '"', '"""', '\\', '\\u', '\\t', '\u00e9', "'", '_:', '@prefix', '[', ']',
            ';', ',', '.', ':', 'a', 'soa', 'p-1', 'b.c', '<https://e/>', '#', ' ', '\t', '\n',
-           '\r\n', '\r']
+           '\r\n', '\r', 'a.', 'a.b', 'a-', 'aa', 'a:b', '_:x:y', '_:x:', '_::x', '_:x.',
+           'soa:b...']
 _JOINED_TOKENS = st.builds(lambda start, tokens: start + "".join(tokens),
                            st.sampled_from(["", "soa:s soa:p ", 'soa:s soa:p "']),
                            st.lists(st.sampled_from(_TOKENS), max_size=40))
