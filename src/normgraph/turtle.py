@@ -10,17 +10,19 @@ collections, no numeric literals, no datatypes. Property lists nest at most
 error, so deep input cannot exhaust the Python stack.
 
 The reader is one recursive-descent parser over the text and its offset,
-`pos`. It reads white space and comments, a name, a prefixed name and a short
-string's body each with one regular expression (`_WS`, `_NAME`, `_PNAME`,
-`_SHORT_BODY`); where the body stops short of a closing quote, the character
-there names the error: the end of the text, a line break, or a backslash that
-starts no known escape. A `TurtleSyntaxError` works out its line and column
-from the offset when it is raised: columns count characters from 1, and only a
-line feed starts a line. The reader, the writer and the rule reader share one
-definition of a name (`NAME`), which never ends in `.`. The rule reader
-(`rules._RuleParser`) is this reader, subclassed: rule text reads its IRIs,
-names, literals, `a`, `[ ... ]` and predicate-object lists with these methods,
-and adds what SPARQL has on the same text and offset.
+`pos`. A term is one match of `_TERM`: white space and comments, then a
+prefixed name, the `_:` of a label or `a`; `<`, `"` and `[` go on from the
+character after the white space. A label (`_LABEL`), a name and a short
+string's body are one match each; where the body stops short of a closing
+quote, the character there names the error: the end of the text, a line
+break, or a backslash that starts no known escape. A `TurtleSyntaxError`
+works out its line and column from the offset when it is raised: columns
+count characters from 1, and only a line feed starts a line. The reader, the
+writer and the rule reader share one definition of a name (`NAME`), which
+never ends in `.`; the writer renders each distinct term once per call. The
+rule reader (`rules._RuleParser`) is this reader, subclassed: rule text reads
+its IRIs, names, literals, `a`, `[ ... ]` and predicate-object lists with
+these methods, and adds what SPARQL has on the same text and offset.
 """
 
 from __future__ import annotations
@@ -53,7 +55,11 @@ class TurtleSyntaxError(Exception):
 
 _WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _NAME = re.compile(NAME)
-_PNAME = re.compile(f"({NAME}):({NAME})")  # a prefixed name: its prefix and its local part
+# White space and comments (group 1), then maybe a term's start: `_:` (2), a prefixed
+# name (prefix 3, local part 4) or `a` (5) as a whole name, so only dots may follow it.
+_TERM = re.compile(rf"({_WS.pattern})(?:(_:)|({NAME}):({NAME})|(a)(?![.]*[A-Za-z0-9_\-]))?")
+# A blank node label after `_:`: a name that is not empty, then `:name` parts.
+_LABEL = re.compile(rf"[A-Za-z0-9_.\-]*[A-Za-z0-9_\-](?::{NAME})*")
 # The body of a short string, up to the first character that cannot go on it:
 # the closing quote, the end, a line break or a backslash without a known escape.
 _SHORT_BODY = re.compile(r'(?:[^"\\\r\n]+|\\[nrt"\\])*')
@@ -165,7 +171,16 @@ class _Parser:
         return self.iri(self.prefixes[prefix] + local, start)
 
     def parse_term(self, as_subject: bool = False) -> Term:
-        c = self.next_char()
+        term = _TERM.match(self.text, self.pos)
+        self.pos = term.end()
+        kind = term.lastindex
+        if kind == 4:
+            return self.expand(term[3], term[4], term.end(1))
+        if kind == 2:
+            return self.parse_label(term.end(1))
+        if kind == 5:
+            return RDF_TYPE
+        c = self.text[self.pos:self.pos + 1]
         if c == "<":
             start = self.pos
             self.pos += 1
@@ -176,17 +191,7 @@ class _Parser:
             return self.parse_literal()
         if c == "[":
             return self.parse_bnode_property_list()
-        start = self.pos
-        if self.text.startswith("_:", start):
-            self.pos += 2
-            return self.parse_label(start)
-        pname = _PNAME.match(self.text, start)
-        if pname:
-            self.pos = pname.end()
-            return self.expand(pname[1], pname[2], start)
         name = self.take(_NAME)
-        if name == "a":
-            return RDF_TYPE
         # An empty name: c is no name character, or it begins a run of dots.
         if not name and c != ".":
             raise self.error(f"unexpected character {c!r}")
@@ -194,16 +199,14 @@ class _Parser:
 
     def parse_label(self, start: int) -> Term:
         """The blank node whose label follows the `_:` at offset `start`."""
-        label = self.take(_NAME)
-        if not label:
-            raise self.error("empty blank node label")
         # Extend the legal label alphabet with ':' so serialized
         # skolem/parse labels survive a round trip. Explicit labels get
         # their own sub-namespace, disjoint from anonymous "[ ... ]" ones.
-        while self.text.startswith(":", self.pos):
-            self.pos += 1
-            label += ":" + self.take(_NAME)
-        return BlankNode(f"{self._label_prefix}id:{label}")
+        label = _LABEL.match(self.text, self.pos)
+        if not label:
+            raise self.error("empty blank node label")
+        self.pos = label.end()
+        return BlankNode(f"{self._label_prefix}id:{label[0]}")
 
     def parse_literal(self) -> Literal:
         if self.text.startswith('"""', self.pos):
@@ -301,6 +304,18 @@ def _render(t: Term, prefixes: dict[str, str]) -> str:
     return '"' + t.value.replace("\\", "\\\\") + '"'
 
 
+class _Rendered(dict):
+    """Each term's text under `prefixes`, made at its first lookup."""
+
+    def __init__(self, prefixes: dict[str, str]):
+        super().__init__()
+        self.prefixes = prefixes
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = _render(term, self.prefixes)
+        return text
+
+
 def serialize_turtle(g: Graph) -> str:
     """Deterministic serialization: prefix block, then one sorted triple per
     line. Blank nodes keep explicit labels; `[ ... ]` is never re-created."""
@@ -311,7 +326,7 @@ def serialize_turtle(g: Graph) -> str:
         lines.append(f"@prefix {prefix}: <{prefixes[prefix]}> .")
     if len(g):
         lines.append("")
+    text = _Rendered(prefixes)  # lives for this call: the prefixes differ between calls
     for t in g.match():
-        lines.append(f"{_render(t.subject, prefixes)} {_render(t.predicate, prefixes)} "
-                     f"{_render(t.object, prefixes)} .")
+        lines.append(f"{text[t.subject]} {text[t.predicate]} {text[t.object]} .")
     return "\n".join(lines) + "\n"
