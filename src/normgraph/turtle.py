@@ -276,8 +276,6 @@ def parse_turtle(text: str, scope: str = "") -> Graph:
 
 
 def _compress(iri: Iri, prefixes: dict[str, str]) -> str:
-    if iri == RDF_TYPE:
-        return "a"
     best: tuple[int, str, str] | None = None
     for prefix, ns in prefixes.items():
         if iri.value.startswith(ns) and (best is None or len(ns) > best[0]):
@@ -318,7 +316,8 @@ class _Rendered(dict):
 
 def serialize_turtle(g: Graph) -> str:
     """Deterministic serialization: prefix block, then one sorted triple per
-    line. Blank nodes keep explicit labels; `[ ... ]` is never re-created."""
+    line. Blank nodes keep explicit labels; `[ ... ]` is never re-created.
+    `rdf:type` is written `a` only as a predicate, where Turtle allows it."""
     prefixes = dict(DEFAULT_PREFIXES)
     prefixes.update(g.prefix_map)
     lines = []
@@ -328,5 +327,6 @@ def serialize_turtle(g: Graph) -> str:
         lines.append("")
     text = _Rendered(prefixes)  # lives for this call: the prefixes differ between calls
     for t in g.match():
-        lines.append(f"{text[t.subject]} {text[t.predicate]} {text[t.object]} .")
+        verb = "a" if t.predicate is RDF_TYPE else text[t.predicate]
+        lines.append(f"{text[t.subject]} {verb} {text[t.object]} .")
     return "\n".join(lines) + "\n"

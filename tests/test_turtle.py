@@ -202,6 +202,23 @@ def test_round_trip_iris_whose_local_part_is_no_name():
     assert set(parse_turtle(serialize_turtle(g)).triples()) == set(g.triples())
 
 
+def test_rdf_type_is_written_a_only_as_a_predicate():
+    g = Graph([Triple(soa("s"), RDF_TYPE, soa("C")), Triple(soa("r"), soa("p"), RDF_TYPE),
+               Triple(RDF_TYPE, soa("p"), soa("o"))])
+    lines = serialize_turtle(g).splitlines()
+    assert "soa:s a soa:C ." in lines
+    assert "soa:r soa:p rdf:type ." in lines
+    assert "rdf:type soa:p soa:o ." in lines
+    assert set(parse_turtle("\n".join(lines)).triples()) == set(g.triples())
+    # reified rdf:type statements in the saved results, as other RDF tools read them
+    for name, info in sorted(FIXTURES.items()):
+        if info.expects_error:
+            continue
+        for line in serialize_turtle(run_fixture(name).result.graph).splitlines():
+            tokens = line.split(" ")
+            assert tokens[0] != "a" and tokens[2:3] != ["a"], (name, line)
+
+
 def test_serialization_is_deterministic(rng):
     g = random_graph(rng)
     assert serialize_turtle(g) == serialize_turtle(g.copy())
