@@ -122,12 +122,12 @@ class _Parser:
         self.pos = match.end()
         return match.group()
 
-    def until(self, end: str, what: str) -> str:
-        """The text up to the next `end`, which is consumed too."""
+    def until(self, end: str, what: str, start: int) -> str:
+        """The text up to the next `end`, which is consumed too; without one,
+        an error at `start`, where the token opens."""
         stop = self.text.find(end, self.pos)
         if stop < 0:
-            self.pos = len(self.text)
-            raise self.error(f"unterminated {what}")
+            raise self.error(f"unterminated {what}", start)
         value = self.text[self.pos:stop]
         self.pos = stop + len(end)
         return value
@@ -158,7 +158,7 @@ class _Parser:
         if self.next_char() != "<":
             raise self.error("expected IRI in @prefix directive")
         self.pos += 1
-        iri = self.until(">", "IRI")
+        iri = self.until(">", "IRI", self.pos - 1)
         if iri:  # a namespace that is no IRI makes none; an empty one makes local names IRIs
             self.iri(iri, start)
         if self.next_char() == ".":
@@ -167,7 +167,7 @@ class _Parser:
 
     def expand(self, prefix: str, local: str, start: int) -> Iri:
         if prefix not in self.prefixes:
-            raise self.error(f"undeclared prefix '{prefix}:'")
+            raise self.error(f"undeclared prefix '{prefix}:'", start)
         return self.iri(self.prefixes[prefix] + local, start)
 
     def parse_term(self, as_subject: bool = False) -> Term:
@@ -180,11 +180,11 @@ class _Parser:
             return self.parse_label(term.end(1))
         if kind == 5:
             return RDF_TYPE
-        c = self.text[self.pos:self.pos + 1]
+        start = self.pos
+        c = self.text[start:start + 1]
         if c == "<":
-            start = self.pos
             self.pos += 1
-            return self.iri(self.until(">", "IRI"), start)
+            return self.iri(self.until(">", "IRI", start), start)
         if c == '"':
             if as_subject:
                 raise self.error("literal cannot be a subject")
@@ -195,7 +195,7 @@ class _Parser:
         # An empty name: c is no name character, or it begins a run of dots.
         if not name and c != ".":
             raise self.error(f"unexpected character {c!r}")
-        raise self.error(f"unexpected token {name!r}")
+        raise self.error(f"unexpected token {name!r}", start)
 
     def parse_label(self, start: int) -> Term:
         """The blank node whose label follows the `_:` at offset `start`."""
@@ -209,9 +209,10 @@ class _Parser:
         return BlankNode(f"{self._label_prefix}id:{label[0]}")
 
     def parse_literal(self) -> Literal:
-        if self.text.startswith('"""', self.pos):
+        start = self.pos
+        if self.text.startswith('"""', start):
             self.pos += 3
-            return Literal(self.until('"""', "long string"))
+            return Literal(self.until('"""', "long string", start))
         self.pos += 1  # opening quote
         body = self.take(_SHORT_BODY)
         stop = self.text[self.pos:self.pos + 1]
@@ -221,7 +222,9 @@ class _Parser:
         if stop == "\\":
             escape = self.text[self.pos + 1:self.pos + 2]
             raise self.error(f"unknown escape \\{escape}", self.escape_at(self.pos, escape))
-        raise self.error("newline in short string" if stop else "unterminated string")
+        if stop:
+            raise self.error("newline in short string")
+        raise self.error("unterminated string", start)
 
     def parse_bnode_property_list(self) -> Term:
         self.pos += 1  # '['

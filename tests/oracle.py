@@ -252,8 +252,9 @@ class _Scanner:
         self.line = 1
         self.col = 1
 
-    def error(self, message: str) -> TurtleSyntaxError:
-        return TurtleSyntaxError(message, self.line, self.col)
+    def error(self, message: str, at: tuple[int, int] | None = None) -> TurtleSyntaxError:
+        """The error at `at`, a line and column, or else where the scanner is."""
+        return TurtleSyntaxError(message, *(at or (self.line, self.col)))
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
@@ -292,12 +293,13 @@ _SHORT_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
 def _read_string(sc: _Scanner) -> str:
+    at = (sc.line, sc.col)  # the opening quote
     if sc.startswith('"""'):
         sc.advance(3)
         start = sc.pos
         while not sc.startswith('"""'):
             if sc.eof():
-                raise sc.error("unterminated long string")
+                raise sc.error("unterminated long string", at)
             sc.advance()
         value = sc.text[start:sc.pos]
         sc.advance(3)
@@ -306,7 +308,7 @@ def _read_string(sc: _Scanner) -> str:
     out = []
     while True:
         if sc.eof():
-            raise sc.error("unterminated string")
+            raise sc.error("unterminated string", at)
         c = sc.peek()
         if c in ("\n", "\r"):
             raise sc.error("newline in short string")
@@ -383,12 +385,13 @@ class _Parser:
         sc.skip_ws()
         if sc.peek() != "<":
             raise sc.error("expected IRI in @prefix directive")
+        opened = (sc.line, sc.col)
         sc.advance()
         start = sc.pos
         while not sc.eof() and sc.peek() != ">":
             sc.advance()
         if sc.eof():
-            raise sc.error("unterminated IRI")
+            raise sc.error("unterminated IRI", opened)
         iri = sc.text[start:sc.pos]
         if iri:
             _iri(iri, at)
@@ -400,7 +403,7 @@ class _Parser:
 
     def expand(self, prefix: str, local: str, at: tuple[int, int]) -> Iri:
         if prefix not in self.prefixes:
-            raise self.sc.error(f"undeclared prefix '{prefix}:'")
+            raise self.sc.error(f"undeclared prefix '{prefix}:'", at)
         return _iri(self.prefixes[prefix] + local, at)
 
     def parse_term(self, as_subject: bool = False) -> Term:
@@ -414,7 +417,7 @@ class _Parser:
             while not sc.eof() and sc.peek() != ">":
                 sc.advance()
             if sc.eof():
-                raise sc.error("unterminated IRI")
+                raise sc.error("unterminated IRI", at)
             value = sc.text[start:sc.pos]
             sc.advance()
             return _iri(value, at)
@@ -446,7 +449,7 @@ class _Parser:
                 return self.expand(name, _read_name(sc), at)
             if name == "a":
                 return RDF_TYPE
-            raise sc.error(f"unexpected token {name!r}")
+            raise sc.error(f"unexpected token {name!r}", at)
         raise sc.error(f"unexpected character {c!r}")
 
     def parse_bnode_property_list(self) -> BlankNode:

@@ -271,15 +271,15 @@ _WHERE = "CONSTRUCT{?x :q ?y}WHERE{"
 
 @pytest.mark.parametrize("text, message", [
     # unterminated tokens
-    (_WHERE + '?x :p "abc}', "unterminated string at offset 36"),
-    (_WHERE + '?x :p """abc}', "unterminated long string at offset 38"),
-    (_WHERE + "?x :p <abc}", "unterminated IRI at offset 36"),
+    (_WHERE + '?x :p "abc}', "unterminated string at offset 31"),
+    (_WHERE + '?x :p """abc}', "unterminated long string at offset 31"),
+    (_WHERE + "?x :p <abc}", "unterminated IRI at offset 31"),
     (_WHERE + "?x :p ? y}", "bad variable name at offset 31"),
     (_WHERE + "?x :p $}", "unexpected character '$' at offset 31"),
     # a word where a term goes
-    (_WHERE + "?x :p foo}", "unexpected token 'foo' at offset 34"),
+    (_WHERE + "?x :p foo}", "unexpected token 'foo' at offset 31"),
     (_WHERE + "?x :p FILTER}", "unexpected token 'filter' at offset 31"),
-    (_WHERE + "?x e:p ?y}", "undeclared prefix 'e:' at offset 31"),
+    (_WHERE + "?x e:p ?y}", "undeclared prefix 'e:' at offset 28"),
     (_WHERE + "?x :p", "unexpected end of rule at offset 30"),
     (_WHERE + "?x :p ?y} foo", "trailing tokens after WHERE clause at offset 35"),
     ('CONSTRUCT{"s" :q ?y}WHERE{?x :p ?y}', "literal cannot be a subject at offset 10"),

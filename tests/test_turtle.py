@@ -123,6 +123,19 @@ def test_an_iri_the_model_rejects_is_an_error_where_it_is_written():
     assert Triple(soa("a"), soa("p"), Iri("x")) in parse_turtle("@prefix e: <>. soa:a soa:p e:x.")
 
 
+def test_an_error_about_a_token_is_at_its_start():
+    for text, message, at in (
+            ("soa:a soa:p <https://x\n\n", "unterminated IRI", (1, 13)),
+            ("@prefix e: <https://e/\n", "unterminated IRI", (1, 12)),
+            ('soa:a soa:p\n  "abc', "unterminated string", (2, 3)),
+            ('soa:a soa:p """ab\ncd', "unterminated long string", (1, 13)),
+            ("soa:a soa:p\nnope:x.", "undeclared prefix 'nope:'", (2, 1)),
+            ("soa:a soa:p foo.", "unexpected token 'foo'", (1, 13))):
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, *at), text
+
+
 def test_unterminated_long_string():
     with pytest.raises(TurtleSyntaxError):
         parse_turtle('soa:a soa:p """oops.')
