@@ -20,6 +20,11 @@ one character at a time, but for one later change: an IRI the model rejects
 is a syntax error at its `<` or name, and so is a `@prefix` whose namespace
 can make no IRI, at the directive. The tests compare the reader's triples,
 prefix map and errors (message, line and column) against it.
+
+`_order` and `_greedy` are the join planner's branch ordering as it stood
+before its per-call work was trimmed: every call sorts all its starts and
+places the guards by filtering the waiting ones at each binder. The tests
+compare `rules._order` against it, step for step and by identity.
 """
 
 from __future__ import annotations
@@ -122,6 +127,73 @@ def _plan_run(g: Graph, run: list[TriplePattern], bound: set[Variable]) -> list[
         ordered.append(best)
         bound.update(_pattern_vars(best))
     return ordered
+
+
+def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
+    """The branch's steps: its binders in the cheapest order found, each
+    guard right after the binder that binds the last of its needed
+    variables, and the guards that become ready together in rank order.
+
+    `estimates` holds each binder's expected matches with nothing bound and
+    the factor that binding each of its variables divides them by (see
+    `_estimate`); without them the binders keep their written order. The
+    search runs `_greedy` from each allowed first binder, cheapest first:
+    the plain greedy's run in full, then, if its plan's bindings exceed 8
+    times the binders it looked at, runs cut once they cost as much as the
+    best, until a start alone does or all runs have looked at that many."""
+    order = range(len(segment.binders))
+    if estimates:
+        factors = [list(zip(bits, pairs)) for bits, (_, pairs) in zip(segment.bits, estimates)]
+        cost = [matches for matches, _ in estimates]
+        for i, pairs in enumerate(factors):
+            for bit, factor in pairs:
+                if segment.entry & bit:
+                    cost[i] /= factor
+        starts = sorted((i for i in order if not segment.after[i]), key=cost.__getitem__)
+        order, best, work = _greedy(segment, factors, cost, starts[0], None, 0)
+        budget = 8 * work
+        for first in starts[1:] if budget < best else ():
+            if cost[first] >= best or work >= budget:
+                break
+            steps, total, work = _greedy(segment, factors, cost, first, best, work)
+            if steps is not None:
+                order, best = steps, total
+    steps, placed, waiting = [], 0, segment.guards
+    for i in order:
+        if waiting:
+            steps += (guard.element for guard in waiting if not guard.needed & ~placed)
+            waiting = [guard for guard in waiting if guard.needed & ~placed]
+        steps.append(segment.binders[i])
+        placed |= segment.masks[i]
+    return steps + [guard.element for guard in waiting]
+
+
+def _greedy(segment: _Segment, factors: list, cost: list, first: int,
+            limit: Optional[float], work: int) -> tuple[Optional[list], float, int]:
+    """The order that takes binder `first`, then each time the allowed one
+    with the fewest expected matches per binding, the first written on a
+    tie; its estimated total bindings, the sum of the rows after each step;
+    and `work` plus the binders looked at. The order is None if the total
+    reaches `limit` first. The first written binder left is always allowed."""
+    cost, remaining, masks, after = list(cost), list(range(len(cost))), segment.masks, segment.after
+    bound, rows, total, order, allowed = segment.entry, 1.0, 0.0, [], [first]
+    while allowed:
+        best = min(allowed, key=cost.__getitem__)
+        rows *= cost[best]
+        total += rows
+        if limit is not None and total >= limit:
+            return None, total, work
+        order.append(best)
+        remaining.remove(best)
+        fresh, bound = masks[best] & ~bound, bound | masks[best]
+        for i in remaining:
+            if fresh & masks[i]:
+                for bit, factor in factors[i]:
+                    if fresh & bit:
+                        cost[i] /= factor
+        work += len(remaining)
+        allowed = [i for i in remaining if not after[i] & ~bound] if any(after) else remaining
+    return order, total, work
 
 
 def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None) -> list[Binding]:

@@ -6,8 +6,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from normgraph import rules
 from normgraph.engine import load_rules
 from normgraph.model import (
     BlankNode, Graph, Iri, Literal, RDF_TYPE, SOA_NS, Triple, graph_union,
@@ -822,28 +824,110 @@ def test_a_probe_of_a_rebinding_group_raises_the_conflict_of_its_full_evaluation
     assert _outcome(evaluate_where, g, outer, limit=1) == want
 
 
+def _fixture_pass():
+    """Every runnable fixture checked once with its layers."""
+    from normgraph.cli import run_pipeline
+    from normgraph.engine import MaxIterationsExceeded
+    for name, info in sorted(FIXTURES.items()):
+        data, user_rules, _ = fixture(name)
+        try:
+            run_pipeline([data, user_rules], set(info.layers))
+        except MaxIterationsExceeded:
+            assert info.expects_error, name
+
+
 def test_a_warm_pass_over_every_fixture_orders_at_most_the_recorded_branches(monkeypatch):
     # a gate on planning work, not seconds, so that it holds on a noisy host:
     # at most 1.1 times the 551 branches ordered when it was set (1,189
     # before branches with a pattern with no match were left unordered)
-    from normgraph import rules
-    from normgraph.cli import run_pipeline
-    from normgraph.engine import MaxIterationsExceeded
-
-    def one_pass():
-        for name, info in sorted(FIXTURES.items()):
-            data, user_rules, _ = fixture(name)
-            try:
-                run_pipeline([data, user_rules], set(info.layers))
-            except MaxIterationsExceeded:
-                assert info.expects_error, name
-
-    one_pass()  # parses every rule and analyses its groups
+    _fixture_pass()  # parses every rule and analyses its groups
     ordered = []
     order = rules._order
     monkeypatch.setattr(rules, "_order", lambda *args: ordered.append(1) or order(*args))
-    one_pass()
+    _fixture_pass()
     assert len(ordered) <= 1.1 * 551, len(ordered)
+
+
+# --- the frozen planner -----------------------------------------------------------
+
+
+def test_every_order_of_a_warm_fixture_pass_is_the_frozen_planners(monkeypatch):
+    _fixture_pass()
+    order, ordered = rules._order, []
+
+    def compared(segment, estimates=None):
+        steps = order(segment, estimates)
+        assert list(map(id, steps)) == list(map(id, oracle._order(segment, estimates)))
+        ordered.append(estimates is not None)
+        return steps
+
+    monkeypatch.setattr(rules, "_order", compared)
+    _fixture_pass()
+    assert sum(ordered) >= 500, len(ordered)
+
+
+_SEGMENT_VARIABLES = [V(f"g{k}") for k in range(5)]
+_SEGMENT_TERMS = st.sampled_from(_SEGMENT_VARIABLES + [Iri(EX + "a"), Iri(EX + "b")])
+_SEGMENT_PATTERNS = st.builds(TriplePattern, _SEGMENT_TERMS,
+                              st.sampled_from([Iri(EX + "p"), Iri(EX + "q"), V("g0")]),
+                              _SEGMENT_TERMS)
+_SEGMENT_GUARDS = st.one_of(
+    st.builds(Filter, st.builds(Comparison, st.sampled_from(_SEGMENT_VARIABLES), st.booleans(),
+                                _SEGMENT_TERMS)),
+    st.builds(NotExists, st.builds(GroupPattern, st.lists(_SEGMENT_PATTERNS, min_size=1,
+                                                          max_size=3).map(tuple))))
+
+
+@st.composite
+def _segments(draw):
+    """A branch's segment, built by `_segment` from random elements, with
+    estimates for its shapes or None. Binders share variables, estimates tie,
+    and guards stand anywhere, so their `needed` and the binders' `after`
+    vary; big counts make the multi-start search run and cut runs short."""
+    binder = st.one_of(_SEGMENT_PATTERNS, _SEGMENT_PATTERNS,
+                       st.builds(Bind, st.just(Iri(EX + "a")), st.sampled_from(_SEGMENT_VARIABLES)))
+    elements = draw(st.lists(binder, min_size=1, max_size=7))
+    for guard in draw(st.lists(_SEGMENT_GUARDS, max_size=4)):
+        elements.insert(draw(st.integers(0, len(elements))), guard)
+    seeded = frozenset(draw(st.sets(st.sampled_from(_SEGMENT_VARIABLES), max_size=2)))
+    segment = rules._segment(tuple(elements), seeded)
+    if draw(st.integers(0, 9)) == 0:
+        return segment, None
+    known = {None: (1, [])}  # as `_plan` reads them: one estimate per shape
+    for shape in segment.shapes:
+        if shape not in known:
+            known[shape] = (draw(st.sampled_from([1, 2, 3, 8, 40, 1000])),
+                            [draw(st.sampled_from([1, 2, 3, 10])) for part in shape
+                             if part is None])
+    return segment, [known[shape] for shape in segment.shapes]
+
+
+# three unconnected patterns: the plain greedy's 2 + 6 + 24 estimated rows
+# exceed 8 times its 3 binders looked at, so the search starts from ?y's
+# pattern, and that run is cut at its last step
+_UNCONNECTED = (rules._segment(tuple(TriplePattern(V(x), Iri(EX + "p"), Iri(EX + "a"))
+                                     for x in "xyz"), frozenset()),
+                [(2, [1]), (3, [1]), (4, [1])])
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_segments())
+@example(_UNCONNECTED)
+def test_order_is_the_frozen_planners_on_random_segments(case):
+    got, want = rules._order(*case), oracle._order(*case)
+    assert list(map(id, got)) == list(map(id, want))
+
+
+def test_the_frozen_planner_searches_and_cuts_a_run_on_three_unconnected_patterns(monkeypatch):
+    greedy, runs = oracle._greedy, []
+
+    def recorded_greedy(segment, factors, cost, first, limit, work):
+        runs.append((first, limit, greedy(segment, factors, cost, first, limit, work)[0]))
+        return greedy(segment, factors, cost, first, limit, work)
+
+    monkeypatch.setattr(oracle, "_greedy", recorded_greedy)
+    oracle._order(*_UNCONNECTED)
+    assert runs == [(0, None, [0, 1, 2]), (1, 32.0, None), (2, 32.0, None)]
 
 
 # --- two-level indexes ---------------------------------------------------------
