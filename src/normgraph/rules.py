@@ -124,7 +124,8 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import attrgetter, is_
+from itertools import takewhile
+from operator import attrgetter, is_, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
@@ -819,32 +820,37 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     `estimates` holds each binder's expected matches with nothing bound and
     the factor that binding each of its variables divides them by (see
     `_estimate`); without them the binders keep their written order. The
-    search runs `_greedy` from each allowed first binder, cheapest first:
-    the plain greedy's run in full, then, if its plan's bindings exceed 8
-    times the binders it looked at, runs cut once they cost as much as the
-    best, until a start alone does or all runs have looked at that many."""
-    order = range(len(segment.binders))
+    search runs `_greedy` from each allowed first binder, cheapest first
+    (the first written on a tie): the plain greedy's run in full, then, if
+    its plan's bindings exceed 8 times the binders it looked at, the other
+    starts, sorted only now, in runs cut once they cost as much as the best,
+    until a start alone does or all runs have looked at that many."""
+    order, entry = range(len(segment.binders)), segment.entry
     if estimates:
-        factors = [list(zip(bits, pairs)) for bits, (_, pairs) in zip(segment.bits, estimates)]
-        cost = [matches for matches, _ in estimates]
-        for i, pairs in enumerate(factors):
-            for bit, factor in pairs:
-                if segment.entry & bit:
-                    cost[i] /= factor
-        starts = sorted((i for i in order if not segment.after[i]), key=cost.__getitem__)
-        order, best, work = _greedy(segment, factors, cost, starts[0], None, 0)
+        factors, cost = [], []
+        for bits, (matches, pairs) in zip(segment.bits, estimates):
+            factors.append(list(zip(bits, pairs)))
+            for bit, factor in factors[-1] if entry else ():
+                if entry & bit:
+                    matches /= factor
+            cost.append(matches)
+        starts = [i for i in order if not segment.after[i]]
+        order, best, work = _greedy(segment, factors, cost, min(starts, key=cost.__getitem__),
+                                    None, 0)
         budget = 8 * work
-        for first in starts[1:] if budget < best else ():
+        for first in sorted(starts, key=cost.__getitem__)[1:] if budget < best else ():
             if cost[first] >= best or work >= budget:
                 break
             steps, total, work = _greedy(segment, factors, cost, first, best, work)
             if steps is not None:
                 order, best = steps, total
+    if not segment.guards:
+        return [segment.binders[i] for i in order]
     steps, placed, waiting = [], 0, segment.guards
-    for i in order:
+    for i in order:  # a guard ready before binder i is placed, in rank order, as it is dropped
         if waiting:
-            steps += (guard.element for guard in waiting if not guard.needed & ~placed)
-            waiting = [guard for guard in waiting if guard.needed & ~placed]
+            waiting = [guard for guard in waiting
+                       if guard.needed & ~placed or steps.append(guard.element)]
         steps.append(segment.binders[i])
         placed |= segment.masks[i]
     return steps + [guard.element for guard in waiting]
@@ -899,10 +905,11 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
     Each shape's estimate is read once per graph state, and `_order` puts
     each branch in order from them. Joins commute, a BIND is a one-row join,
     and a guard sees the same values of the variables it mentions wherever
-    it runs, so the order never changes the solutions. A planned branch
-    with a pattern that matches no triple has no solution: it is dead, its
-    steps and program None, and is neither ordered nor searched. A graph
-    only grows, so the verdict holds until its size changes."""
+    it runs, so the order never changes the solutions. A branch's estimates
+    are read up to its first shape with no match: such a branch has no
+    solution. It is dead, its steps and program None, and is neither ordered
+    nor searched; a graph only grows, so the verdict holds until its size
+    changes. An order that comes back the same, step for step, keeps its program."""
     global _estimates
     analysis = _analyse(gp, frozenset(seeded))
     state = (weakref.ref(g), len(g))
@@ -912,13 +919,16 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
         known = _estimates[2]
         for i, part in enumerate(analysis.parts):
             if part is not None:
-                known.update((shape, _estimate(g, shape))
-                             for shape in part.shapes if shape not in known)
-                if any(not known[shape][0] for shape in part.shapes):
+                estimates = list(takewhile(itemgetter(0), (
+                    known.get(shape) or known.setdefault(shape, _estimate(g, shape))
+                    for shape in part.shapes)))
+                if len(estimates) < len(part.shapes):
                     analysis.steps[i] = analysis.programs[i] = None
                     continue
-                analysis.steps[i] = tuple(_order(part, [known[shape] for shape in part.shapes]))
-                analysis.programs[i] = _program(part, analysis.steps[i], seeded)
+                steps = tuple(_order(part, estimates))
+                if not (analysis.steps[i] and all(map(is_, steps, analysis.steps[i]))):
+                    analysis.programs[i] = _program(part, steps, seeded)
+                analysis.steps[i] = steps
         analysis.state = state
     return analysis.steps
 
