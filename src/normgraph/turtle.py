@@ -283,7 +283,8 @@ def _compress(iri: Iri, prefixes: dict[str, str]) -> str:
     for prefix, ns in prefixes.items():
         if iri.value.startswith(ns) and (best is None or len(ns) > best[0]):
             local = iri.value[len(ns):]
-            if local and _NAME.fullmatch(local):
+            # RDF 1.1's PN_LOCAL, unlike NAME, starts with neither '.' nor '-'
+            if local and local[0] not in ".-" and _NAME.fullmatch(local):
                 best = (len(ns), prefix, local)
     if best is None:
         return f"<{iri.value}>"

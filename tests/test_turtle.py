@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import normgraph
 import oracle
 from normgraph.model import (
-    BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, RDF_TYPE,
+    BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, ONT_NS, RDF_TYPE,
     REXIST, Triple, isomorphic,
 )
 from normgraph.ontology import _VOCABULARY_TTL, FIXTURES
@@ -213,6 +213,16 @@ def test_round_trip_iris_whose_local_part_is_no_name():
     for i, local in enumerate(["ends.", "a/b", "x#y", "caf\u00e9", "two..dots", "-_."]):
         g.insert(Triple(soa(f"s{i}"), soa("p"), Iri(soa("").value + local)))
     assert set(parse_turtle(serialize_turtle(g)).triples()) == set(g.triples())
+
+
+def test_a_local_part_that_starts_with_a_dot_or_hyphen_is_written_under_a_shorter_prefix():
+    # RDF 1.1's PN_LOCAL starts with neither; ':' holds ONT_NS, which 'soa:' extends
+    g = Graph([Triple(soa(".x"), soa("p"), soa("-y")),
+               Triple(Iri(ONT_NS + ".z"), soa("p"), Iri(ONT_NS + "-w"))])
+    lines = serialize_turtle(g).splitlines()
+    assert ":soa.x soa:p :soa-y ." in lines
+    assert f"<{ONT_NS}.z> soa:p <{ONT_NS}-w> ." in lines
+    assert set(parse_turtle("\n".join(lines)).triples()) == set(g.triples())
 
 
 def test_rdf_type_is_written_a_only_as_a_predicate():
