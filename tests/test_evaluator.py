@@ -839,13 +839,17 @@ def _fixture_pass():
 def test_a_warm_pass_over_every_fixture_orders_at_most_the_recorded_branches(monkeypatch):
     # a gate on planning work, not seconds, so that it holds on a noisy host:
     # at most 1.1 times the 551 branches ordered when it was set (1,189
-    # before branches with a pattern with no match were left unordered)
+    # before branches with a pattern with no match were left unordered), and
+    # 1.1 times the 828 estimates read (1,022 before a branch's estimates
+    # stopped at its first shape with no match)
     _fixture_pass()  # parses every rule and analyses its groups
-    ordered = []
-    order = rules._order
+    ordered, estimated = [], []
+    order, estimate = rules._order, rules._estimate
     monkeypatch.setattr(rules, "_order", lambda *args: ordered.append(1) or order(*args))
+    monkeypatch.setattr(rules, "_estimate", lambda *args: estimated.append(1) or estimate(*args))
     _fixture_pass()
     assert len(ordered) <= 1.1 * 551, len(ordered)
+    assert len(estimated) <= 1.1 * 828, len(estimated)
 
 
 # --- the frozen planner -----------------------------------------------------------
