@@ -124,8 +124,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import takewhile
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
@@ -827,21 +826,20 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     until a start alone does or all runs have looked at that many."""
     order, entry = range(len(segment.binders)), segment.entry
     if estimates:
-        factors, cost = [], []
-        for bits, (matches, pairs) in zip(segment.bits, estimates):
-            factors.append(list(zip(bits, pairs)))
-            for bit, factor in factors[-1] if entry else ():
+        cost = []
+        for bits, (matches, factors) in zip(segment.bits, estimates):
+            for bit, factor in zip(bits, factors) if entry else ():
                 if entry & bit:
                     matches /= factor
             cost.append(matches)
         starts = [i for i in order if not segment.after[i]]
-        order, best, work = _greedy(segment, factors, cost, min(starts, key=cost.__getitem__),
+        order, best, work = _greedy(segment, estimates, cost, min(starts, key=cost.__getitem__),
                                     None, 0)
         budget = 8 * work
         for first in sorted(starts, key=cost.__getitem__)[1:] if budget < best else ():
             if cost[first] >= best or work >= budget:
                 break
-            steps, total, work = _greedy(segment, factors, cost, first, best, work)
+            steps, total, work = _greedy(segment, estimates, cost, first, best, work)
             if steps is not None:
                 order, best = steps, total
     if not segment.guards:
@@ -856,7 +854,7 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     return steps + [guard.element for guard in waiting]
 
 
-def _greedy(segment: _Segment, factors: list, cost: list, first: int,
+def _greedy(segment: _Segment, estimates: list, cost: list, first: int,
             limit: Optional[float], work: int) -> tuple[Optional[list], float, int]:
     """The order that takes binder `first`, then each time the allowed one
     with the fewest expected matches per binding, the first written on a
@@ -864,7 +862,7 @@ def _greedy(segment: _Segment, factors: list, cost: list, first: int,
     and `work` plus the binders looked at. The order is None if the total
     reaches `limit` first. The first written binder left is always allowed."""
     cost, remaining, masks, after = list(cost), list(range(len(cost))), segment.masks, segment.after
-    bound, rows, total, order, allowed = segment.entry, 1.0, 0.0, [], [first]
+    bound, rows, total, order, allowed, gated = segment.entry, 1.0, 0.0, [], [first], any(after)
     while allowed:
         best = min(allowed, key=cost.__getitem__)
         rows *= cost[best]
@@ -876,11 +874,11 @@ def _greedy(segment: _Segment, factors: list, cost: list, first: int,
         fresh, bound = masks[best] & ~bound, bound | masks[best]
         for i in remaining:
             if fresh & masks[i]:
-                for bit, factor in factors[i]:
+                for bit, factor in zip(segment.bits[i], estimates[i][1]):
                     if fresh & bit:
                         cost[i] /= factor
         work += len(remaining)
-        allowed = [i for i in remaining if not after[i] & ~bound] if any(after) else remaining
+        allowed = [i for i in remaining if not after[i] & ~bound] if gated else remaining
     return order, total, work
 
 
@@ -918,13 +916,15 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
             _estimates = (*state, {None: (1, [])})
         known = _estimates[2]
         for i, part in enumerate(analysis.parts):
-            if part is not None:
-                estimates = list(takewhile(itemgetter(0), (
-                    known.get(shape) or known.setdefault(shape, _estimate(g, shape))
-                    for shape in part.shapes)))
-                if len(estimates) < len(part.shapes):
+            if part is None:
+                continue
+            estimates = []
+            for shape in part.shapes:
+                estimates.append(known.get(shape) or known.setdefault(shape, _estimate(g, shape)))
+                if not estimates[-1][0]:
                     analysis.steps[i] = analysis.programs[i] = None
-                    continue
+                    break
+            else:
                 steps = tuple(_order(part, estimates))
                 if not (analysis.steps[i] and all(map(is_, steps, analysis.steps[i]))):
                     analysis.programs[i] = _program(part, steps, seeded)
