@@ -113,19 +113,16 @@ class Triple:
 _NO_BUCKETS = MappingProxyType({})
 
 
-def _index(index: dict, first: Term, second: Term, third: Term, t: Triple) -> bool:
-    """Files `t` under first, second and third; True iff that made a new
-    bucket for (first, second)."""
-    buckets = index.get(first)
-    if buckets is None:
-        index[first] = {second: {third: t}}
-        return True
-    bucket = buckets.get(second)
-    if bucket is None:
-        buckets[second] = {third: t}
-        return True
-    bucket[third] = t
-    return False
+class Memo(dict):
+    """`make(key)` for each key, made at its first lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class Graph:
@@ -147,8 +144,10 @@ class Graph:
     entry. Join planning reads these through `count` and `distinct` in O(1),
     except that a constant subject or object with no constant predicate, and
     the whole graph's distinct objects, add up buckets.
-    Triples are only ever added, so the size tells whether the graph has
-    changed.
+    `insert` walks down each index once, and learns on the way whether the
+    triple is new and whether its (s, p) bucket is. `match` sorts by keys
+    made once per distinct term. Triples are only ever added, so the size
+    tells whether the graph has changed.
     """
 
     def __init__(self, triples: Iterable[Triple] = (), prefix_map: Optional[dict[str, str]] = None):
@@ -175,17 +174,33 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        if t in self:
-            return False
-        self._size += 1
         s, p, o = t.subject, t.predicate, t.object
-        counts = self._counts.get(p)
-        if counts is None:
-            counts = self._counts[p] = [0, 0]
-        counts[0] += 1
-        if _index(self._sp, s, p, o, t):
+        buckets = self._sp.get(s)
+        if buckets is None:
+            buckets = self._sp[s] = {}
+        bucket = buckets.get(p)
+        if bucket is None:  # a new (s, p) bucket: s is a new subject of p
+            buckets[p] = {o: t}
+            counts = self._counts.get(p)
+            if counts is None:
+                counts = self._counts[p] = [0, 0]
             counts[1] += 1
-        _index(self._po, p, o, s, t)
+        elif o in bucket:
+            return False
+        else:
+            bucket[o] = t
+            counts = self._counts[p]
+        counts[0] += 1
+        self._size += 1
+        objects = self._po.get(p)
+        if objects is None:
+            self._po[p] = {o: {s: t}}
+        else:
+            bucket = objects.get(o)
+            if bucket is None:
+                objects[o] = {s: t}
+            else:
+                bucket[s] = t
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -233,7 +248,11 @@ class Graph:
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:
-        return sorted(self.match_iter(s, p, o), key=Triple.key)
+        """The matches in `Triple.key` order. Each term's key is made once per
+        call, as one string: its kind's digit, then its text, which sorts alike."""
+        keys = Memo(lambda term: "%d%s" % term_key(term))
+        return sorted(self.match_iter(s, p, o),
+                      key=lambda t: (keys[t.subject], keys[t.predicate], keys[t.object]))
 
     def subject_pool(self, t: Term) -> int:
         return sum(map(len, self._sp.get(t, _NO_BUCKETS).values()))

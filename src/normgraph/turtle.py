@@ -12,7 +12,10 @@ error, so deep input cannot exhaust the Python stack.
 The reader is one recursive-descent parser over the text and its offset,
 `pos`. A term is one match of `_TERM`: white space and comments, then a
 prefixed name, the `_:` of a label or `a`; `<`, `"` and `[` go on from the
-character after the white space. A label (`_LABEL`), a name and a short
+character after the white space. Between terms, a lone space or line feed
+is stepped over without a match. Each parse keeps what each prefixed name
+and each label read so far stands for, so a repeated one is one dict lookup;
+an `@prefix` empties the names' memo. A label (`_LABEL`), a name and a short
 string's body are one match each; where the body stops short of a closing
 quote, the character there names the error: the end of the text, a line
 break, or a backslash that starts no known escape. A `TurtleSyntaxError`
@@ -30,7 +33,7 @@ from __future__ import annotations
 import re
 
 from .model import (
-    BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, RDF_TYPE, Term, Triple,
+    BlankNode, DEFAULT_PREFIXES, Graph, Iri, Literal, Memo, RDF_TYPE, Term, Triple,
 )
 
 # A name in Turtle and rules (prefix, local part, blank node label), maybe
@@ -56,8 +59,8 @@ class TurtleSyntaxError(Exception):
 _WS = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _NAME = re.compile(NAME)
 # White space and comments (group 1), then maybe a term's start: `_:` (2), a prefixed
-# name (prefix 3, local part 4) or `a` (5) as a whole name, so only dots may follow it.
-_TERM = re.compile(rf"({_WS.pattern})(?:(_:)|({NAME}):({NAME})|(a)(?![.]*[A-Za-z0-9_\-]))?")
+# name (3) or `a` (4) as a whole name, so only dots may follow it.
+_TERM = re.compile(rf"({_WS.pattern})(?:(_:)|({NAME}:{NAME})|(a)(?![.]*[A-Za-z0-9_\-]))?")
 # A blank node label after `_:`: a name that is not empty, then `:name` parts.
 _LABEL = re.compile(rf"[A-Za-z0-9_.\-]*[A-Za-z0-9_\-](?::{NAME})*")
 # The body of a short string, up to the first character that cannot go on it:
@@ -79,6 +82,10 @@ class _Parser:
         self.prefixes = dict(DEFAULT_PREFIXES)
         self.graph = Graph(prefix_map=self.prefixes)
         self.blanks = 0  # anonymous blank nodes made so far
+        # What each prefixed name and each `_:` label read so far stands for; apart,
+        # as a label may hold ':'. An @prefix empties `names`; errors are not kept.
+        self.names: dict[str, Term] = {}
+        self.labels: dict[str, Term] = {}
         self.depth = 0  # levels of nesting open around the current position
         self._label_prefix = f"parse:{scope}:" if scope else "parse:"
 
@@ -111,6 +118,9 @@ class _Parser:
     def next_char(self) -> str:
         """Skip white space and comments; the character after them, '' at the end."""
         c = self.text[self.pos:self.pos + 1]
+        if c == " " or c == "\n":  # a lone space or line feed needs no match
+            self.pos += 1
+            c = self.text[self.pos:self.pos + 1]
         if c in " \t\r\n#":  # or '', the end
             self.pos = _WS.match(self.text, self.pos).end()
             c = self.text[self.pos:self.pos + 1]
@@ -164,6 +174,7 @@ class _Parser:
         if self.next_char() == ".":
             self.pos += 1
         self.prefixes[name] = iri
+        self.names.clear()
 
     def expand(self, prefix: str, local: str, start: int) -> Iri:
         if prefix not in self.prefixes:
@@ -174,11 +185,16 @@ class _Parser:
         term = _TERM.match(self.text, self.pos)
         self.pos = term.end()
         kind = term.lastindex
-        if kind == 4:
-            return self.expand(term[3], term[4], term.end(1))
+        if kind == 3:
+            name = term[3]
+            iri = self.names.get(name)
+            if iri is None:
+                prefix, _, local = name.partition(":")
+                iri = self.names[name] = self.expand(prefix, local, term.end(1))
+            return iri
         if kind == 2:
             return self.parse_label(term.end(1))
-        if kind == 5:
+        if kind == 4:
             return RDF_TYPE
         start = self.pos
         c = self.text[start:start + 1]
@@ -206,7 +222,10 @@ class _Parser:
         if not label:
             raise self.error("empty blank node label")
         self.pos = label.end()
-        return BlankNode(f"{self._label_prefix}id:{label[0]}")
+        node = self.labels.get(label[0])
+        if node is None:
+            node = self.labels[label[0]] = BlankNode(f"{self._label_prefix}id:{label[0]}")
+        return node
 
     def parse_literal(self) -> Literal:
         start = self.pos
@@ -306,18 +325,6 @@ def _render(t: Term, prefixes: dict[str, str]) -> str:
     return '"' + t.value.replace("\\", "\\\\") + '"'
 
 
-class _Rendered(dict):
-    """Each term's text under `prefixes`, made at its first lookup."""
-
-    def __init__(self, prefixes: dict[str, str]):
-        super().__init__()
-        self.prefixes = prefixes
-
-    def __missing__(self, term: Term) -> str:
-        text = self[term] = _render(term, self.prefixes)
-        return text
-
-
 def serialize_turtle(g: Graph) -> str:
     """Deterministic serialization: prefix block, then one sorted triple per
     line. Blank nodes keep explicit labels; `[ ... ]` is never re-created.
@@ -329,7 +336,8 @@ def serialize_turtle(g: Graph) -> str:
         lines.append(f"@prefix {prefix}: <{prefixes[prefix]}> .")
     if len(g):
         lines.append("")
-    text = _Rendered(prefixes)  # lives for this call: the prefixes differ between calls
+    # each term's text, kept for this call only: the prefixes differ between calls
+    text = Memo(lambda term: _render(term, prefixes))
     for t in g.match():
         verb = "a" if t.predicate is RDF_TYPE else text[t.predicate]
         lines.append(f"{text[t.subject]} {verb} {text[t.object]} .")

@@ -163,6 +163,15 @@ def test_match_order_is_deterministic():
     g.insert(t(A, P, B))
     g.insert(t(A, P, A))
     assert g.match() == sorted(g.triples(), key=Triple.key)
+    # across kinds, and texts that are prefixes of each other
+    texts = ["", "a", "ab", "a\x00", "0", "1a", "~", "\u00e9", "b"]
+    terms = ([Iri(f"https://e/{x}") for x in texts] + [BlankNode(x) for x in texts]
+             + [Literal(x) for x in texts])
+    for i, s in enumerate(x for x in terms if not isinstance(x, Literal)):
+        for j, o in enumerate(terms):
+            g.insert(t(s, P if (i + j) % 2 else Q, o))
+    assert g.match() == sorted(g.triples(), key=Triple.key)
+    assert g.match(p=P) == sorted((x for x in g.triples() if x.predicate is P), key=Triple.key)
 
 
 def test_indexes_agree_with_triple_set(rng):

@@ -292,6 +292,11 @@ _EDGE_CASES = [
     # a name right before ';', ',' or ']'
     "soa:a soa:p soa:b;soa:q soa:c,soa:d.", "soa:a soa:p [soa:q soa:b].", "[soa:p a].",
     "soa:a soa:p _:x;a _:y,_:z:w.",
+    # a prefix redefined between two reads of one name, one label as subject and
+    # object, a name then one space and a comment
+    "@prefix e: <https://a/>. e:x e:p e:y. @prefix e: <https://b/>. e:x e:p e:y.",
+    "_:x soa:p _:x. soa:a soa:q _:x. _:x soa:q soa:a.",
+    "soa:a soa:p soa:b #c\n.", "soa:a soa:p soa:b ;#c\n soa:q soa:c #d",
 ]
 
 
