@@ -62,8 +62,8 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
-    BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, RDF_TYPE,
-    Term, Triple, graph_difference, term_key,
+    BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Literal, RDF_TYPE,
+    Term, Triple, graph_difference, local_name, term_key,
 )
 from . import rules as _rules
 from .rules import (
@@ -218,10 +218,10 @@ def _wake_test(where: GroupPattern) -> WakeTest:
             return names.get(v) or Variable(f"{v.name}#{tag}")
 
         nested: dict[int, tuple] = {}
-        for branch in gp.branches:
+        for elements in gp.branches:
             own = [TriplePattern(*(name(part) if isinstance(part, Variable) else part
                                    for part in (el.subject, el.predicate, el.object)))
-                   for el in branch.elements if isinstance(el, TriplePattern)]
+                   for el in elements if isinstance(el, TriplePattern)]
             around = enclosing + own
             shapes = tuple(dict.fromkeys(map(_rules._shape, around)))
             for k in range(len(enclosing), len(around)):
@@ -229,7 +229,7 @@ def _wake_test(where: GroupPattern) -> WakeTest:
                     (*_anchor(around[k], around[:k] + around[k + 1:]), shapes)] = None
             bound = set(scope)
             groups = []
-            for el in branch.elements:
+            for el in elements:
                 bound.update(_rules._binds(el))
                 if isinstance(el, NotExists):
                     groups.append((el.inner, tuple(bound)))
@@ -333,7 +333,6 @@ class RuleSet:
 @dataclass
 class EngineConfig:
     max_iterations: int = 100
-    trace_enabled: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -356,25 +355,6 @@ class RunResult:
     trace: list[TraceRecord] = field(default_factory=list)
 
 
-def _rule_id_for_subject(subject: Term, prefixes: dict[str, str]) -> str:
-    """A blank node's label, or an IRI's local name: the text after the
-    longest namespace in `prefixes` it extends, or else after its last '#' or '/'."""
-    if isinstance(subject, BlankNode):
-        return subject.label
-    if isinstance(subject, Iri):
-        namespaces = [ns for ns in prefixes.values()
-                      if ns and subject.value.startswith(ns) and subject.value != ns]
-        if namespaces:
-            return subject.value[len(max(namespaces, key=len)):]
-        for sep in ("#", "/"):
-            if sep in subject.value:
-                local = subject.value.rsplit(sep, 1)[1]
-                if local:
-                    return local
-        return subject.value
-    return str(subject)
-
-
 MAX_CACHED_RULES = 256  # the catalog's 38 rules and the user rules last loaded
 
 
@@ -387,14 +367,17 @@ def rule_entry(rule_id: str, text: str, prefixes: frozenset, layer: str) -> Rule
 
 def load_rules(g: Graph) -> RuleSet:
     """One rule per individual typed :InferenceRule, which must carry
-    exactly one literal rule body."""
+    exactly one literal rule body. A rule is named by its blank node's label,
+    or by its IRI's local name under the graph's prefixes (`local_name`)."""
     subjects = sorted({t.subject for t in g.match_iter(p=RDF_TYPE, o=INFERENCE_RULE)},
                       key=term_key)
     prefixes = frozenset(g.prefix_map.items())
+    namespaces = sorted(g.prefix_map.values(), key=len, reverse=True)
     out = RuleSet()
     for subject in subjects:
         bodies = [t.object for t in g.match_iter(s=subject, p=HAS_SPARQL_CODE)]
-        rule_id = _rule_id_for_subject(subject, g.prefix_map)
+        rule_id = (subject.label if isinstance(subject, BlankNode)
+                   else local_name(subject, namespaces))
         if not bodies:
             raise MissingRuleBody(f"inference rule {rule_id} has no rule body")
         if len(bodies) > 1 or not isinstance(bodies[0], Literal):
@@ -442,8 +425,7 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
                 pending.append(t)
                 provenance[t] = (entry.rule_id, iteration)
                 added += 1
-            if cfg.trace_enabled:
-                trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), added))
+            trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), added))
         if not pending:
             return RunResult(graph, iteration, provenance, trace)
         graph.update(pending)

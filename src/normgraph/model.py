@@ -93,6 +93,22 @@ def render_term(t: Term) -> str:
     return f'"{escaped}"'
 
 
+def local_name(iri: Iri, namespaces: Iterable[str]) -> str:
+    """The text after the longest of the `namespaces`, given longest first,
+    that the IRI extends, an empty one skipped; else the text after its last
+    '#' or else '/', if not empty; else the whole IRI. It names a rule and
+    shortens a name in a report."""
+    value = iri.value
+    for ns in namespaces:
+        if ns and len(value) > len(ns) and value.startswith(ns):
+            return value[len(ns):]
+    for sep in "#/":
+        _, found, local = value.rpartition(sep)
+        if found and local:
+            return local
+    return value
+
+
 @dataclass(frozen=True)
 class Triple:
     subject: Term

@@ -21,7 +21,7 @@ from .model import (
     HOLD, Iri, IS_COMPLIED_WITH_BY, IS_IN_CONFLICT_WITH,
     IS_IN_CONTRADICTION_WITH, IS_NECESSARILY_VIOLATED_BY, IS_VIOLATED_BY,
     Literal, MODALITY, NECESSARY, POSSIBLE, RDF_OBJECT, RDF_PREDICATE,
-    RDF_SUBJECT, RDF_TYPE, REXIST, THEMATIC_ROLE, TRUE, Term, term_key,
+    RDF_SUBJECT, RDF_TYPE, REXIST, THEMATIC_ROLE, TRUE, Term, local_name, term_key,
 )
 
 # The five finding kinds, in report order.
@@ -39,6 +39,9 @@ KIND_ORDER = tuple(KIND_BY_PREDICATE.values())
 KIND_LABEL = {kind: re.sub(r"\B(?=[A-Z])", "-", kind).upper() for kind in KIND_ORDER}
 
 _TRUTH_CLASSES = (TRUE, FALSE, HOLD, NECESSARY, POSSIBLE)
+
+# The namespaces a report shortens names by, longest first (see `model.local_name`).
+_NAMESPACES = tuple(sorted(DEFAULT_PREFIXES.values(), key=len, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -131,20 +134,9 @@ def _ascii(text: str) -> str:
     return json.dumps(text)[1:-1]
 
 
-def _local(term: Optional[Term]) -> str:
-    if term is None:
-        return "?"
+def _local(term: Term) -> str:
     if isinstance(term, Iri):
-        value = term.value
-        for ns in sorted(DEFAULT_PREFIXES.values(), key=len, reverse=True):
-            if value.startswith(ns) and len(value) > len(ns):
-                return _ascii(value[len(ns):])
-        for sep in ("#", "/"):
-            if sep in value:
-                tail = value.rsplit(sep, 1)[1]
-                if tail:
-                    return _ascii(tail)
-        return _ascii(value)
+        return _ascii(local_name(term, _NAMESPACES))
     if isinstance(term, BlankNode):
         return f"_:{_ascii(term.label)}"
     return f'"{_ascii(term.value)}"'

@@ -130,8 +130,7 @@ from typing import Iterable, NamedTuple, Optional
 from .model import (
     BlankNode, Graph, Iri, Literal, RDF_TYPE, Term, Triple, _Interned, render_term, term_key,
 )
-# MAX_NESTING, NAME and STRING_ESCAPES stay importable from here
-from .turtle import MAX_NESTING, NAME, STRING_ESCAPES, _NAME, _Parser  # noqa: F401
+from .turtle import NAME, _NAME, _Parser
 
 
 class RuleSyntaxError(Exception):
@@ -202,24 +201,20 @@ class Bind:
     var: Variable
 
 
-class _Branch(NamedTuple):
-    elements: tuple  # triple patterns, FILTER, NOT EXISTS and BIND, in written order
-
-
 @dataclass(frozen=True)
 class GroupPattern:
     elements: tuple
 
     @cached_property
-    def branches(self) -> tuple[_Branch, ...]:
-        """The group with every UNION distributed into it: the branches
-        whose solutions together are the group's."""
-        return tuple(map(_Branch, _distribute(self)))
+    def branches(self) -> tuple[tuple, ...]:
+        """The group with every UNION distributed into it: the branches, each
+        its elements in written order, whose solutions together are the group's."""
+        return tuple(_distribute(self))
 
     @cached_property
     def analyses(self) -> dict:
         """This group's `_Analysis`, the plan of its branches, per set of
-        seeded variables; filled by `_analyse`. It lives as long as the group."""
+        seeded variables, made by the first `_plan` for it; kept with the group."""
         return {}
 
 
@@ -484,7 +479,7 @@ def bindable_variables(gp: GroupPattern) -> set[Variable]:
     """Variables that can carry a binding out of the group: triple-pattern
     positions and BIND targets of any of its branches, not those inside
     NOT EXISTS or FILTER."""
-    return {v for branch in gp.branches for el in branch.elements for v in _binds(el)}
+    return {v for branch in gp.branches for el in branch for v in _binds(el)}
 
 
 # --- Evaluation --------------------------------------------------------------
@@ -580,7 +575,7 @@ def _nested(gp: GroupPattern):
     pending = [(gp, 0)]
     while pending:
         group, depth = pending.pop()
-        for el in {id(e): e for b in group.branches for e in b.elements}.values():
+        for el in {id(e): e for b in group.branches for e in b}.values():
             yield el, depth
             if isinstance(el, NotExists):
                 pending.append((el.inner, depth + 1))
@@ -674,7 +669,7 @@ def _role_guard(el, bound: set) -> Optional[tuple]:
     is None without the first FILTER. ?a, ?b and ?x must be bound where `el`
     is written, ?t, ?v and ?w must not, and each group must have one branch."""
     branches = el.inner.branches if isinstance(el, NotExists) else ()
-    match branches[0].elements if len(branches) == 1 else ():
+    match branches[0] if len(branches) == 1 else ():
         case [TriplePattern(Variable() as t, p, c), Filter(expr), *rest]:
             x = _unequal(expr, t)
             if x is None:
@@ -768,27 +763,6 @@ class _Analysis:
     state: Optional[tuple] = None  # (weak reference to the graph, its size)
 
 
-def _analyse(gp: GroupPattern, seeded: frozenset) -> _Analysis:
-    """The group's plan for a seed binding the variables `seeded`. A branch
-    with at most one binder has one order whatever the graph holds: it is
-    compiled here, once. A group where a BIND rebinds (see `rebinds`), which
-    only one built by hand can be, raises BindConflict."""
-    if seeded not in gp.analyses:
-        rebound = rebinds(gp, seeded)
-        if rebound:
-            raise BindConflict(f"variable ?{rebound[0].var.name} is already bound")
-        analysis = _Analysis([], [], [])
-        for branch in gp.branches:
-            part = _segment(branch.elements, seeded)
-            fixed = len(part.binders) < 2
-            steps = tuple(_order(part)) if fixed else ()
-            analysis.parts.append(None if fixed else part)
-            analysis.steps.append(steps)
-            analysis.programs.append(_program(part, steps, seeded) if fixed else ())
-        gp.analyses[seeded] = analysis
-    return gp.analyses[seeded]
-
-
 def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> list[Bind]:
     """The BINDs of the group's branches, and of the NOT EXISTS groups under
     them, that target a variable bound where they are written, with a seed
@@ -802,7 +776,7 @@ def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> list[Bind]:
         seen.add((id(group), before))
         for branch in group.branches:
             bound = set(before)
-            for el in branch.elements:
+            for el in branch:
                 if isinstance(el, Bind) and el.var in bound:
                     found.append(el)
                 if isinstance(el, NotExists):
@@ -896,9 +870,15 @@ _estimates: tuple = (None, -1, {})
 
 def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Optional[tuple]]:
     """Each branch's steps in the order to search them, for a seed binding
-    `seeded`, kept with their programs on the group's _Analysis until another
-    graph, or the same one grown, asks. The graph is held weakly, so a new one
-    at a freed address is not taken for it; a stale order only costs time.
+    `seeded`, kept with their programs and the graph's state on the group's
+    _Analysis; `evaluate_where` plans again when another graph, or the same
+    one grown, asks. The graph is held weakly, so a new one at a freed
+    address is not taken for it; a stale order only costs time.
+
+    The first plan for a set of seeded variables makes its _Analysis and
+    compiles, once, each branch with at most one binder: it has one order
+    whatever the graph holds. A group where a BIND rebinds (see `rebinds`),
+    which only one built by hand can be, raises BindConflict then.
 
     Each shape's estimate is read once per graph state, and `_order` puts
     each branch in order from them. Joins commute, a BIND is a one-row join,
@@ -909,27 +889,40 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
     nor searched; a graph only grows, so the verdict holds until its size
     changes. An order that comes back the same, step for step, keeps its program."""
     global _estimates
-    analysis = _analyse(gp, frozenset(seeded))
+    seeded = frozenset(seeded)
+    analysis = gp.analyses.get(seeded)
+    if analysis is None:
+        rebound = rebinds(gp, seeded)
+        if rebound:
+            raise BindConflict(f"variable ?{rebound[0].var.name} is already bound")
+        analysis = _Analysis([], [], [])
+        for elements in gp.branches:
+            part = _segment(elements, seeded)
+            fixed = len(part.binders) < 2
+            steps = tuple(_order(part)) if fixed else ()
+            analysis.parts.append(None if fixed else part)
+            analysis.steps.append(steps)
+            analysis.programs.append(_program(part, steps, seeded) if fixed else ())
+        gp.analyses[seeded] = analysis
     state = (weakref.ref(g), len(g))
-    if state != analysis.state:
-        if state != _estimates[:2]:
-            _estimates = (*state, {None: (1, [])})
-        known = _estimates[2]
-        for i, part in enumerate(analysis.parts):
-            if part is None:
-                continue
-            estimates = []
-            for shape in part.shapes:
-                estimates.append(known.get(shape) or known.setdefault(shape, _estimate(g, shape)))
-                if not estimates[-1][0]:
-                    analysis.steps[i] = analysis.programs[i] = None
-                    break
-            else:
-                steps = tuple(_order(part, estimates))
-                if not (analysis.steps[i] and all(map(is_, steps, analysis.steps[i]))):
-                    analysis.programs[i] = _program(part, steps, seeded)
-                analysis.steps[i] = steps
-        analysis.state = state
+    if state != _estimates[:2]:
+        _estimates = (*state, {None: (1, [])})
+    known = _estimates[2]
+    for i, part in enumerate(analysis.parts):
+        if part is None:
+            continue
+        estimates = []
+        for shape in part.shapes:
+            estimates.append(known.get(shape) or known.setdefault(shape, _estimate(g, shape)))
+            if not estimates[-1][0]:
+                analysis.steps[i] = analysis.programs[i] = None
+                break
+        else:
+            steps = tuple(_order(part, estimates))
+            if not (analysis.steps[i] and all(map(is_, steps, analysis.steps[i]))):
+                analysis.programs[i] = _program(part, steps, seeded)
+            analysis.steps[i] = steps
+    analysis.state = state
     return analysis.steps
 
 

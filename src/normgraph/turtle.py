@@ -331,6 +331,7 @@ def serialize_turtle(g: Graph) -> str:
     `rdf:type` is written `a` only as a predicate, where Turtle allows it."""
     prefixes = dict(DEFAULT_PREFIXES)
     prefixes.update(g.prefix_map)
+    prefixes.pop("_", None)  # `_:` always starts a blank node label
     lines = []
     for prefix in sorted(prefixes):
         lines.append(f"@prefix {prefix}: <{prefixes[prefix]}> .")

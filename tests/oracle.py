@@ -309,8 +309,7 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
                 pending_set.add(t)
                 provenance[t] = (entry.rule_id, iteration)
                 added += 1
-            if cfg.trace_enabled:
-                trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), added))
+            trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), added))
         if not pending:
             return RunResult(graph, iteration, provenance, trace)
         graph.update(pending)

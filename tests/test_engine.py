@@ -42,10 +42,13 @@ def test_load_rules_missing_body():
 
 def test_an_iri_named_rule_takes_its_local_name_under_the_file_prefixes():
     body = '"""CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist}"""'
-    g = parse_turtle("@prefix ex: <https://example.org/rules#part/>.\n"
+    # an empty namespace names no rule; an IRI with no namespace, '#' or '/' names it in full
+    g = parse_turtle("@prefix ex: <https://example.org/rules#part/>.\n@prefix e: <>.\n"
                      + "".join(f"{name} a :InferenceRule; :has-sparql-code {body}.\n"
-                               for name in ("soa:r", ":r2", "ex:r3", "<https://example.org/x#r4>")))
-    assert sorted(entry.rule_id for entry in load_rules(g).entries) == ["r", "r2", "r3", "r4"]
+                               for name in ("soa:r", ":r2", "ex:r3", "<https://example.org/x#r4>",
+                                            "<http://other/r#five>", "<urn:r1>")))
+    assert sorted(entry.rule_id for entry in load_rules(g).entries) == [
+        "five", "r", "r2", "r3", "r4", "urn:r1"]
 
 
 def test_load_rules_propagates_rule_syntax_error():
@@ -217,14 +220,6 @@ def test_preseeded_contradiction_triples_do_not_change_control_flow():
     from normgraph.model import OBLIGATORY
 
     assert Triple(soa("esd"), RDF_TYPE, OBLIGATORY) in result.graph
-
-
-def test_trace_can_be_disabled():
-    data, rules_graph, _ = fixture("wife-guard")
-    result = run_fixpoint(data, load_rules(rules_graph),
-                          EngineConfig(trace_enabled=False))
-    assert result.trace == []
-    assert result.iterations_used == 2
 
 
 def test_rules_and_data_may_share_one_graph():

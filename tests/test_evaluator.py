@@ -417,7 +417,7 @@ def test_evaluator_matches_oracle_with_guards_anywhere_in_the_group():
         # a planned first branch whose order differs from its written one; a
         # dead branch (None) has no order, so it does not count
         steps = _steps(g, gp, seed or ())
-        moved += steps is not None and steps != gp.branches[0].elements
+        moved += steps is not None and steps != gp.branches[0]
     # 320 live plans moved of the 397 live: most random branches are dead
     assert nonempty >= 50 and moved >= 200, (nonempty, moved)
 
@@ -594,13 +594,13 @@ def test_planned_orders_cost_at_most_the_greedy_and_keep_every_guard_in_place(mo
             if steps is None:  # dead: a pattern of the branch matches no triple
                 assert any(not g.count(*(None if isinstance(part, Variable) else part
                                          for part in (el.subject, el.predicate, el.object)))
-                           for el in branch.elements if isinstance(el, TriplePattern))
+                           for el in branch if isinstance(el, TriplePattern))
                 dead += 1
                 continue
             ids = [id(el) for el in steps]
-            assert sorted(ids) == sorted(map(id, branch.elements)), f"case {case}"
+            assert sorted(ids) == sorted(map(id, branch)), f"case {case}"
             bound = set(seed)  # bound where the element is written
-            for el in branch.elements:
+            for el in branch:
                 if isinstance(el, TriplePattern):
                     bound |= _variables_in(el)
                     continue
@@ -716,7 +716,7 @@ def test_a_union_with_one_dead_branch_gives_the_live_branch_solutions():
         _assert_probe_agrees(g, gp, None, ("ok", want))
         plans = rules._plan(g, gp, ())
         assert [steps is None for steps in plans] == [
-            branch.elements[1].predicate == q for branch in gp.branches]
+            branch[1].predicate == q for branch in gp.branches]
 
 
 def test_a_dead_branch_is_planned_again_once_its_pattern_has_a_match():

@@ -216,7 +216,7 @@ def test_every_catalog_rule_has_a_wake_test_and_those_with_union_or_bind_are_ski
     # a top-level UNION or a BIND used to make a rule run in full every time
     binds = {e.rule_id for e in catalog if any(isinstance(el, Bind) for branch in
                                                 e.query.where_clause.branches
-                                                for el in branch.elements)}
+                                                for el in branch)}
     unions = {e.rule_id for e in catalog
               if any(isinstance(el, Union) for el in e.query.where_clause.elements)}
     assert len(binds) == 2 and len(binds | unions) == 15

@@ -184,6 +184,10 @@ def test_isomorphic_single_blank_relabeling():
     g1 = Graph([t(BlankNode("parse:a"), Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#subject"), soa("elj"))])
     g2 = Graph([t(BlankNode("parse:b"), Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#subject"), soa("elj"))])
     assert isomorphic(g1, g2)
+    # the same size and ground part, but two blank nodes against one
+    two = Graph([t(BlankNode("parse:a"), P, A), t(BlankNode("parse:b"), P, B)])
+    one = Graph([t(BlankNode("parse:a"), P, A), t(BlankNode("parse:a"), P, B)])
+    assert not isomorphic(two, one)
 
 
 def test_isomorphic_contradiction_structure_renamed():
@@ -277,6 +281,7 @@ def test_contains_isomorphic_subgraph():
     assert contains_isomorphic(sub, g)
     missing = Graph([t(BlankNode("parse:e"), P, B)])
     assert not contains_isomorphic(missing, g)
+    assert not contains_isomorphic(Graph([t(B, P, A)]), g)  # a ground triple g lacks
 
 
 def test_contains_isomorphic_requires_injective_mapping():
@@ -291,5 +296,6 @@ def test_graph_union_and_difference():
     g2 = Graph([t(A, P, B), t(B, P, A)])
     u = graph_union(g1, g2)
     assert len(u) == 2
+    assert len(graph_union()) == 0
     d = graph_difference(g2, g1)
     assert d.triples() == {t(B, P, A)}

@@ -135,6 +135,11 @@ soa:s2 a :false ; rdf:subject soa:e1 ; rdf:predicate rdf:type ; rdf:object :Rexi
 soa:s1 :is-in-contradiction-with soa:s2 .
 soa:s3 :is-in-contradiction-with <https://example.org/näive> .
 soa:s3 rdf:subject soa:e1 .
+soa:e2 a :Pay ; :has-agent _:who .
+soa:e3 a :Pay .
+soa:s4 a :possible ; rdf:subject soa:e2 ; rdf:predicate rdf:type ; rdf:object :Rexist .
+_:s5 a :true ; rdf:subject soa:e3 ; rdf:predicate <urn:x> ; rdf:object "lit" .
+soa:s4 :is-in-conflict-with _:s5 .
 '''
 
 
@@ -150,12 +155,19 @@ def test_text_report_prints_one_ascii_line_per_finding(tmp_path, capsys):
         ' r\\u00f4le="say \\"hi\\" \\\\o/"]) vs !Rexist(Pay[has-agent="two\\nlines caf\\u00e9",'
         ' r\\u00f4le="say \\"hi\\" \\\\o/"])',
         "CONTRADICTION: malformed(s3) vs malformed(n\\u00e4ive)",
+        # a blank-node role value, a :possible statement, an eventuality with
+        # no roles, and an IRI with no namespace, '#' or '/', named in full
+        'CONFLICT: possible Rexist(Pay[has-agent=_:parse:in0:id:who]) vs urn:x(Pay, "lit")',
         "MALFORMED-REIFICATION: n\\u00e4ive",
         "MALFORMED-REIFICATION: s3",
     ]
     assert main(["findings", "-i", str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"] == {"Contradiction": 2}
+    assert payload["counts"] == {"Contradiction": 2, "Conflict": 1}
+    conflict = payload["findings"][2]
+    assert conflict["left"]["classes"] == ["possible"]
+    assert (conflict["right"]["p"], conflict["right"]["o"], conflict["right"]["node"]) == (
+        "urn:x", '"lit"', "_:parse:in0:id:s5")
     assert [view["node"] for view in payload["malformed"]] == [
         "https://example.org/näive", SOA_NS + "s3"]
     assert payload["malformed"][1]["s"] == SOA_NS + "e1"

@@ -107,12 +107,12 @@ def test_union_distributes_into_branches_in_written_order():
                         for x in "abcdpq")
     two = GroupPattern((Union(GroupPattern((a,)), GroupPattern((b,))),
                         Union(GroupPattern((c,)), GroupPattern((d,)))))
-    assert [branch.elements for branch in two.branches] == [(a, c), (a, d), (b, c), (b, d)]
+    assert list(two.branches) == [(a, c), (a, d), (b, c), (b, d)]
     # inside NOT EXISTS the UNION stays one guard, whose group has two branches
     guard = NotExists(GroupPattern((p, Union(GroupPattern((a,)), GroupPattern((b,))), q)))
     outer = GroupPattern((c, guard))
-    assert [branch.elements for branch in outer.branches] == [(c, guard)]
-    assert [branch.elements for branch in guard.inner.branches] == [(p, a, q), (p, b, q)]
+    assert list(outer.branches) == [(c, guard)]
+    assert list(guard.inner.branches) == [(p, a, q), (p, b, q)]
 
 
 def test_a_group_over_the_branch_cap_is_a_syntax_error():
@@ -227,6 +227,10 @@ def test_prefixed_names_are_read_as_in_turtle():
     # the name the Turtle writer gives that IRI
     assert "soa:a soa:has.part soa:b ." in serialize_turtle(
         Graph([Triple(soa("a"), soa("has.part"), soa("b"))]))
+    # `_:` is a prefix like any other in rule text
+    rq = parse_rule("under", "CONSTRUCT{?x :q ?y} WHERE{?x _:q ?y}", {"_": "https://example.org/u#"})
+    assert rq.where_clause.elements == (
+        TriplePattern(V("x"), Iri("https://example.org/u#q"), V("y")),)
     # a dot at its end ends the statement
     rq = parse_rule("dot", "CONSTRUCT{?x :q ?y} WHERE{?x soa:p soa:o.?x soa:r ?y.}")
     assert rq.where_clause.elements == (TriplePattern(V("x"), soa("p"), soa("o")),
@@ -282,6 +286,8 @@ _WHERE = "CONSTRUCT{?x :q ?y}WHERE{"
     (_WHERE + "?x e:p ?y}", "undeclared prefix 'e:' at offset 28"),
     (_WHERE + "?x :p", "unexpected end of rule at offset 30"),
     (_WHERE + "?x :p ?y} foo", "trailing tokens after WHERE clause at offset 35"),
+    (_WHERE + "?x :p ?y BIND(:a AS :b)}", "expected variable after AS at offset 45"),
+    (_WHERE + "?x :p ?y FILTER(?x = (?y))}", "nested comparison operand at offset 46"),
     ('CONSTRUCT{"s" :q ?y}WHERE{?x :p ?y}', "literal cannot be a subject at offset 10"),
     # a syntax error before a lexical error
     (_WHERE + "?x ?y} $", "unexpected token '}' at offset 30"),
@@ -755,7 +761,7 @@ def test_filter_short_circuits_left_to_right_over_unbound_variables():
 
 
 def test_nesting_deeper_than_the_limit_is_a_syntax_error_with_an_offset():
-    from normgraph.rules import MAX_NESTING
+    from normgraph.turtle import MAX_NESTING
 
     def where(depth: int) -> str:
         # the WHERE braces are one level, each NOT EXISTS one more

@@ -100,7 +100,7 @@ def test_error_position_counts_lines_and_columns_from_the_last_newline():
 
 
 def test_nesting_deeper_than_the_limit_is_an_error_at_the_bracket():
-    from normgraph.rules import MAX_NESTING
+    from normgraph.turtle import MAX_NESTING
 
     def nested(depth: int) -> str:
         return "soa:a soa:p\n" + "[soa:q " * depth + "soa:b" + "]" * depth + "."
@@ -223,6 +223,17 @@ def test_a_local_part_that_starts_with_a_dot_or_hyphen_is_written_under_a_shorte
     assert ":soa.x soa:p :soa-y ." in lines
     assert f"<{ONT_NS}.z> soa:p <{ONT_NS}-w> ." in lines
     assert set(parse_turtle("\n".join(lines)).triples()) == set(g.triples())
+
+
+def test_a_prefix_named_underscore_is_read_but_never_written():
+    # in Turtle `_:` always starts a blank node label, whatever prefixes a file declares
+    g = parse_turtle("@prefix _: <http://ex/u#> .\n"
+                     "<http://ex/u#a> <http://ex/u#q> <http://ex/u#o> . _:b <http://ex/u#q> _:c .")
+    assert g.prefix_map["_"] == "http://ex/u#"
+    text = serialize_turtle(g)
+    assert "@prefix _:" not in text
+    assert "<http://ex/u#a> <http://ex/u#q> <http://ex/u#o> ." in text.splitlines()
+    assert isomorphic(parse_turtle(text), g)
 
 
 def test_rdf_type_is_written_a_only_as_a_predicate():
