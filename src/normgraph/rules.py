@@ -78,12 +78,13 @@ How it runs:
     NOT EXISTS by nesting depth, then by number of patterns. A branch with
     a pattern whose constants match no triple has no solution: in that
     graph state it is neither ordered nor searched.
-  - Each order is compiled once into a program, as the variables bound
-    before each step are known: which positions of a pattern are free, and
-    what a BIND or a lone comparison does. A group keeps, per set of seeded
-    variables, its programs and the order last found, with the graph, held
-    weakly, and its size; another graph, or the same one grown, is planned
-    anew. A program is searched depth first with its own stack.
+  - Each order is compiled once into a program of steps, each holding the
+    function that runs it, as the variables bound before each step are
+    known: which positions of a pattern are free, and what a BIND or a lone
+    comparison does. A group keeps, per set of seeded variables, its
+    programs and the order last found, with the graph, held weakly, and its
+    size; another graph, or the same one grown, is planned anew. A program
+    is searched depth first with its own stack.
   - A branch may hold a role star: for a role class C, the containment
     guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v. NOT EXISTS{?b ?t
     ?w}}` and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
@@ -711,12 +712,12 @@ def _shape(tp: TriplePattern) -> tuple:
 
 def _compile(el, bound: set, stars: tuple = ()) -> tuple:
     """The step that runs `el` on a binding of the variables `bound`, as
-    `run(g, step, binding)` for its first item `run`; a triple pattern's,
-    `(None, s, p, o, var, free, read, star)`, runs by `_extend`: its terms,
-    None where free, the variable of one free position or those of several,
-    their reader, and, if that one free variable is the ?b of a role star
-    in `stars` whose ?a and ?x are bound, (a, C, x, its position). A BIND of
-    a bound variable, one planned after a step that binds it, joins."""
+    `run(g, step, binding)` for its first item `run`; a triple pattern's is
+    `(_extend, s, p, o, var, free, read, star)`: its terms, None where free,
+    the variable of one free position or those of several, their reader,
+    and, if that one free variable is the ?b of a role star in `stars` whose
+    ?a and ?x are bound, (a, C, x, its position). A BIND of a bound
+    variable, one planned after a step that binds it, joins."""
     def free(part) -> bool:
         return isinstance(part, Variable) and part not in bound
     if isinstance(el, TriplePattern):
@@ -725,7 +726,7 @@ def _compile(el, bound: set, stars: tuple = ()) -> tuple:
         fresh = tuple(parts[i] for i in at)
         star = next(((a, c, x, at[0]) for a, b, c, x in stars if len(at) == 1 and
                      b is fresh[0] and a in bound and (x is None or x in bound)), None)
-        return (None, *(None if i in at else part for i, part in enumerate(parts)),
+        return (_extend, *(None if i in at else part for i, part in enumerate(parts)),
                 fresh[0] if len(at) == 1 else None, fresh if len(at) > 1 else (),
                 _READ[sum(1 << i for i in at)], star)
     if isinstance(el, Bind):
@@ -744,10 +745,10 @@ def _program(segment: _Segment, steps: tuple, seeded: Iterable) -> tuple:
         if all(map(is_, order, steps)):
             return program
     bound, program = set(seeded), []
-    known = {step: step for _, old in segment.programs for step in old if step[0] is None}
+    known = {step: step for _, old in segment.programs for step in old if step[0] is _extend}
     for el in steps:
         step = _compile(el, bound, segment.stars)
-        program.append(known.get(step, step) if step[0] is None else step)
+        program.append(known.get(step, step) if step[0] is _extend else step)
         bound.update(_binds(el))
     segment.programs.append((steps, tuple(program)))
     return segment.programs[-1][1]
@@ -927,16 +928,16 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
 
 
 def _search(g: Graph, program: tuple, seed: Binding, limit: Optional[int]) -> list[Binding]:
-    """The solutions of a compiled branch, depth first, up to `limit` of
-    them, with neither dedupe nor sort. The search keeps its own stack, so a
-    long run of patterns costs no Python recursion."""
+    """The solutions of a compiled branch, each step run by its first item,
+    depth first, up to `limit` of them, with neither dedupe nor sort. The
+    search keeps its own stack, so a long run costs no Python recursion."""
     if not program:
         return [seed]
     found, stack, last = [], [], len(program) - 1  # stack: the bindings left at each step above
     depth, rows = 0, iter((seed,))
     while True:
         step = program[depth]
-        run = step[0] or _extend
+        run = step[0]
         for b in rows:
             nxt = run(g, step, b)
             if depth == last:

@@ -329,12 +329,10 @@ def serialize_turtle(g: Graph) -> str:
     """Deterministic serialization: prefix block, then one sorted triple per
     line. Blank nodes keep explicit labels; `[ ... ]` is never re-created.
     `rdf:type` is written `a` only as a predicate, where Turtle allows it."""
-    prefixes = dict(DEFAULT_PREFIXES)
-    prefixes.update(g.prefix_map)
-    prefixes.pop("_", None)  # `_:` always starts a blank node label
-    lines = []
-    for prefix in sorted(prefixes):
-        lines.append(f"@prefix {prefix}: <{prefixes[prefix]}> .")
+    # RDF 1.1's PN_PREFIX is empty or starts with a letter; `_:` starts a blank node label
+    prefixes = {name: ns for name, ns in {**DEFAULT_PREFIXES, **g.prefix_map}.items()
+                if not name or name[0].isascii() and name[0].isalpha()}
+    lines = [f"@prefix {name}: <{ns}> ." for name, ns in sorted(prefixes.items())]
     if len(g):
         lines.append("")
     # each term's text, kept for this call only: the prefixes differ between calls

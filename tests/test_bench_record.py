@@ -1,19 +1,8 @@
 """tools/bench_record.py builds its file from the tools' output, without running them."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
-
-def _load_record():
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
-    spec = importlib.util.spec_from_file_location("_bench_record", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
+import bench_record
 
 _BENCH_STDOUT = "\n".join([
     "End-to-end metrics (corpus, tracing off):",
@@ -32,7 +21,7 @@ _SWEEP_STDOUT = "\n".join(json.dumps(line) for line in [
 
 
 def test_the_record_holds_each_workloads_metrics_and_each_sweep_run():
-    record = _load_record().record(_BENCH_STDOUT, _SWEEP_STDOUT, "abc123", "3.11.7")
+    record = bench_record.record(_BENCH_STDOUT, _SWEEP_STDOUT, "abc123", "3.11.7")
     assert (record["commit"], record["python"]) == ("abc123", "3.11.7")
     bench = record["benchmark"]
     assert bench["command"] == "benchmarks/run.py --seed 1"

@@ -1,19 +1,8 @@
 """The result-line check of tools/check_bench_output.py, on canned output."""
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
-
-def _load_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "check_bench_output.py"
-    spec = importlib.util.spec_from_file_location("_check_bench_output", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
+from check_bench_output import problems
 
 NAMES = ["check_s", "peak_rss_mb"]
 
@@ -24,14 +13,12 @@ def _line(correct=True, failed=0, **values) -> str:
 
 
 def test_a_good_last_line_passes_after_other_output():
-    problems = _load_tool().problems
     stdout = "workload corpus, seed 1: 20 input(s)\n  check_s 0.1 s n=3\n" + \
         _line(check_s=0.1, peak_rss_mb=40, other=1) + "\n"
     assert problems(0, stdout, NAMES) == []
 
 
 def test_each_fault_of_a_result_line_is_named():
-    problems = _load_tool().problems
     assert problems(0, _line(check_s=0.1), NAMES) == ["metric peak_rss_mb missing"]
     nan = _line(check_s=float("nan"), peak_rss_mb=40)
     assert "NaN" in nan

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from cash_card_sweep import _extend_calls
 from normgraph import rules
 from normgraph.engine import load_rules
 from normgraph.model import (
@@ -430,24 +431,21 @@ def test_planning_whole_groups_cuts_probes_and_pattern_extensions(monkeypatch):
     scaled = data.copy()
     for i in range(10):
         scaled.insert(Triple(Iri(f"{SOA_NS}Human{i}"), RDF_TYPE, Iri(SOA_NS + "Human")))
-    calls = {"probes": 0, "extends": 0}
-    evaluate, extend = rules.evaluate_where, rules._extend
+    probes = 0
+    evaluate = rules.evaluate_where
 
-    def counted_evaluate(g, gp, seed=None, limit=None):
-        calls["probes"] += limit == 1
+    def counted(g, gp, seed=None, limit=None):
+        nonlocal probes
+        probes += limit == 1
         return evaluate(g, gp, seed, limit)
 
-    def counted_extend(*args):
-        calls["extends"] += 1
-        return extend(*args)
-
-    monkeypatch.setattr(rules, "evaluate_where", counted_evaluate)
-    monkeypatch.setattr(rules, "_extend", counted_extend)
-    run_pipeline([scaled, user_rules], {"pragmatics", "dts", "compliance"})
+    monkeypatch.setattr(rules, "evaluate_where", counted)
+    layers = {"pragmatics", "dts", "compliance"}
+    extends = _extend_calls(run_pipeline, [scaled, user_rules], layers)
     # planning each run between guards on its own: 7,414 probes and 44,801
     # extensions; whole groups: 5,170 and 17,521
-    assert calls["probes"] < 6300
-    assert calls["extends"] < 31000
+    assert probes < 6300
+    assert 0 < extends < 31000
 
 
 def test_role_star_candidates_halve_the_probes_of_a_cash_card_check(monkeypatch):
@@ -483,20 +481,17 @@ def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_s
         scaled.insert(Triple(Iri(f"{SOA_NS}Human{i}"), RDF_TYPE, Iri(SOA_NS + "Human")))
     hot = next(e.query.where_clause for e in builtin_ruleset({"pragmatics"})
                if e.rule_id == "not-from-thematic-divergence")
-    calls = {"probes": 0, "extends": 0}
+    probes = 0
     first_steps = {}  # the first step of each live plan of the hot rule, by graph size
     dead = []  # the graph sizes the hot rule has a pattern with no match at
     full = []  # the graph sizes the engine evaluates the hot rule in full at
-    evaluate, extend, plan = rules.evaluate_where, rules._extend, rules._plan
+    evaluate, plan = rules.evaluate_where, rules._plan
     evaluate_rule = engine.evaluate_where
 
     def counted_evaluate(g, gp, seed=None, limit=None):
-        calls["probes"] += limit == 1
+        nonlocal probes
+        probes += limit == 1
         return evaluate(g, gp, seed, limit)
-
-    def counted_extend(*args):
-        calls["extends"] += 1
-        return extend(*args)
 
     def recorded_plan(g, gp, seeded):
         steps = plan(g, gp, seeded)
@@ -507,15 +502,15 @@ def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_s
         return steps
 
     monkeypatch.setattr(rules, "evaluate_where", counted_evaluate)
-    monkeypatch.setattr(rules, "_extend", counted_extend)
     monkeypatch.setattr(rules, "_plan", recorded_plan)
     monkeypatch.setattr(engine, "evaluate_where", lambda g, gp, *args:
                         (gp is hot and full.append(len(g))) or evaluate_rule(g, gp, *args))
-    run_pipeline([scaled, user_rules], {"pragmatics", "dts", "compliance"})
+    layers = {"pragmatics", "dts", "compliance"}
+    extends = _extend_calls(run_pipeline, [scaled, user_rules], layers)
     # greedy from the cheapest first pattern: 5,060 probes and 16,777-17,173
     # extensions (the count moves with the hash seed)
-    assert calls["probes"] < 3000
-    assert calls["extends"] < 12500
+    assert probes < 3000
+    assert 0 < extends < 12500
     # the greedy took `?c a :Eventuality` first on the iteration-3 and
     # iteration-5 graphs (297 and 759 triples), at 16 and 71 times the
     # estimated bindings of starting from the `?r` statement star
@@ -1162,7 +1157,7 @@ def test_a_program_is_compiled_once_per_order_and_shares_its_pattern_steps(monke
     assert len(orders) == len(programs) == 2
     assert len(compiled) == sum(map(len, programs))  # each order compiled once
     # `?z r ?w` with ?z bound is one step of both orders
-    patterns = [step for program in programs for step in program if step[0] is None]
+    patterns = [step for program in programs for step in program if step[0] is rules._extend]
     assert len({id(step) for step in patterns}) == len(patterns) - 1
 
 
@@ -1198,7 +1193,7 @@ def _generated(g, gp, seed) -> list:
     rules._plan(g, gp, seed)
     programs = gp.analyses[frozenset(seed)].programs
     return [step[7] for program in programs if program for step in program
-            if step[0] is None and step[7] is not None]
+            if step[0] is rules._extend and step[7] is not None]
 
 
 def test_role_star_generator_matches_oracle_on_random_role_graphs(monkeypatch):

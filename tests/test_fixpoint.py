@@ -1,6 +1,5 @@
 """The engine's fixpoint against the frozen naive one in oracle.py."""
 
-import importlib.util
 import json
 import os
 import random
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracle
+import workloads
 from normgraph.engine import (
     MaxIterationsExceeded, RuleEntry, RuleSet, load_rules, run_fixpoint, strip_rules,
 )
@@ -21,16 +21,6 @@ from normgraph.rules import (
     TriplePattern, Union, Variable, parse_rule,
 )
 from normgraph.turtle import parse_turtle, serialize_turtle
-
-
-def _load_workloads():
-    """The benchmark's seeded input generators, loaded from their file."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _pipeline(graphs, layers):
@@ -69,7 +59,6 @@ def test_fixpoint_matches_oracle_on_every_fixture():
 
 
 def test_fixpoint_matches_oracle_on_small_benchmark_workloads():
-    workloads = _load_workloads()
     for seed in (1, 2):
         for inp in workloads.cash_card_scale(seed, 3) + workloads.family_mix(seed, 2):
             graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
@@ -81,7 +70,6 @@ def test_fixpoint_matches_oracle_on_small_benchmark_workloads():
 def test_cached_rules_stay_right_as_the_graph_they_ran_on_changes():
     # the same rule entries, with the plans and wake tests kept from the
     # run before, on a larger graph, a smaller one and the larger one again
-    workloads = _load_workloads()
     entries = None
     for agents in (3, 1, 3):
         (inp,) = workloads.cash_card_scale(7, agents)
@@ -94,44 +82,21 @@ def test_cached_rules_stay_right_as_the_graph_they_ran_on_changes():
         want = _assert_same_as_oracle(agents, data, rules)
         assert want[0] == "ok" and want[-1] >= 2, agents
 
-# One cash-card-scale check in a fresh interpreter: its `rules._extend` calls
-# and the Turtle of its graph.
-_COUNTED_CHECK = """
-import importlib.util, json, sys
-from normgraph import rules
-from normgraph.cli import run_pipeline
-from normgraph.turtle import parse_turtle, serialize_turtle
-spec = importlib.util.spec_from_file_location("_bench_workloads", sys.argv[1])
-workloads = importlib.util.module_from_spec(spec)
-sys.modules[spec.name] = workloads
-spec.loader.exec_module(workloads)
-calls = 0
-extend = rules._extend
-def counted(*args):
-    global calls
-    calls += 1
-    return extend(*args)
-rules._extend = counted
-(inp,) = workloads.cash_card_scale(1, 10)
-graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
-result = run_pipeline(graphs, set(inp.layers)).result
-print(json.dumps([calls, serialize_turtle(result.graph)]))
-"""
-
 
 def test_the_work_of_a_check_does_not_depend_on_the_hash_seed():
+    # the sweep's line at 10 agents: its `rules._extend` calls and the digest of its graph
     root = Path(__file__).resolve().parents[1]
+    sweep = [sys.executable, str(root / "tools" / "cash_card_sweep.py"), "--agents", "10"]
     runs = []
     for hash_seed in ("0", "4"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
             filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-c", _COUNTED_CHECK,
-                              str(root / "benchmarks" / "workloads.py")],
-                             env=env, capture_output=True, text=True, check=True).stdout
-        runs.append(json.loads(out))
-    (calls, graph), (other_calls, other_graph) = runs
-    assert calls == other_calls
-    assert graph == other_graph
+        run = json.loads(subprocess.run(sweep, env=env, capture_output=True, text=True,
+                                        check=True).stdout)
+        del run["seconds"]
+        runs.append(run)
+    assert runs[0]["extend_calls"] > 0
+    assert runs[0] == runs[1]
 
 
 EX = "https://example.org/"
@@ -269,7 +234,7 @@ def test_no_guard_matched_keeps_the_solutions_without_probes(monkeypatch):
 
     monkeypatch.setattr(rules, "evaluate_where", counted_evaluate)
     monkeypatch.setattr(engine.WakeTest, "kept", counted_kept)
-    (inp,) = _load_workloads().cash_card_scale(1, 3)
+    (inp,) = workloads.cash_card_scale(1, 3)
     graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
     run_fixpoint(*_pipeline(graphs, inp.layers))
     # probing every kept solution of a rule with a NOT EXISTS: 136 probes

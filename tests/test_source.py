@@ -3,12 +3,15 @@ from pathlib import Path
 
 import normgraph
 
-MODULES = sorted(p for p in Path(normgraph.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(normgraph.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+                 + [*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def test_every_imported_name_is_used():
-    # the package's own re-exports live in __init__.py, so no other module
-    # imports a name only to hand it on
+    # in the package, the tests and the tools: the package's own re-exports
+    # live in __init__.py, so no other module imports a name only to hand it on
     unused = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -21,6 +24,6 @@ def test_every_imported_name_is_used():
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         loaded = {node.id for node in ast.walk(tree)
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
-                   if name not in loaded]
+        unused += [f"{path.parent.name}/{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in loaded]
     assert MODULES and not unused, unused

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import normgraph
 import oracle
 from normgraph.model import (
-    BlankNode, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, ONT_NS, RDF_TYPE,
-    REXIST, Triple, isomorphic,
+    BlankNode, DEFAULT_PREFIXES, Graph, HAS_SPARQL_CODE, INFERENCE_RULE, Iri, Literal, ONT_NS,
+    RDF_TYPE, REXIST, Triple, isomorphic,
 )
 from normgraph.ontology import _VOCABULARY_TTL, FIXTURES
 from normgraph.turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
@@ -226,13 +226,22 @@ def test_a_local_part_that_starts_with_a_dot_or_hyphen_is_written_under_a_shorte
 
 
 def test_a_prefix_named_underscore_is_read_but_never_written():
-    # in Turtle `_:` always starts a blank node label, whatever prefixes a file declares
-    g = parse_turtle("@prefix _: <http://ex/u#> .\n"
-                     "<http://ex/u#a> <http://ex/u#q> <http://ex/u#o> . _:b <http://ex/u#q> _:c .")
-    assert g.prefix_map["_"] == "http://ex/u#"
+    # in Turtle `_:` always starts a blank node label, whatever prefixes a file
+    # declares; RDF 1.1's PN_PREFIX starts with a letter, so neither is a
+    # prefix that starts with a digit, '-' or '.' written
+    g = parse_turtle("@prefix _: <http://ex/u#> .\n@prefix 9x: <http://ex/n#> .\n"
+                     "@prefix -y: <http://ex/m#> .\n@prefix .z: <http://ex/d#> .\n"
+                     "<http://ex/u#a> <http://ex/u#q> <http://ex/u#o> . _:b <http://ex/u#q> _:c .\n"
+                     "9x:a 9x:b -y:c . .z:d 9x:b -y:c .")
+    assert [g.prefix_map[name] for name in ("_", "9x", "-y", ".z")] == [
+        "http://ex/u#", "http://ex/n#", "http://ex/m#", "http://ex/d#"]
     text = serialize_turtle(g)
-    assert "@prefix _:" not in text
-    assert "<http://ex/u#a> <http://ex/u#q> <http://ex/u#o> ." in text.splitlines()
+    lines = text.splitlines()
+    assert [line for line in lines if line.startswith("@prefix")] == [
+        f"@prefix {name}: <{ns}> ." for name, ns in sorted(DEFAULT_PREFIXES.items())]
+    assert "<http://ex/u#a> <http://ex/u#q> <http://ex/u#o> ." in lines
+    assert "<http://ex/n#a> <http://ex/n#b> <http://ex/m#c> ." in lines
+    assert "<http://ex/d#d> <http://ex/n#b> <http://ex/m#c> ." in lines
     assert isomorphic(parse_turtle(text), g)
 
 

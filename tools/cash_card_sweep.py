@@ -5,16 +5,17 @@
 For each N in `--agents` (5, 10, 20 and 40 unless given, e.g. `--agents
 80,160` for larger ones), the input is `cash-card-norms` plus N seeded
 `soa:Human` agents with layers `pragmatics,dts,compliance`, built by
-`benchmarks/workloads.py` (loaded from its file) exactly as the
-`cash-card-scale` workload builds it. The sweep parses the input, then times
-`run_pipeline` with `time.perf_counter` and keeps the fastest of 3 runs, as
-load from other processes only ever adds time; one untimed run at the
-smallest N first fills the vocabulary cache and the cache of parsed rules,
-the catalog's and `cash-card-norms`' own, so no timed run parses a rule. One
-more, untimed run per N counts the calls to `rules._extend`, one per binding
-a triple pattern extends: a gauge of the work done that does not depend on
-the host. The search looks `_extend` up each time it enters a step, so the
-count includes the steps compiled and kept on the cached rules before it.
+`benchmarks/workloads.py` exactly as the `cash-card-scale` workload builds
+it (run as a script, the sweep puts `benchmarks/` on the import path). The
+sweep parses the input, then times `run_pipeline` with `time.perf_counter`
+and keeps the fastest of 3 runs, as load from other processes only ever
+adds time; one untimed run at the smallest N first fills the vocabulary
+cache and the cache of parsed rules, the catalog's and `cash-card-norms`'
+own, so no timed run parses a rule. One more, untimed run per N counts the
+calls to `rules._extend`, one per binding a triple pattern extends: a gauge
+of the work done that does not depend on the host. It counts under `cProfile` the calls to `_extend`'s code object, so
+it sees the steps compiled and kept on the cached rules before it too; the
+profiler makes a counting run ~4 times as slow as a timed one.
 
 It prints one JSON line per N: the seconds, the `_extend` calls, the triples
 in the inferred graph, the fixpoint's iterations, the SHA-256 of the graph's
@@ -29,8 +30,8 @@ the sweep stops there with a line that says so.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import hashlib
-import importlib.util
 import json
 import math
 import signal
@@ -38,6 +39,10 @@ import sys
 import time
 from pathlib import Path
 
+if __name__ == "__main__":  # run as a script: the workload generators are in benchmarks/
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import workloads
 from normgraph import rules
 from normgraph.cli import run_pipeline
 from normgraph.turtle import parse_turtle, serialize_turtle
@@ -57,15 +62,6 @@ def _agent_counts(text: str) -> tuple[int, ...]:
     return counts
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class _Capped(Exception):
     pass
 
@@ -74,7 +70,7 @@ def _on_alarm(signum, frame):
     raise _Capped()
 
 
-def _run(workloads, seed: int, agents: int) -> tuple[float, object]:
+def _run(seed: int, agents: int) -> tuple[float, object]:
     (inp,) = workloads.cash_card_scale(seed, agents)
     graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
     start = time.perf_counter()
@@ -82,21 +78,12 @@ def _run(workloads, seed: int, agents: int) -> tuple[float, object]:
     return time.perf_counter() - start, pipeline.result
 
 
-def _extend_calls(workloads, seed: int, agents: int) -> int:
-    calls = 0
-    extend = rules._extend
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return extend(*args)
-
-    rules._extend = counted
-    try:
-        _run(workloads, seed, agents)
-    finally:
-        rules._extend = extend
-    return calls
+def _extend_calls(run, *args) -> int:
+    """The `rules._extend` calls that `run(*args)` makes, counted by code object."""
+    profile = cProfile.Profile()
+    profile.runcall(run, *args)
+    return sum(entry.callcount for entry in profile.getstats()
+               if entry.code is rules._extend.__code__)
 
 
 def _exponent(last: tuple | None, agents: int, at: int, value: float) -> float | None:
@@ -115,16 +102,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated agent counts, in the order to run them "
                              "(default: 5,10,20,40)")
     args = parser.parse_args(argv)
-    workloads = _load_workloads()
-    _run(workloads, args.seed, min(args.agents))
+    _run(args.seed, min(args.agents))
     signal.signal(signal.SIGALRM, _on_alarm)
     last = None  # (agents, seconds, extend_calls) of the N before
     for agents in args.agents:
         signal.alarm(args.cap)
         try:
-            seconds, result = min((_run(workloads, args.seed, agents) for _ in range(REPEATS)),
+            seconds, result = min((_run(args.seed, agents) for _ in range(REPEATS)),
                                   key=lambda run: run[0])
-            extend_calls = _extend_calls(workloads, args.seed, agents)
+            extend_calls = _extend_calls(_run, args.seed, agents)
         except _Capped:
             print(json.dumps({"agents": agents, "capped_at_s": args.cap}))
             return 1
