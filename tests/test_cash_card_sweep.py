@@ -1,6 +1,7 @@
 """Smoke tests of tools/cash_card_sweep.py at its smallest agent count."""
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -21,15 +22,25 @@ def test_sweep_at_five_agents_gives_the_reference_graph_and_extend_calls():
     assert sweep._extend_calls(sweep._run, 1, 5) == 3924
 
 
+@functools.cache
+def _extend_calls_at_20_and_40():
+    # both gates below read the same two counts; each N is swept once
+    return tuple(sweep._extend_calls(sweep._run, 1, agents) for agents in (20, 40))
+
+
 def test_pattern_extensions_grow_no_faster_than_recorded_at_20_and_40_agents():
     # a gate on work, not seconds, so that it holds on a noisy host: at most
     # 1.1 times the counts of the sweep when it was set (26,139 and 80,397),
-    # and less than 3.5 times the work for twice the agents; since the
-    # role-star generator came in (10,308 and 20,006), at most 1.1 times its
-    # count at 40 agents, and less than 2.5 times the work for twice the agents
-    at20, at40 = (sweep._extend_calls(sweep._run, 1, agents) for agents in (20, 40))
+    # and less than 3.5 times the work for twice the agents
+    at20, at40 = _extend_calls_at_20_and_40()
     assert at20 <= 1.1 * 26139 and at40 <= 1.1 * 80397, (at20, at40)
     assert at40 / at20 < 3.5, (at20, at40)
+
+
+def test_role_star_candidates_keep_the_work_at_40_agents_under_twice_that_at_20():
+    # at most 1.1 times the counts of the sweep when the role-star generator
+    # came in (10,308 and 20,006; 25,638 and 79,456 before it)
+    at20, at40 = _extend_calls_at_20_and_40()
     assert at40 <= 1.1 * 20006, (at20, at40)
     assert at40 / at20 < 2.5, (at20, at40)
 
