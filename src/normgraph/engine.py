@@ -56,7 +56,7 @@ rules that mint fresh individuals without a guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import count
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
@@ -77,12 +77,14 @@ class MissingRuleBody(Exception):
 
 
 class MaxIterationsExceeded(Exception):
-    def __init__(self, limit: int, last_added: int):
+    def __init__(self, limit: int, last_added: int, rule_ids: tuple[str, ...] = ()):
+        by = f", by rule(s) {', '.join(rule_ids)}" if rule_ids else ""
         super().__init__(
             f"no fixpoint after {limit} iterations; "
-            f"the last pass still added {last_added} triple(s)")
+            f"the last pass still added {last_added} triple(s){by}")
         self.limit = limit
         self.last_added = last_added
+        self.rule_ids = rule_ids
 
 
 class _Anchor(NamedTuple):
@@ -111,17 +113,18 @@ class _Anchor(NamedTuple):
 
 class _Added:
     """The triples one iteration added, by predicate and by predicate and
-    object, and the graph they were added to."""
+    object, and memos of the graph they were added to: `matched(key)`, whether
+    it has a triple that matches the key (None is a wildcard), and
+    `alive(shapes)`, whether every shape has a match in it."""
 
     def __init__(self, graph: Graph, triples: list[Triple]):
-        self.graph = graph
         self._by_predicate: dict[Term, list[Triple]] = {}
         self._by_predicate_object: dict[tuple[Term, Term], list[Triple]] = {}
         for t in triples:
             self._by_predicate.setdefault(t.predicate, []).append(t)
             self._by_predicate_object.setdefault((t.predicate, t.object), []).append(t)
-        self._matched: dict[tuple, bool] = {}
-        self._alive: dict[tuple, bool] = {}
+        matched = self.matched = cache(lambda key: next(graph.match_iter(*key), None) is not None)
+        self.alive = cache(lambda shapes: all(map(matched, shapes)))
 
     def candidates(self, anchor: _Anchor) -> Iterable[tuple[Term, list[Triple]]]:
         """The added triples that have the anchor's constant predicate and
@@ -132,22 +135,6 @@ class _Added:
             return ((anchor.predicate, self._by_predicate.get(anchor.predicate, ())),)
         return ((anchor.predicate,
                  self._by_predicate_object.get((anchor.predicate, anchor.object), ())),)
-
-    def matched(self, key: tuple) -> bool:
-        """Whether the graph has a triple that matches the key (None is a
-        wildcard); each key is looked up once."""
-        hit = self._matched.get(key)
-        if hit is None:
-            hit = self._matched[key] = next(self.graph.match_iter(*key), None) is not None
-        return hit
-
-    def alive(self, shapes: tuple) -> bool:
-        """Whether every shape has a match in the graph; each tuple of
-        shapes is looked at once."""
-        hit = self._alive.get(shapes)
-        if hit is None:
-            hit = self._alive[shapes] = all(map(self.matched, shapes))
-        return hit
 
 
 def _matches(anchors: tuple[_Anchor, ...], added: _Added) -> bool:
@@ -369,13 +356,12 @@ def load_rules(g: Graph) -> RuleSet:
     """One rule per individual typed :InferenceRule, which must carry
     exactly one literal rule body. A rule is named by its blank node's label,
     or by its IRI's local name under the graph's prefixes (`local_name`)."""
-    subjects = sorted({t.subject for t in g.match_iter(p=RDF_TYPE, o=INFERENCE_RULE)},
-                      key=term_key)
+    subjects = sorted(g.subjects(RDF_TYPE, INFERENCE_RULE), key=term_key)
     prefixes = frozenset(g.prefix_map.items())
     namespaces = sorted(g.prefix_map.values(), key=len, reverse=True)
     out = RuleSet()
     for subject in subjects:
-        bodies = [t.object for t in g.match_iter(s=subject, p=HAS_SPARQL_CODE)]
+        bodies = list(g.objects(subject, HAS_SPARQL_CODE))
         rule_id = (subject.label if isinstance(subject, BlankNode)
                    else local_name(subject, namespaces))
         if not bodies:
@@ -389,7 +375,7 @@ def load_rules(g: Graph) -> RuleSet:
 
 def strip_rules(g: Graph) -> Graph:
     """The data remainder of a graph: everything except rule definitions."""
-    subjects = {t.subject for t in g.match_iter(p=RDF_TYPE, o=INFERENCE_RULE)}
+    subjects = set(g.subjects(RDF_TYPE, INFERENCE_RULE))
     out = Graph(prefix_map=g.prefix_map)
     for t in g.match_iter():
         if t.subject in subjects and (
@@ -430,7 +416,8 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
             return RunResult(graph, iteration, provenance, trace)
         graph.update(pending)
         delta = _Added(graph, pending)
-    raise MaxIterationsExceeded(cfg.max_iterations, len(pending))
+    raise MaxIterationsExceeded(cfg.max_iterations, len(pending),
+                                tuple(dict.fromkeys(provenance[t][0] for t in pending)))
 
 
 def diff_inferred(result: RunResult, data: Graph) -> Graph:

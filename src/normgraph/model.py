@@ -17,7 +17,7 @@ import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, KeysView, Optional
 
 # Matches exactly the characters for which str.isspace() is true.
 _SPACE = re.compile(r"\s")
@@ -261,6 +261,14 @@ class Graph:
             return chain.from_iterable(bucket.values() for buckets in self._sp.values()
                                        for bucket in buckets.values())
         return chain.from_iterable(bucket.values() for bucket in buckets.values())
+
+    def objects(self, s: Term, p: Term) -> KeysView[Term]:
+        """The objects of the triples (s, p, ?), in the order `match_iter` gives them."""
+        return self._sp.get(s, _NO_BUCKETS).get(p, _NO_BUCKETS).keys()
+
+    def subjects(self, p: Term, o: Term) -> KeysView[Term]:
+        """The subjects of the triples (?, p, o), in the order `match_iter` gives them."""
+        return self._po.get(p, _NO_BUCKETS).get(o, _NO_BUCKETS).keys()
 
     def match(self, s: Optional[Term] = None, p: Optional[Term] = None,
               o: Optional[Term] = None) -> list[Triple]:

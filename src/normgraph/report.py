@@ -82,8 +82,7 @@ class Report:
 
 
 def _single_value(g: Graph, node: Term, predicate: Iri) -> Optional[Term]:
-    values = sorted((t.object for t in g.match_iter(s=node, p=predicate)), key=term_key)
-    return values[0] if values else None
+    return min(g.objects(node, predicate), key=term_key, default=None)
 
 
 def statement_view(g: Graph, node: Term) -> StatementView:

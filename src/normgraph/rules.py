@@ -80,11 +80,13 @@ How it runs:
     graph state it is neither ordered nor searched.
   - Each order is compiled once into a program of steps, each holding the
     function that runs it, as the variables bound before each step are
-    known: which positions of a pattern are free, and what a BIND or a lone
-    comparison does. A group keeps, per set of seeded variables, its
-    programs and the order last found, with the graph, held weakly, and its
-    size; another graph, or the same one grown, is planned anew. A program
-    is searched depth first with its own stack.
+    known: what a BIND or a lone comparison does, and which positions of a
+    pattern are free. With none free it runs `_contains`, a membership test;
+    with only the object or only the subject free, `_objects` or `_subjects`,
+    which read one index bucket; else `_extend`. A group keeps, per set of
+    seeded variables, its programs and the order last found, with the graph,
+    held weakly, and its size; another graph, or the same one grown, is
+    planned anew. A program is searched depth first with its own stack.
   - A branch may hold a role star: for a role class C, the containment
     guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v. NOT EXISTS{?b ?t
     ?w}}` and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
@@ -492,11 +494,26 @@ _READ = [None] + [attrgetter(*(name for i, name in enumerate(("subject", "predic
                                if positions >> i & 1)) for positions in range(1, 8)]
 
 
+def _contains(g: Graph, step: tuple, binding: Binding) -> tuple:
+    (_, s, p, o), get = step, binding.get
+    return (binding,) if get(o, o) in g.objects(get(s, s), get(p, p)) else ()
+
+
+def _objects(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
+    (_, s, p, o), get = step, binding.get
+    return [{**binding, o: term} for term in g.objects(get(s, s), get(p, p))]
+
+
+def _subjects(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
+    (_, s, p, o), get = step, binding.get
+    return [{**binding, s: term} for term in g.subjects(get(p, p), get(o, o))]
+
+
 def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
     """The extensions of `binding` by every graph match of a triple pattern's
-    `step` (see `_compile`); one that adds nothing comes back as itself. A
-    step with a role star takes its one free variable's values from the
-    star's holders, when there are any, and keeps those its pattern matches."""
+    `step` (see `_compile`). A step with a role star takes its one free
+    variable's values from the star's holders, when there are any, and keeps
+    those its pattern matches."""
     _, s, p, o, var, free, read, star = step
     get = binding.get  # a bound variable gives its value, a term or None itself
     if star is not None:
@@ -509,11 +526,13 @@ def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
     matches = g.match_iter(get(s, s), get(p, p), get(o, o))
     if var is not None:
         return [{**binding, var: read(t)} for t in matches]
-    if not free:
-        return [binding] if next(matches, None) is not None else []
     # a variable in two free positions must match the same term
     return [{**binding, **new} for terms in map(read, matches)
             for new in (dict(zip(free, terms)),) if tuple(map(new.get, free)) == terms]
+
+
+_LOOKUPS = {0: _contains, 1: _subjects, 4: _objects}  # by free positions, as in _READ
+_PATTERN_RUNS = (*_LOOKUPS.values(), _extend)  # every runner of a triple pattern's step
 
 
 def _holders(g: Graph, a: Term, role_class: Term, x: Optional[Term]) -> Optional[list]:
@@ -525,8 +544,7 @@ def _holders(g: Graph, a: Term, role_class: Term, x: Optional[Term]) -> Optional
     if not pairs:
         return None
     rarest = min(pairs, key=lambda pair: g.count(None, *pair))
-    return [t.subject for t in g.match_iter(None, *rarest)
-            if all(g.count(t.subject, *pair) for pair in pairs)]
+    return [s for s in g.subjects(*rarest) if all(g.count(s, *pair) for pair in pairs)]
 
 
 def _bind(g: Graph, step: tuple, binding: Binding) -> tuple:
@@ -712,7 +730,9 @@ def _shape(tp: TriplePattern) -> tuple:
 
 def _compile(el, bound: set, stars: tuple = ()) -> tuple:
     """The step that runs `el` on a binding of the variables `bound`, as
-    `run(g, step, binding)` for its first item `run`; a triple pattern's is
+    `run(g, step, binding)` for its first item `run`. A triple pattern's is
+    `(run, s, p, o)` with `run` by its free positions: none, `_contains`;
+    the object alone, `_objects`; the subject alone, `_subjects`; else
     `(_extend, s, p, o, var, free, read, star)`: its terms, None where free,
     the variable of one free position or those of several, their reader,
     and, if that one free variable is the ?b of a role star in `stars` whose
@@ -726,9 +746,12 @@ def _compile(el, bound: set, stars: tuple = ()) -> tuple:
         fresh = tuple(parts[i] for i in at)
         star = next(((a, c, x, at[0]) for a, b, c, x in stars if len(at) == 1 and
                      b is fresh[0] and a in bound and (x is None or x in bound)), None)
+        mask = sum(1 << i for i in at)
+        if star is None and mask in _LOOKUPS:
+            return (_LOOKUPS[mask], *parts)
         return (_extend, *(None if i in at else part for i, part in enumerate(parts)),
                 fresh[0] if len(at) == 1 else None, fresh if len(at) > 1 else (),
-                _READ[sum(1 << i for i in at)], star)
+                _READ[mask], star)
     if isinstance(el, Bind):
         return (_bind, el.var, el.value) if free(el.var) else (_compare, el.var, el.value, False)
     if isinstance(el, NotExists):
@@ -745,10 +768,10 @@ def _program(segment: _Segment, steps: tuple, seeded: Iterable) -> tuple:
         if all(map(is_, order, steps)):
             return program
     bound, program = set(seeded), []
-    known = {step: step for _, old in segment.programs for step in old if step[0] is _extend}
+    known = {step: step for _, old in segment.programs for step in old if step[0] in _PATTERN_RUNS}
     for el in steps:
         step = _compile(el, bound, segment.stars)
-        program.append(known.get(step, step) if step[0] is _extend else step)
+        program.append(known.get(step, step) if step[0] in _PATTERN_RUNS else step)
         bound.update(_binds(el))
     segment.programs.append((steps, tuple(program)))
     return segment.programs[-1][1]

@@ -52,8 +52,6 @@ def test_an_iri_named_rule_takes_its_local_name_under_the_file_prefixes():
 
 
 def test_load_rules_propagates_rule_syntax_error():
-    from normgraph.rules import RuleSyntaxError
-
     g = parse_turtle('soa:r1 a :InferenceRule; :has-sparql-code """NONSENSE{}""".')
     with pytest.raises(RuleSyntaxError) as err:
         load_rules(g)
@@ -93,6 +91,9 @@ def test_unguarded_wife_rule_exceeds_iteration_budget():
     with pytest.raises(MaxIterationsExceeded) as err:
         run_fixpoint(data, rules, EngineConfig(max_iterations=20))
     assert err.value.last_added >= 1
+    # the one rule, which still adds a triple in every pass, is named
+    assert err.value.rule_ids == tuple(rules.ids()) and len(rules) == 1
+    assert str(err.value).endswith(f", by rule(s) {rules.ids()[0]}")
 
 
 def test_guarded_wife_rule_reaches_fixpoint_in_two_iterations():
@@ -239,7 +240,6 @@ def test_join_planning_keeps_pairwise_rules_tractable():
     # thematic-divergence rule; a poor join order made this exponential.
     import time
 
-    from normgraph.cli import run_pipeline
     from normgraph.model import Iri, SOA_NS
     from normgraph.report import extract_findings
 

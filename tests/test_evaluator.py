@@ -237,7 +237,6 @@ def test_not_exists_probe_runs_1200_flat_patterns_without_recursion():
 
 
 def test_plans_are_reused_until_the_graph_changes(monkeypatch):
-    from normgraph import rules
     p = Iri(EX + "p")
     g = Graph([Triple(Iri(EX + "a"), p, Iri(EX + "b"))])
     gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), p, V("z"))))
@@ -270,7 +269,6 @@ def _fanned_graph(rare, *extra):
 
 
 def _steps(g, gp, seeded=()):
-    from normgraph import rules
     return rules._plan(g, gp, seeded)[0]
 
 
@@ -424,7 +422,6 @@ def test_evaluator_matches_oracle_with_guards_anywhere_in_the_group():
 
 
 def test_planning_whole_groups_cuts_probes_and_pattern_extensions(monkeypatch):
-    from normgraph import rules
     from normgraph.cli import run_pipeline
 
     data, user_rules, _ = fixture("cash-card-norms")
@@ -449,7 +446,6 @@ def test_planning_whole_groups_cuts_probes_and_pattern_extensions(monkeypatch):
 
 
 def test_role_star_candidates_halve_the_probes_of_a_cash_card_check(monkeypatch):
-    from normgraph import rules
     from normgraph.cli import run_pipeline
 
     data, user_rules, _ = fixture("cash-card-norms")
@@ -472,7 +468,7 @@ def test_role_star_candidates_halve_the_probes_of_a_cash_card_check(monkeypatch)
 
 def test_least_total_bindings_order_cuts_probes_and_starts_the_hot_rule_at_its_statements(
         monkeypatch):
-    from normgraph import engine, rules
+    from normgraph import engine
     from normgraph.cli import run_pipeline
 
     data, user_rules, _ = fixture("cash-card-norms")
@@ -539,7 +535,6 @@ def _variables_in(node) -> set:
 def _estimated_total(g, binders, seeded) -> float:
     """The bindings the planner expects running the binders in this order to
     make: the sum of the rows after each, by `rules._estimate`."""
-    from normgraph import rules
     bound, rows, total = set(seeded), 1.0, 0.0
     for el in binders:
         parts = (el.subject, el.predicate, el.object)
@@ -555,7 +550,6 @@ def _estimated_total(g, binders, seeded) -> float:
 
 
 def test_planned_orders_cost_at_most_the_greedy_and_keep_every_guard_in_place(monkeypatch):
-    from normgraph import rules
     order, greedy = rules._order, rules._greedy
     runs, greedy_orders = [], []
 
@@ -611,7 +605,6 @@ def test_planned_orders_cost_at_most_the_greedy_and_keep_every_guard_in_place(mo
 
 
 def test_order_search_on_a_1200_pattern_chain_stays_within_its_work_bound(monkeypatch):
-    from normgraph import rules
     p = Iri(EX + "p")
     g = Graph()
     for head, length in (("n", 1200), ("m", 1199)):
@@ -636,7 +629,6 @@ def test_order_search_on_a_1200_pattern_chain_stays_within_its_work_bound(monkey
 
 
 def test_not_exists_whose_estimated_rows_overflow_is_planned_and_probed(monkeypatch):
-    from normgraph import rules
     p, t = Iri(EX + "p"), Iri(EX + "T")
     s0, s1, s2 = (Iri(f"{EX}s{k}") for k in range(3))
     g = Graph([Triple(s1, RDF_TYPE, t), Triple(s2, RDF_TYPE, t), Triple(s1, p, Iri(EX + "o"))])
@@ -672,7 +664,6 @@ def test_not_exists_whose_estimated_rows_overflow_is_planned_and_probed(monkeypa
 
 def test_order_search_on_300_unconnected_patterns_looks_at_most_9_greedy_runs_of_binders(
         monkeypatch):
-    from normgraph import rules
     p = Iri(EX + "p")
     g = Graph([Triple(Iri(EX + "a"), p, Iri(EX + "b")), Triple(Iri(EX + "c"), p, Iri(EX + "d"))])
     wide = GroupPattern(tuple(TriplePattern(V(f"a{k}"), p, V(f"b{k}")) for k in range(300)))
@@ -698,7 +689,6 @@ def test_order_search_on_300_unconnected_patterns_looks_at_most_9_greedy_runs_of
 
 
 def test_a_union_with_one_dead_branch_gives_the_live_branch_solutions():
-    from normgraph import rules
     a, b, c, p, q = (Iri(EX + x) for x in "abcpq")
     g = Graph([Triple(a, p, b), Triple(b, p, c)])
     xy = TriplePattern(V("x"), p, V("y"))
@@ -715,7 +705,6 @@ def test_a_union_with_one_dead_branch_gives_the_live_branch_solutions():
 
 
 def test_a_dead_branch_is_planned_again_once_its_pattern_has_a_match():
-    from normgraph import rules
     a, b, c, p, q = (Iri(EX + x) for x in "abcpq")
     g = Graph([Triple(a, p, b)])
     gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), q, V("z"))))
@@ -731,7 +720,6 @@ def test_a_dead_branch_is_planned_again_once_its_pattern_has_a_match():
 
 
 def test_not_exists_over_an_all_dead_group_passes_without_ordering_it(monkeypatch):
-    from normgraph import rules
     a, b, p, q, r, s = (Iri(EX + x) for x in "abpqrs")
     g = Graph([Triple(a, p, b), Triple(b, p, a)])
     xy = TriplePattern(V("x"), p, V("y"))
@@ -944,9 +932,11 @@ def test_indexes_hold_after_random_insert_sequences():
     for _ in range(30):
         g = Graph()
         inserted: set[Triple] = set()
+        added = []  # the new triples, in the order they were inserted
         for _ in range(rnd.randrange(1, 60)):
             t = _random_triple(rnd)
             assert g.insert(t) is (t not in inserted)
+            added += [t] if t not in inserted else []
             inserted.add(t)
             assert g.check_indexes()
         assert g.triples() == inserted
@@ -965,6 +955,13 @@ def test_indexes_hold_after_random_insert_sequences():
                         and o in (None, t.object)}
                 matched = list(g.match_iter(s, p, o))
                 assert len(matched) == len(want) and set(matched) == want  # each once
+            # one bucket's terms, in insertion order, which is also match_iter's
+            s, p, o = probe.subject, probe.predicate, probe.object
+            objects = [t.object for t in added if (t.subject, t.predicate) == (s, p)]
+            assert list(g.objects(s, p)) == objects == [t.object for t in g.match_iter(s, p)]
+            subjects = [t.subject for t in added if (t.predicate, t.object) == (p, o)]
+            assert list(g.subjects(p, o)) == subjects == [
+                t.subject for t in g.match_iter(None, p, o)]
             assert g.subject_pool(probe.subject) == sum(
                 t.subject == probe.subject for t in inserted)
             assert g.predicate_pool(probe.predicate) == sum(
@@ -1028,7 +1025,6 @@ def test_check_indexes_notices_a_triple_missing_from_one_index():
 
 
 def test_a_group_is_planned_once_per_graph_state(monkeypatch):
-    from normgraph import rules
     a, b, p = Iri(EX + "a"), Iri(EX + "b"), Iri(EX + "p")
     gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), p, V("z"))))
     planned = []
@@ -1095,8 +1091,81 @@ def test_every_access_path_of_a_pattern_agrees_with_the_oracle():
     assert nonempty >= 60, nonempty
 
 
+_A, _B, _P, _Q = (Iri(EX + name) for name in ("a", "b", "p", "q"))
+
+
+@st.composite
+def _graphs_and_patterns(draw):
+    """A small graph and a pattern of constants and variables."""
+    nodes = st.sampled_from((_A, _B, _P, BlankNode("parse:n")))
+    objects = st.one_of(nodes, st.just(Literal("l")))
+    g = Graph(Triple(*t) for t in draw(st.lists(
+        st.tuples(nodes, st.sampled_from((_P, _Q)), objects), min_size=4, max_size=24,
+        unique=True)))
+    # x and y may each repeat, the predicate may be a variable, and a
+    # constant subject may be a literal
+    variables = st.sampled_from((V("x"), V("y")))
+    tp = TriplePattern(*(draw(st.one_of(variables, st.sampled_from(constants)))
+                         for constants in ((_A, _P, Literal("l")), (_P, _Q), (_A, _B, Literal("l")))))
+    return g, tp
+
+
+def _extended_through_match_iter(g: Graph, tp: TriplePattern, binding: dict) -> list:
+    """Each extension of `binding` by a match of `tp`, in `match_iter`'s order."""
+    parts = (tp.subject, tp.predicate, tp.object)
+    terms = [binding.get(part, part) for part in parts]
+    out = []
+    for t in g.match_iter(*(None if isinstance(term, Variable) else term for term in terms)):
+        new = dict(binding)
+        for part, term in zip(terms, (t.subject, t.predicate, t.object)):
+            if isinstance(part, Variable) and new.setdefault(part, term) != term:
+                break
+        else:
+            out.append(new)
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_graphs_and_patterns())
+def test_a_compiled_pattern_step_extends_as_match_iter_does(case):
+    # under each set of its variables bound before the step, bound to each
+    # term of the graph, and a literal
+    g, tp = case
+    variables = sorted(_variables_in(tp), key=lambda v: v.name)
+    values = sorted(g.terms() | {Literal("l")}, key=str)
+    for size in range(len(variables) + 1):
+        for bound in itertools.combinations(variables, size):
+            step = rules._compile(tp, set(bound))
+            for seeded in itertools.product(values, repeat=size):
+                seed = dict(zip(bound, seeded))
+                assert list(step[0](g, step, seed)) == _extended_through_match_iter(g, tp, seed)
+
+
+def test_each_bound_and_free_shape_of_a_pattern_compiles_to_its_runner():
+    x, y = V("x"), V("y")
+    runs = {  # the pattern, the variables bound before it, and its runner
+        (x, _P, y, "xy"): rules._contains, (_A, _P, _B, ""): rules._contains,
+        (x, x, x, "x"): rules._contains, (Literal("l"), _P, y, "y"): rules._contains,
+        (x, _P, y, "x"): rules._objects, (_A, x, y, "x"): rules._objects,
+        (x, _P, y, "y"): rules._subjects, (x, y, _B, "y"): rules._subjects,
+        (x, _P, _B, ""): rules._subjects, (_A, _P, y, ""): rules._objects,
+        # a free predicate, two free positions, a repeated free variable
+        (_A, x, _B, ""): rules._extend, (x, y, _B, "x"): rules._extend,
+        (x, _P, y, ""): rules._extend, (x, _P, x, ""): rules._extend,
+        (x, x, _B, ""): rules._extend, (x, y, x, "y"): rules._extend,
+    }
+    for (*parts, names), run in runs.items():
+        step = rules._compile(TriplePattern(*parts), {V(name) for name in names})
+        assert step[0] is run, (parts, names)
+        assert (step[1:] == tuple(parts)) is (run is not rules._extend)
+    assert set(rules._PATTERN_RUNS) == set(runs.values())
+    # the ?b of a role star, free alone, runs the star's holders through `_extend`
+    star = (x, _B, None, 0)
+    step = rules._compile(TriplePattern(y, _P, _B), {x}, ((x, y, _B, None),))
+    assert step[0] is rules._extend and step[7] == star
+
+
 def test_estimates_are_never_taken_from_another_graph_state(monkeypatch):
-    from normgraph import rules
     a, p, q = Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "q")
     by_p, by_q = TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), q, V("z"))
     gp = GroupPattern((by_p, by_q))
@@ -1136,7 +1205,6 @@ def test_estimates_are_never_taken_from_another_graph_state(monkeypatch):
 
 
 def test_a_program_is_compiled_once_per_order_and_shares_its_pattern_steps(monkeypatch):
-    from normgraph import rules
     a, p, q, r = (Iri(EX + x) for x in "apqr")
     gp = GroupPattern((TriplePattern(V("x"), p, V("y")), TriplePattern(V("y"), q, V("z")),
                        TriplePattern(V("z"), r, V("w")), Filter(Comparison(V("x"), True, V("w")))))
@@ -1157,7 +1225,8 @@ def test_a_program_is_compiled_once_per_order_and_shares_its_pattern_steps(monke
     assert len(orders) == len(programs) == 2
     assert len(compiled) == sum(map(len, programs))  # each order compiled once
     # `?z r ?w` with ?z bound is one step of both orders
-    patterns = [step for program in programs for step in program if step[0] is rules._extend]
+    patterns = [step for program in programs for step in program
+                if step[0] in rules._PATTERN_RUNS]
     assert len({id(step) for step in patterns}) == len(patterns) - 1
 
 
@@ -1189,7 +1258,6 @@ def _role_graph(rnd: random.Random, subjects: int) -> Graph:
 
 def _generated(g, gp, seed) -> list:
     """The role stars of the pattern steps compiled for `seed`'s variables."""
-    from normgraph import rules
     rules._plan(g, gp, seed)
     programs = gp.analyses[frozenset(seed)].programs
     return [step[7] for program in programs if program for step in program
@@ -1197,7 +1265,6 @@ def _generated(g, gp, seed) -> list:
 
 
 def test_role_star_generator_matches_oracle_on_random_role_graphs(monkeypatch):
-    from normgraph import rules
     # the hot rule's shape, with ?a and ?b both ways round and ?x a bound
     # role, and `conflict`'s, one way round and without ?x; neither has
     # FILTER(?a != ?b), so ?a == ?b occurs

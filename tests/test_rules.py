@@ -750,8 +750,6 @@ def test_instantiate_checks_bound_variables():
 def test_filter_short_circuits_left_to_right_over_unbound_variables():
     # an unbound variable rejects the solution only where the evaluation
     # reaches its comparison: the order of the || items matters
-    import oracle
-
     g = _graph(Triple(soa("a"), soa("p"), soa("b")))
     for expr, want in (("?y = soa:b || ?z = soa:c", [{V("x"): soa("a"), V("y"): soa("b")}]),
                        ("?z = soa:c || ?y = soa:b", [])):

@@ -27,3 +27,24 @@ def test_every_imported_name_is_used():
         unused += [f"{path.parent.name}/{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in loaded]
     assert MODULES and not unused, unused
+
+
+def _imports(nodes) -> dict:
+    """Each name the import statements among `nodes` bind, by what it is bound to."""
+    return {(getattr(node, "module", None), getattr(node, "level", 0), alias.name,
+             alias.asname): node.lineno
+            for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def test_no_function_repeats_an_import_of_its_module():
+    repeated = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = _imports(tree.body)
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                repeated += [f"{path.parent.name}/{path.name}:{line}: {key[2]}"
+                             for key, line in _imports(ast.walk(function)).items()
+                             if key in top]
+    assert MODULES and not repeated, repeated

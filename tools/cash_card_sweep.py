@@ -12,17 +12,19 @@ and keeps the fastest of 3 runs, as load from other processes only ever
 adds time; one untimed run at the smallest N first fills the vocabulary
 cache and the cache of parsed rules, the catalog's and `cash-card-norms`'
 own, so no timed run parses a rule. One more, untimed run per N counts the
-calls to `rules._extend`, one per binding a triple pattern extends: a gauge
-of the work done that does not depend on the host. It counts under `cProfile` the calls to `_extend`'s code object, so
-it sees the steps compiled and kept on the cached rules before it too; the
-profiler makes a counting run ~4 times as slow as a timed one.
+calls to the runners of triple pattern steps (`rules._PATTERN_RUNS`:
+`_extend` and the three that read one index bucket), one per binding a
+pattern step extends: a gauge of the work done that does not depend on the
+host. It counts under `cProfile` the calls to those runners' code objects,
+so it sees the steps compiled and kept on the cached rules before it too;
+the profiler makes a counting run ~4 times as slow as a timed one.
 
-It prints one JSON line per N: the seconds, the `_extend` calls, the triples
+It prints one JSON line per N: the seconds, those calls, the triples
 in the inferred graph, the fixpoint's iterations, the SHA-256 of the graph's
 Turtle (equal digests mean equal output), and two local growth exponents
 against the N before (null for the first N and for one that repeats the N
 before): `exponent`, log(t/t') / log(N/N') of the seconds, and
-`extend_exponent`, the same of the `_extend` calls, which does not move with
+`extend_exponent`, the same of those calls, which does not move with
 the load on the host. If the runs of one N take more than `--cap` seconds,
 the sweep stops there with a line that says so.
 """
@@ -79,11 +81,11 @@ def _run(seed: int, agents: int) -> tuple[float, object]:
 
 
 def _extend_calls(run, *args) -> int:
-    """The `rules._extend` calls that `run(*args)` makes, counted by code object."""
+    """The pattern-step runner calls that `run(*args)` makes, counted by code object."""
     profile = cProfile.Profile()
     profile.runcall(run, *args)
-    return sum(entry.callcount for entry in profile.getstats()
-               if entry.code is rules._extend.__code__)
+    codes = {run.__code__ for run in rules._PATTERN_RUNS}
+    return sum(entry.callcount for entry in profile.getstats() if entry.code in codes)
 
 
 def _exponent(last: tuple | None, agents: int, at: int, value: float) -> float | None:
