@@ -1105,8 +1105,8 @@ def _graphs_and_patterns(draw):
     # x and y may each repeat, the predicate may be a variable, and a
     # constant subject may be a literal
     variables = st.sampled_from((V("x"), V("y")))
-    tp = TriplePattern(*(draw(st.one_of(variables, st.sampled_from(constants)))
-                         for constants in ((_A, _P, Literal("l")), (_P, _Q), (_A, _B, Literal("l")))))
+    constants = ((_A, _P, Literal("l")), (_P, _Q), (_A, _B, Literal("l")))  # by position
+    tp = TriplePattern(*(draw(st.one_of(variables, st.sampled_from(terms))) for terms in constants))
     return g, tp
 
 
