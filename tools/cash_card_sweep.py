@@ -84,7 +84,7 @@ def _extend_calls(run, *args) -> int:
     """The pattern-step runner calls that `run(*args)` makes, counted by code object."""
     profile = cProfile.Profile()
     profile.runcall(run, *args)
-    codes = {run.__code__ for run in rules._PATTERN_RUNS}
+    codes = {runner.__code__ for runner in rules._PATTERN_RUNS}
     return sum(entry.callcount for entry in profile.getstats() if entry.code in codes)
 
 
