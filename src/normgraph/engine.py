@@ -149,11 +149,18 @@ def _matches(anchors: tuple[_Anchor, ...], added: _Added) -> bool:
                 head = (None, predicate, None) + anchor.constants
                 if not all(added.matched(get(head)) for get in anchor.per_predicate):
                     continue
+            equal, per_triple, matched = anchor.equal, anchor.per_triple, added.matched
             for t in triples:
                 parts = (t.subject, predicate, t.object) + anchor.constants
-                if all(parts[i] == parts[j] for i, j in anchor.equal) and all(
-                        added.matched(get(parts)) for get in anchor.per_triple):
-                    return True
+                for i, j in equal:
+                    if parts[i] != parts[j]:
+                        break
+                else:
+                    for get in per_triple:
+                        if not matched(get(parts)):
+                            break
+                    else:
+                        return True
     return False
 
 

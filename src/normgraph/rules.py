@@ -83,10 +83,12 @@ How it runs:
     known: what a BIND or a lone comparison does, and which positions of a
     pattern are free. With none free it runs `_contains`, a membership test;
     with only the object or only the subject free, `_objects` or `_subjects`,
-    which read one index bucket; else `_extend`. A group keeps, per set of
-    seeded variables, its programs and the order last found, with the graph,
-    held weakly, and its size; another graph, or the same one grown, is
-    planned anew. A program is searched depth first with its own stack.
+    which read one index bucket; else `_extend`. A bucket read that binds ?x
+    folds in the membership tests right after it that hold ?x once, not as the
+    predicate: it keeps, in order, the terms that each test's bucket holds, a
+    star join (RDF-3X) with no runner call per test. A group keeps, per set of
+    seeded variables, its programs, its last order and the graph, held weakly,
+    with its size; another graph, or the same one grown, is planned anew.
   - A branch may hold a role star: for a role class C, the containment
     guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v. NOT EXISTS{?b ?t
     ?w}}` and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
@@ -495,18 +497,26 @@ _READ = [None] + [attrgetter(*(name for i, name in enumerate(("subject", "predic
 
 
 def _contains(g: Graph, step: tuple, binding: Binding) -> tuple:
-    (_, s, p, o), get = step, binding.get
+    (_, s, p, o, _), get = step, binding.get
     return (binding,) if get(o, o) in g.objects(get(s, s), get(p, p)) else ()
 
 
 def _objects(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
-    (_, s, p, o), get = step, binding.get
-    return [{**binding, o: term} for term in g.objects(get(s, s), get(p, p))]
+    (_, s, p, o, checks), get = step, binding.get
+    terms = g.objects(get(s, s), get(p, p))
+    for read, a, b in checks:  # the folded membership tests (see `_program`)
+        bucket = read(g, get(a, a), get(b, b))
+        terms = [term for term in terms if term in bucket]
+    return [{**binding, o: term} for term in terms]
 
 
 def _subjects(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
-    (_, s, p, o), get = step, binding.get
-    return [{**binding, s: term} for term in g.subjects(get(p, p), get(o, o))]
+    (_, s, p, o, checks), get = step, binding.get
+    terms = g.subjects(get(p, p), get(o, o))
+    for read, a, b in checks:
+        bucket = read(g, get(a, a), get(b, b))
+        terms = [term for term in terms if term in bucket]
+    return [{**binding, s: term} for term in terms]
 
 
 def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
@@ -526,6 +536,8 @@ def _extend(g: Graph, step: tuple, binding: Binding) -> list[Binding]:
     matches = g.match_iter(get(s, s), get(p, p), get(o, o))
     if var is not None:
         return [{**binding, var: read(t)} for t in matches]
+    if len(set(free)) == len(free):
+        return [{**binding, **dict(zip(free, terms))} for terms in map(read, matches)]
     # a variable in two free positions must match the same term
     return [{**binding, **new} for terms in map(read, matches)
             for new in (dict(zip(free, terms)),) if tuple(map(new.get, free)) == terms]
@@ -731,13 +743,14 @@ def _shape(tp: TriplePattern) -> tuple:
 def _compile(el, bound: set, stars: tuple = ()) -> tuple:
     """The step that runs `el` on a binding of the variables `bound`, as
     `run(g, step, binding)` for its first item `run`. A triple pattern's is
-    `(run, s, p, o)` with `run` by its free positions: none, `_contains`;
-    the object alone, `_objects`; the subject alone, `_subjects`; else
-    `(_extend, s, p, o, var, free, read, star)`: its terms, None where free,
-    the variable of one free position or those of several, their reader,
-    and, if that one free variable is the ?b of a role star in `stars` whose
-    ?a and ?x are bound, (a, C, x, its position). A BIND of a bound
-    variable, one planned after a step that binds it, joins."""
+    `(run, s, p, o, ())`, with no checks (see `_program`) and `run` by its
+    free positions: none, `_contains`; the object alone, `_objects`; the
+    subject alone, `_subjects`; else `(_extend, s, p, o, var, free, read,
+    star)`: its terms, None where free, the variable of one free position or
+    those of several, their reader, and, if that one free variable is the ?b
+    of a role star in `stars` whose ?a and ?x are bound, (a, C, x, its
+    position). A BIND of a bound variable, one planned after a step that
+    binds it, joins."""
     def free(part) -> bool:
         return isinstance(part, Variable) and part not in bound
     if isinstance(el, TriplePattern):
@@ -748,7 +761,7 @@ def _compile(el, bound: set, stars: tuple = ()) -> tuple:
                      b is fresh[0] and a in bound and (x is None or x in bound)), None)
         mask = sum(1 << i for i in at)
         if star is None and mask in _LOOKUPS:
-            return (_LOOKUPS[mask], *parts)
+            return _LOOKUPS[mask], *parts, ()
         return (_extend, *(None if i in at else part for i, part in enumerate(parts)),
                 fresh[0] if len(at) == 1 else None, fresh if len(at) > 1 else (),
                 _READ[mask], star)
@@ -762,18 +775,23 @@ def _compile(el, bound: set, stars: tuple = ()) -> tuple:
 
 
 def _program(segment: _Segment, steps: tuple, seeded: Iterable) -> tuple:
-    """The steps in this order compiled for a seed binding `seeded`, kept as
-    orders repeat; the pattern steps of the orders compiled before are shared."""
+    """The steps in this order compiled for a seed binding `seeded`, star tests
+    folded in, kept as orders repeat; the pattern steps of older orders are shared."""
     for order, program in segment.programs:
         if all(map(is_, order, steps)):
             return program
-    bound, program = set(seeded), []
-    known = {step: step for _, old in segment.programs for step in old if step[0] in _PATTERN_RUNS}
+    bound, program = set(seeded), [(None,)]  # (None,) stands for the step before the first
     for el in steps:
-        step = _compile(el, bound, segment.stars)
-        program.append(known.get(step, step) if step[0] in _PATTERN_RUNS else step)
+        step, last = _compile(el, bound, segment.stars), program[-1]
+        x = last[1] if last[0] is _subjects else last[3] if last[0] is _objects else None
+        if step[0] is _contains and step[1:4].count(x) == 1 and step[2] is not x:
+            check = (Graph.subjects, *step[2:4]) if step[1] is x else (Graph.objects, *step[1:3])
+            step = (*program.pop()[:4], last[4] + (check,))
+        program.append(step)
         bound.update(_binds(el))
-    segment.programs.append((steps, tuple(program)))
+    known = {step: step for _, old in segment.programs for step in old if step[0] in _PATTERN_RUNS}
+    segment.programs.append((steps, tuple(known.get(step, step) if step[0] in _PATTERN_RUNS
+                                          else step for step in program[1:])))
     return segment.programs[-1][1]
 
 

@@ -19,7 +19,7 @@ def test_sweep_at_five_agents_gives_the_reference_graph_and_extend_calls():
         "21bd246f2ec5c7819bf09ee412a0a82ad1a022f92055ee6095a64c5ee1c7ebc4"
     # the run above compiled the catalog rules' steps; the count by code
     # object still sees every pattern extension they make
-    assert sweep._extend_calls(sweep._run, 1, 5) == 3924
+    assert sweep._extend_calls(sweep._run, 1, 5) == 1638
 
 
 @functools.cache
@@ -53,12 +53,12 @@ def test_the_sweep_runs_the_agent_counts_it_is_given_and_prints_one_line_each(ca
         signal.signal(signal.SIGALRM, handler)  # main sets its own for --cap
     first, second = map(json.loads, capsys.readouterr().out.splitlines())
     assert first.pop("seconds") > 0
-    assert first == {"agents": 5, "extend_calls": 3924, "triples": 528, "iterations": 6,
+    assert first == {"agents": 5, "extend_calls": 1638, "triples": 528, "iterations": 6,
                      "digest": "21bd246f2ec5c7819bf09ee412a0a82ad1a022f92055ee6095a64c5ee1c7ebc4",
                      "exponent": None, "extend_exponent": None}
     # the seconds' exponent moves with the host; the calls' is exact
     assert isinstance(second["exponent"], float)
-    assert second["extend_exponent"] == round(math.log(5594 / 3924) / math.log(2), 2)
+    assert second["extend_exponent"] == round(math.log(2217 / 1638) / math.log(2), 2)
     assert sweep._agent_counts("80,160") == (80, 160)
     for bad in ("0", "5,x", ""):
         with pytest.raises(argparse.ArgumentTypeError):

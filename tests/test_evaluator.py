@@ -1157,12 +1157,80 @@ def test_each_bound_and_free_shape_of_a_pattern_compiles_to_its_runner():
     for (*parts, names), run in runs.items():
         step = rules._compile(TriplePattern(*parts), {V(name) for name in names})
         assert step[0] is run, (parts, names)
-        assert (step[1:] == tuple(parts)) is (run is not rules._extend)
+        assert (step[1:4] == tuple(parts)) is (run is not rules._extend)
     assert set(rules._PATTERN_RUNS) == set(runs.values())
     # the ?b of a role star, free alone, runs the star's holders through `_extend`
     star = (x, _B, None, 0)
     step = rules._compile(TriplePattern(y, _P, _B), {x}, ((x, y, _B, None),))
     assert step[0] is rules._extend and step[7] == star
+
+
+_X, _SEEDED = V("x"), (V("y"), V("z"))
+
+
+@st.composite
+def _stars(draw):
+    """A small graph, a star of 2-6 patterns that each hold ?x, and a seed
+    of ?y and ?z. A pattern holds ?x once as its subject or object, beside
+    IRIs, literals and the seeded variables; or, to stay unfolded, twice or
+    as its predicate."""
+    nodes = st.sampled_from((_A, _B, _P, _Q))
+    objects = st.one_of(nodes, st.just(Literal("l")))
+    g = Graph(Triple(*t) for t in draw(st.lists(
+        st.tuples(nodes, st.sampled_from((_P, _Q)), objects), min_size=8, max_size=32,
+        unique=True)))
+    subjects, others = (st.one_of(terms, st.sampled_from(_SEEDED)) for terms in (nodes, objects))
+    predicates = st.sampled_from((_P, _Q, _SEEDED[0]))
+    patterns = []
+    for shape in draw(st.lists(st.sampled_from("sosoXP"), min_size=2, max_size=6)):
+        p, s, o = draw(predicates), draw(subjects), draw(others)
+        patterns.append(TriplePattern(*{"s": (_X, p, o), "o": (s, p, _X), "X": (_X, p, _X),
+                                        "P": (s, _X, o)}[shape]))
+    seed = dict(zip(_SEEDED, (draw(st.sampled_from((_P, _Q, Literal("l")))), draw(objects))))
+    return g, GroupPattern(tuple(patterns)), seed
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_stars())
+@example((Graph([Triple(_A, _P, _B), Triple(_P, _Q, _A)]),  # ?x the predicate of a test
+          GroupPattern((TriplePattern(_X, _Q, _A), TriplePattern(_A, _X, _B))), {}))
+def test_a_star_s_membership_tests_fold_into_the_bucket_read_that_binds_its_variable(case):
+    g, gp, seed = case
+    want = oracle.evaluate_where(g, gp, seed)
+    assert evaluate_where(g, gp, seed) == want
+    _assert_probe_agrees(g, gp, seed, ("ok", want))
+    analysis = gp.analyses[frozenset(seed)]
+    reads = (rules._subjects, rules._objects)
+    for steps, program in zip(analysis.steps, analysis.programs):
+        if program is None:
+            continue
+        # each step compiled alone gives the same solutions in the same order
+        bound, alone = set(seed), []
+        for el in steps:
+            alone.append(rules._compile(el, bound))
+            bound.update(rules._binds(el))
+        assert rules._search(g, program, seed, None) == rules._search(g, tuple(alone), seed, None)
+        # every test is a step or a check, and a test left after a bucket
+        # read holds its variable twice, or as the predicate
+        assert len(program) + sum(len(step[4]) for step in program if step[0] in reads) \
+            == len(steps)
+        for last, step in zip(program, program[1:]):
+            if last[0] in reads and step[0] is rules._contains:
+                x = last[1] if last[0] is rules._subjects else last[3]
+                assert step[1:4].count(x) == 2 or step[2] is x, (last, step)
+
+
+def test_the_dual_rule_s_guard_runs_as_one_bucket_read_with_four_checks():
+    # `?f a :false, :hold; rdf:subject ?ne; rdf:predicate rdf:type;
+    # rdf:object ?ddm` with ?ne and ?ddm bound
+    dual = next(e.query.where_clause for e in builtin_ruleset({"dts"})
+                if e.rule_id == "ob-pe-dual-fwd")
+    guard = next(el.inner for el in dual.branches[0] if isinstance(el, NotExists))
+    seeded = frozenset({V("ne"), V("ddm")})
+    rules._plan(run_fixture("building-norms").result.graph, guard, seeded)
+    (program,) = guard.analyses[seeded].programs
+    (step,) = program
+    assert step[0] is rules._subjects and len(step[4]) == 4
 
 
 def test_estimates_are_never_taken_from_another_graph_state(monkeypatch):

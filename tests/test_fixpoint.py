@@ -274,6 +274,34 @@ def test_an_anchor_beside_a_pattern_with_no_match_is_not_woken_until_it_has_one(
     assert full == [2, 4], full
 
 
+def test_an_added_triple_wakes_an_anchor_only_if_it_holds_its_equal_pairs_and_neighbours():
+    # per rule body: what its anchors read, an added triple that wakes the
+    # rule, and near misses that fail one equal pair or one neighbour
+    from normgraph import engine
+
+    a, b, c, p, q, r, s = (Iri(EX + x) for x in "abcpqrs")
+    graph = Graph([Triple(a, p, a), Triple(a, p, b), Triple(b, p, a), Triple(b, p, b),
+                   Triple(b, q, c), Triple(r, RDF_TYPE, Iri(EX + "Role")),
+                   Triple(a, r, b), Triple(a, s, b)])
+    cases = {
+        "?x ex:p ?x": ("equal", Triple(a, p, a), [Triple(a, p, b)]),
+        "ex:a ex:p ?y": ("equal", Triple(a, p, b), [Triple(b, p, b)]),
+        "?x ex:p ?y. ?y ex:q ?z": ("per_triple", Triple(a, p, b), [Triple(b, p, a)]),
+        "?x ex:p ?y. ?y ex:q ex:c": ("per_triple", Triple(a, p, b), [Triple(b, p, a)]),
+        "?x ex:p ?x. ?x ex:q ?z": ("per_triple", Triple(b, p, b),
+                                   [Triple(a, p, a), Triple(a, p, b)]),
+        "?x ?p ?y. ?p a ex:Role": ("per_predicate", Triple(a, r, b), [Triple(a, s, b)]),
+    }
+    for body, (reads, wakes, misses) in cases.items():
+        where = parse_rule("t", f"CONSTRUCT{{}}WHERE{{{body}}}", {"ex": EX}).where_clause
+        anchors = engine._wake_test(where).anchors
+        assert any(getattr(anchor, reads) for anchor in anchors), body
+        assert engine._matches(anchors, engine._Added(graph, [wakes])), body
+        for added in misses:
+            assert not engine._matches(anchors, engine._Added(graph, [added])), (body, added)
+            assert engine._matches(anchors, engine._Added(graph, [added, wakes])), (body, added)
+
+
 def test_a_guard_beside_a_pattern_with_no_match_probes_only_once_it_has_one(monkeypatch):
     # `ok`'s NOT EXISTS holds `?y ex:bad ?v` and `?u ex:flag ex:on`. `bad`
     # adds a match of the first in iteration 1 while the second has none:

@@ -8,7 +8,9 @@ own process, for the harness's default length, and then
 commit (`git describe --always --dirty`), the Python version, each workload's
 end-to-end metrics as the harness reports them (times are medians over the
 run's passes), and for each agent count N the sweep's seconds (fastest of 3)
-and pattern-step calls (those of `rules._PATTERN_RUNS`). `flags` names the
+and pattern-step calls (those of `rules._PATTERN_RUNS`; a membership test
+folded into a bucket read is no call, so these are not comparable between
+BENCH_35.json on and BENCH_28.json to BENCH_34.json). `flags` names the
 metrics that do not measure what their name says. The exit code is 1 if the
 harness found a wrong output or the sweep stopped at its cap, and the file is
 written either way; it is 2, and nothing is written, if the harness gave no

@@ -15,7 +15,10 @@ own, so no timed run parses a rule. One more, untimed run per N counts the
 calls to the runners of triple pattern steps (`rules._PATTERN_RUNS`:
 `_extend` and the three that read one index bucket), one per binding a
 pattern step extends: a gauge of the work done that does not depend on the
-host. It counts under `cProfile` the calls to those runners' code objects,
+host. A membership test folded into the bucket read before it is a check of
+that read, not a call, so the counts since BENCH_35.json are not comparable
+with those of BENCH_28.json to BENCH_34.json (1,638 against 3,924 at N=5).
+It counts under `cProfile` the calls to those runners' code objects,
 so it sees the steps compiled and kept on the cached rules before it too;
 the profiler makes a counting run ~4 times as slow as a timed one.
 
