@@ -2,14 +2,16 @@
 
 Exit codes: 0 clean, 1 error (syntax, missing rule body, no fixpoint), 2
 findings of a --fail-on kind present (check only). Reports go to stdout,
-diagnostics to stderr. A user rule's type and body are read from one input
-file, with that file's prefixes.
+diagnostics to stderr. A stdout whose reader has closed it ends the output:
+the command exits 0 and writes nothing to stderr. A user rule's type and
+body are read from one input file, with that file's prefixes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -187,7 +189,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _USER_ERRORS as err:
         sys.stderr.write(f"error: {err.__class__.__name__}: {err}\n")
         return 1

@@ -27,19 +27,18 @@ into (see `GroupPattern.branches`), whose solutions are the rule's:
     them that shares a variable with the anchor still has one under the
     triple's binding: the witness of a new solution, or of a NOT EXISTS
     group's new solution, holds a full match of all of them. A NOT EXISTS
-    group shares a variable with its parent only where a step before the
-    group binds it; every other variable is renamed apart. Dropping
-    constraints this way only makes the test wake more rules.
+    group shares a variable with its parent where the parent's branch binds
+    it; every other variable is renamed apart. Dropping constraints this way
+    only makes the test wake more rules.
   - A rule that is not woken keeps the previous iteration's solutions that
     still pass each NOT EXISTS of the branch that gave them, probed under
-    the variables bound before it where it is written, as the full
-    evaluation probes it. By the same argument one level down, a NOT
-    EXISTS gains a solution only from a triple that matches a pattern under
-    an odd number of NOT EXISTS (a guard); when none does, the solutions
-    are kept as they are. A solution's branch is the one binding exactly
-    its variables; where sibling branches bind the same ones, as `{?e :not
-    ?ne} UNION {?ne :not ?e}` does, a rule with solutions whose guard an
-    added triple matches is evaluated in full instead.
+    the solution, as the full evaluation probes it. By the same argument one
+    level down, a NOT EXISTS gains a solution only from a triple that
+    matches a pattern under an odd number of NOT EXISTS (a guard); when none
+    does, the solutions are kept as they are. A solution's branch is the one
+    binding exactly its variables; where sibling branches bind the same
+    ones, as `{?e :not ?ne} UNION {?ne :not ?e}` does, a rule with solutions
+    whose guard an added triple matches is evaluated in full instead.
 
 Every rule can be skipped this way. A skipped rule is instantiated like any
 other, with the same solutions in the same order and the same salt, so the
@@ -170,22 +169,22 @@ class WakeTest(NamedTuple):
 
     anchors: tuple[_Anchor, ...]  # the patterns under an even number of NOT EXISTS
     guards: tuple[_Anchor, ...]   # and those under an odd number
-    # each top-level branch's NOT EXISTS groups and the variables bound before
-    # each, by the branch's variables; None when two branches bind the same
-    probes: Optional[dict[frozenset, tuple[tuple[GroupPattern, tuple[Variable, ...]], ...]]]
+    # each top-level branch's NOT EXISTS groups, by the branch's variables;
+    # None when two branches bind the same
+    probes: Optional[dict[frozenset, tuple[GroupPattern, ...]]]
 
     def kept(self, graph: Graph, solutions: list[Binding], added: _Added) -> Optional[list]:
-        """The solutions that still pass each NOT EXISTS of their branch, or
-        None when a probe is needed and the branches are not known. The
-        probes go through `rules.evaluate_where`, like those of a full
-        evaluation."""
+        """The solutions that still pass each NOT EXISTS of their branch,
+        probed under the solution, or None when a probe is needed and the
+        branches are not known. The probes go through `rules.evaluate_where`,
+        like those of a full evaluation."""
         if not solutions or not _matches(self.guards, added):
             return solutions
         if self.probes is None:
             return None
         return [b for b in solutions
-                if not any(_rules.evaluate_where(graph, inner, {v: b[v] for v in bound}, limit=1)
-                           for inner, bound in self.probes[frozenset(b)])]
+                if not any(_rules.evaluate_where(graph, inner, b, limit=1)
+                           for inner in self.probes[frozenset(b)])]
 
 
 def _wake_test(where: GroupPattern) -> WakeTest:
@@ -203,11 +202,11 @@ def _wake_test(where: GroupPattern) -> WakeTest:
 
         Variables are renamed apart across the rule: `names` holds the names
         a NOT EXISTS group inherits from its parent, and its other variables
-        get the group's `tag`. `scope` holds the variables bound before the
+        get the group's `tag`. `scope` holds the variables bound around the
         group, and `enclosing` the renamed triple patterns of the groups
         around this one, all of which a solution of this group needs
         matched. A NOT EXISTS in several branches is walked once, with what
-        all of them bind before it and the patterns all of them hold."""
+        all of them bind and the patterns all of them hold."""
         def name(v: Variable) -> Variable:
             return names.get(v) or Variable(f"{v.name}#{tag}")
 
@@ -221,16 +220,13 @@ def _wake_test(where: GroupPattern) -> WakeTest:
             for k in range(len(enclosing), len(around)):
                 (guards if depth % 2 else anchors)[
                     (*_anchor(around[k], around[:k] + around[k + 1:]), shapes)] = None
-            bound = set(scope)
-            groups = []
-            for el in elements:
-                bound.update(_rules._binds(el))
-                if isinstance(el, NotExists):
-                    groups.append((el.inner, tuple(bound)))
-                    _, before, common = nested.get(id(el), (el, bound, own))
-                    nested[id(el)] = (el, before & bound, [tp for tp in common if tp in own])
+            bound = scope.union(*map(_rules._binds, elements))
+            groups = [el for el in elements if isinstance(el, NotExists)]
+            for el in groups:
+                _, shared, common = nested.get(id(el), (el, bound, own))
+                nested[id(el)] = (el, shared & bound, [tp for tp in common if tp in own])
             if gp is where:
-                probes[frozenset(bound)] = tuple(groups)
+                probes[frozenset(bound)] = tuple(el.inner for el in groups)
         for el, bound, common in nested.values():
             walk(el.inner, depth + 1, {v: name(v) for v in bound}, next(tags), bound,
                  enclosing + common)

@@ -39,13 +39,16 @@ parentheses nest at most MAX_NESTING (100) levels deep. Anything outside
 this grammar is a syntax error: the evaluator would rather fail loudly than
 silently mis-evaluate a rule.
 
-Evaluation is set-semantics, left to right, each element joining with the
-accumulated solutions:
+Evaluation is set-semantics. A group's solutions are those of its branches,
+the conjunctive groups its UNIONs distribute into (below). A branch's
+solutions are the joins of its triple patterns and BINDs that pass each of
+its FILTERs and NOT EXISTS: a guard applies to its whole branch, wherever it
+is written, as a FILTER does to its group in SPARQL 1.1 (section 18.2.2):
 
   - a triple pattern joins all compatible graph matches;
   - UNION contributes the solutions of both branches;
   - NOT EXISTS keeps a solution iff the inner group has no solution under it
-    (outer bindings substitute into the inner pattern);
+    (the solution substitutes into the inner pattern);
   - FILTER keeps solutions whose expression is true. It is evaluated left
     to right and stops once the result is known: `&&` at the first false
     item, `||` at the first true one. A comparison that is reached and
@@ -53,6 +56,10 @@ accumulated solutions:
     `FILTER(?y = :b || ?z = :c)` passes a solution with ?y = :b, but
     `FILTER(?z = :c || ?y = :b)` rejects it; SPARQL 1.1 passes both;
   - BIND extends every solution with a constant.
+
+A bare `{ }` group flattens into its parent and a UNION alternative into
+each branch it is distributed into, so a FILTER or NOT EXISTS inside either
+applies to that whole branch; SPARQL 1.1 scopes it to its own group.
 
 How it runs:
 
@@ -62,22 +69,21 @@ How it runs:
     has the branches AC, AD, BC, BD. The group's solutions are those of its
     branches, and a NOT EXISTS fails when any branch of its group has a
     solution. A group has at most MAX_BRANCHES (64) branches.
-  - Every binding that reaches an element of a branch binds the same
-    variables. A BIND of a variable bound where it is written, in a branch
-    or in a NOT EXISTS group under one, is a syntax error at its BIND (as in
-    SPARQL 1.1, section 18.2.1), so a BIND is a one-row join. A group built
-    by hand with such a BIND raises BindConflict before it is searched.
+  - A BIND of a variable bound where it is written (as in SPARQL 1.1,
+    section 18.2.1), or, in a NOT EXISTS group, of one that the branch
+    around the group binds, is a syntax error at its BIND, so a BIND is a
+    one-row join. A group built by hand with such a BIND raises BindConflict
+    before it is searched.
   - A branch is planned as one unit: its triple patterns and BINDs in the
     order with the fewest estimated bindings in total that a bounded search
     finds (`_order`), from per-predicate counts and exact counts for
     constants, read once per graph state for each pattern shape. Each FILTER
-    and NOT EXISTS runs right after the step that binds the last of its
-    variables bound where it is written, and never after a step that binds
-    one it mentions that is unbound there, so it sees the values it would
-    see in place. Guards that become ready together run FILTER first, then
-    NOT EXISTS by nesting depth, then by number of patterns. A branch with
-    a pattern whose constants match no triple has no solution: in that
-    graph state it is neither ordered nor searched.
+    and NOT EXISTS runs right after the step that binds the last of the
+    variables it mentions that the branch binds, so it sees the values the
+    solution gives them. Guards that become ready together run FILTER
+    first, then NOT EXISTS by nesting depth, then by number of patterns. A
+    branch with a pattern whose constants match no triple has no solution:
+    in that graph state it is neither ordered nor searched.
   - Each order is compiled once into a program of steps, each holding the
     function that runs it, as the variables bound before each step are
     known: what a BIND or a lone comparison does, and which positions of a
@@ -89,20 +95,19 @@ How it runs:
     star join (RDF-3X) with no runner call per test. A group keeps, per set of
     seeded variables, its programs, its last order and the graph, held weakly,
     with its size; another graph, or the same one grown, is planned anew.
-  - A branch may hold a role star: for a role class C, the containment
-    guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v. NOT EXISTS{?b ?t
-    ?w}}` and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
-    ?a ?t ?v. ?b ?t ?w. FILTER(?v != ?w)}` (its ?a and ?b either way
-    round), `?a`, `?b` and `?x` bound where they are written
-    (`_role_guard`). A pattern step whose one free variable is `?b`, once
-    `?a` and `?x` are bound, takes as candidates the subjects that hold
-    every (t, v) that `?a` holds for a member t of C other than `?x`
-    (`_holders`), and keeps those its pattern matches; when `?a` holds no
-    such pair it takes the pattern's matches. This loses no solution: for
-    such a t, containment gives `?b` a value for t, and agreement makes
-    every value `?a` has for t equal to every value `?b` has, so `?a` has
-    one, v, and `?b` holds (t, v). Both guards still run, so the solutions
-    are the same (Graefe, ICDE 1989; Helmer & Moerkotte, VLDB 1997).
+  - A branch may hold a role star: for a role class C, the containment guard
+    `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v. NOT EXISTS{?b ?t ?w}}`
+    and the agreement guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)] ?a ?t ?v.
+    ?b ?t ?w. FILTER(?v != ?w)}` (its ?a and ?b either way round), `?a`, `?b`
+    and `?x` bound by the branch (`_role_guard`). A pattern step whose one
+    free variable is `?b`, once `?a` and `?x` are bound, takes as candidates
+    the subjects that hold every (t, v) that `?a` holds for a member t of C
+    other than `?x` (`_holders`), and keeps those its pattern matches; when
+    `?a` holds no such pair it takes the pattern's matches. This loses no
+    solution: for such a t, containment gives `?b` a value for t, and
+    agreement makes every value `?a` has for t equal to every value `?b` has,
+    so `?a` has one, v, and `?b` holds (t, v). Both guards still run, so the
+    solutions are the same (Graefe, ICDE 1989; Helmer & Moerkotte, VLDB 1997).
   - NOT EXISTS is an existence probe, `evaluate_where(..., limit=1)`: the
     search stops at the first solution, and the probe at the first branch
     that gives one. Each call checks the group's kept plan against the
@@ -128,7 +133,7 @@ import hashlib
 import re
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Optional
 
@@ -641,7 +646,7 @@ def _guard_rank(el: Filter | NotExists, index: int) -> tuple:
 
 class _Guard(NamedTuple):
     element: Filter | NotExists
-    needed: int  # bound by binders written before it: it runs after them
+    needed: int  # the variables it mentions that the branch's binders bind: it runs after them
 
 
 class _Segment(NamedTuple):
@@ -650,7 +655,6 @@ class _Segment(NamedTuple):
     shapes: tuple   # per binder, its terms with None for a variable (None for a BIND)
     bits: tuple     # per binder, the bit of each variable it binds, in position order
     masks: tuple    # the variables each binder binds
-    after: tuple    # per binder, the `needed` of the guards that must run before it
     guards: tuple   # of _Guard, in rank order
     entry: int      # the seeded variables
     stars: tuple    # (a, b, C, x) of each role star of its guards (see `_role_guard`)
@@ -664,16 +668,13 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
     def mask(variables) -> int:
         return sum(bits.get(v, 0) for v in set(variables))
 
-    before, bound = 0, set(seeded)  # bound by the seed and the binders written so far
-    guards = []  # (rank, guard, the variables it mentions that are unbound where it is written)
+    bound = seeded.union(bits)  # bound in every solution of the branch
+    guards = []  # (rank, guard)
     roles = {}  # the role guards, as (contains, a, b, C, x), in written order
     for index, el in enumerate(elements):
         if isinstance(el, (TriplePattern, Bind)):
-            before |= mask(_binds(el))
-            bound.update(_binds(el))
             continue
-        mentioned = mask(_mentioned(el) - seeded)
-        guards.append((_guard_rank(el, index), _Guard(el, mentioned & before), mentioned & ~before))
+        guards.append((_guard_rank(el, index), _Guard(el, mask(_mentioned(el) - seeded))))
         role = _role_guard(el, bound)
         if role is not None:
             roles[role] = None
@@ -681,24 +682,22 @@ def _segment(elements: tuple, seeded: frozenset) -> _Segment:
             if not contains:  # agreement says the same with ?a and ?b swapped
                 roles[False, b, a, c, x] = None
     guards.sort()  # ranks differ, as they end in the written place
-    masks = tuple(mask(_binds(el)) for el in binders)
-    after = (reduce(int.__or__, (g.needed for _, g, free in guards if free & m), 0) for m in masks)
     shapes = tuple(None if isinstance(el, Bind) else _shape(el) for el in binders)
     stars = tuple(role[1:] for role in roles if role[0] and (False, *role[1:]) in roles)
     return _Segment(tuple(binders), shapes, tuple(tuple(map(bits.get, _binds(el)))
                                                   for el in binders),
-                    masks, tuple(after), tuple(guard for _, guard, _ in guards), mask(seeded),
-                    stars, [])
+                    tuple(mask(_binds(el)) for el in binders),
+                    tuple(guard for _, guard in guards), mask(seeded), stars, [])
 
 
 def _role_guard(el, bound: set) -> Optional[tuple]:
-    """(True, a, b, C, x) if `el`, written where the variables `bound` are
-    bound, is the containment guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
+    """(True, a, b, C, x) if `el`, in a branch that binds the variables
+    `bound`, is the containment guard `NOT EXISTS{?t a C. [FILTER(?t != ?x)]
     ?a ?t ?v. NOT EXISTS{?b ?t ?w}}` over the roles of the constant class C;
     (False, a, b, C, x) if it is the agreement guard `NOT EXISTS{?t a C.
     [FILTER(?t != ?x)] ?a ?t ?v. ?b ?t ?w. FILTER(?v != ?w)}`; else None. x
-    is None without the first FILTER. ?a, ?b and ?x must be bound where `el`
-    is written, ?t, ?v and ?w must not, and each group must have one branch."""
+    is None without the first FILTER. ?a, ?b and ?x must be bound by the
+    branch, ?t, ?v and ?w must not, and each group must have one branch."""
     branches = el.inner.branches if isinstance(el, NotExists) else ()
     match branches[0] if len(branches) == 1 else ():
         case [TriplePattern(Variable() as t, p, c), Filter(expr), *rest]:
@@ -806,10 +805,11 @@ class _Analysis:
 
 
 def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> list[Bind]:
-    """The BINDs of the group's branches, and of the NOT EXISTS groups under
-    them, that target a variable bound where they are written, with a seed
-    binding the variables `seeded`. A group that many branches share is
-    looked at once per set of variables bound before it."""
+    """The BINDs that target a variable already bound, with a seed binding
+    the variables `seeded`: those of the group's branches bound where they
+    are written, and those of the NOT EXISTS groups under them bound by the
+    branch, which the group is probed under. A group that many branches
+    share is looked at once per set of variables bound around it."""
     pending, seen, found = [(gp, frozenset(seeded))], set(), []
     while pending:
         group, before = pending.pop()
@@ -821,9 +821,8 @@ def rebinds(gp: GroupPattern, seeded: Iterable[Variable] = ()) -> list[Bind]:
             for el in branch:
                 if isinstance(el, Bind) and el.var in bound:
                     found.append(el)
-                if isinstance(el, NotExists):
-                    pending.append((el.inner, frozenset(bound)))
                 bound.update(_binds(el))
+            pending += ((el.inner, frozenset(bound)) for el in branch if isinstance(el, NotExists))
     return found
 
 
@@ -835,11 +834,11 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     `estimates` holds each binder's expected matches with nothing bound and
     the factor that binding each of its variables divides them by (see
     `_estimate`); without them the binders keep their written order. The
-    search runs `_greedy` from each allowed first binder, cheapest first
-    (the first written on a tie): the plain greedy's run in full, then, if
-    its plan's bindings exceed 8 times the binders it looked at, the other
-    starts, sorted only now, in runs cut once they cost as much as the best,
-    until a start alone does or all runs have looked at that many."""
+    search runs `_greedy` from each first binder, cheapest first (the first
+    written on a tie): the plain greedy's run in full, then, if its plan's
+    bindings exceed 8 times the binders it looked at, the other starts,
+    sorted only now, in runs cut once they cost as much as the best, until a
+    start alone does or all runs have looked at that many."""
     order, entry = range(len(segment.binders)), segment.entry
     if estimates:
         cost = []
@@ -848,11 +847,10 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
                 if entry & bit:
                     matches /= factor
             cost.append(matches)
-        starts = [i for i in order if not segment.after[i]]
-        order, best, work = _greedy(segment, estimates, cost, min(starts, key=cost.__getitem__),
+        order, best, work = _greedy(segment, estimates, cost, min(order, key=cost.__getitem__),
                                     None, 0)
         budget = 8 * work
-        for first in sorted(starts, key=cost.__getitem__)[1:] if budget < best else ():
+        for first in sorted(range(len(cost)), key=cost.__getitem__)[1:] if budget < best else ():
             if cost[first] >= best or work >= budget:
                 break
             steps, total, work = _greedy(segment, estimates, cost, first, best, work)
@@ -872,15 +870,14 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
 
 def _greedy(segment: _Segment, estimates: list, cost: list, first: int,
             limit: Optional[float], work: int) -> tuple[Optional[list], float, int]:
-    """The order that takes binder `first`, then each time the allowed one
-    with the fewest expected matches per binding, the first written on a
-    tie; its estimated total bindings, the sum of the rows after each step;
-    and `work` plus the binders looked at. The order is None if the total
-    reaches `limit` first. The first written binder left is always allowed."""
-    cost, remaining, masks, after = list(cost), list(range(len(cost))), segment.masks, segment.after
-    bound, rows, total, order, allowed, gated = segment.entry, 1.0, 0.0, [], [first], any(after)
-    while allowed:
-        best = min(allowed, key=cost.__getitem__)
+    """The order that takes binder `first`, then each time the one left with
+    the fewest expected matches per binding, the first written on a tie; its
+    estimated total bindings, the sum of the rows after each step; and
+    `work` plus the binders looked at. The order is None if the total
+    reaches `limit` first."""
+    cost, remaining, masks = list(cost), list(range(len(cost))), segment.masks
+    bound, rows, total, order, best = segment.entry, 1.0, 0.0, [], first
+    while True:
         rows *= cost[best]
         total += rows
         if limit is not None and total >= limit:
@@ -894,8 +891,9 @@ def _greedy(segment: _Segment, estimates: list, cost: list, first: int,
                     if fresh & bit:
                         cost[i] /= factor
         work += len(remaining)
-        allowed = [i for i in remaining if not after[i] & ~bound] if gated else remaining
-    return order, total, work
+        if not remaining:
+            return order, total, work
+        best = min(remaining, key=cost.__getitem__)
 
 
 def _estimate(g: Graph, shape: tuple) -> tuple[int, list]:
@@ -924,8 +922,8 @@ def _plan(g: Graph, gp: GroupPattern, seeded: Iterable[Variable]) -> list[Option
 
     Each shape's estimate is read once per graph state, and `_order` puts
     each branch in order from them. Joins commute, a BIND is a one-row join,
-    and a guard sees the same values of the variables it mentions wherever
-    it runs, so the order never changes the solutions. A branch's estimates
+    and a guard runs once every variable it mentions that the branch binds
+    is bound, so the order never changes the solutions. A branch's estimates
     are read up to its first shape with no match: such a branch has no
     solution. It is dead, its steps and program None, and is neither ordered
     nor searched; a graph only grows, so the verdict holds until its size
@@ -1002,8 +1000,8 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
     """All solution bindings of the group over the graph, seeded with `seed`.
 
     The result is a set (no duplicate bindings) in a deterministic order.
-    Elements keep their left-to-right semantics; the search runs each branch
-    in the planned order (see `_plan`), which gives the same solutions.
+    Each branch's guards apply to the whole branch; the search runs each
+    branch in the planned order (see `_plan`), which gives the same solutions.
 
     With `limit`, at most that many solutions come back, in no particular
     order: an existence probe, as NOT EXISTS asks it, which stops at the

@@ -23,8 +23,15 @@ prefix map and errors (message, line and column) against it.
 
 `_order` and `_greedy` are the join planner's branch ordering as it stood
 before its per-call work was trimmed: every call sorts all its starts and
-places the guards by filtering the waiting ones at each binder. The tests
-compare `rules._order` against it, step for step and by identity.
+places the guards by filtering the waiting ones at each binder. They read a
+segment's `after`, the variables each binder had to wait for when a guard
+saw only the variables bound where it is written; the tests hand them
+segments with an all-zero `after`, and compare `rules._order` against them,
+step for step and by identity.
+
+`branch_scoped` is not frozen: it rewrites a group so that the frozen
+left-to-right `evaluate_where` applies each FILTER and NOT EXISTS to the
+whole branch it stands in, as the engine does.
 """
 
 from __future__ import annotations
@@ -253,6 +260,22 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None) -
         position += 1
     acc.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
     return acc
+
+
+def branch_scoped(gp: GroupPattern) -> GroupPattern:
+    """The UNION of the group's branches (`GroupPattern.branches`), each its
+    binders in written order, then its FILTERs and NOT EXISTS in written
+    order, the group of each NOT EXISTS rewritten the same way."""
+    branches = []
+    for elements in gp.branches:
+        binders = tuple(el for el in elements if isinstance(el, (TriplePattern, Bind)))
+        guards = tuple(NotExists(branch_scoped(el.inner)) if isinstance(el, NotExists) else el
+                       for el in elements if isinstance(el, (Filter, NotExists)))
+        branches.append(GroupPattern(binders + guards))
+    union = branches[0]
+    for right in branches[1:]:
+        union = GroupPattern((Union(union, right),))
+    return union
 
 
 def _skolem_label(rule_id: str, index: int, salt: str, signature: str) -> str:

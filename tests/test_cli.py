@@ -1,7 +1,10 @@
 import importlib.resources
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -228,6 +231,22 @@ def test_trace_emits_jsonl_with_the_necessity_rule(tmp_path, capsys):
     assert all(set(r) == {"iteration", "rule", "solutions", "added"} for r in records)
 
 
+def test_a_stdout_closed_before_the_first_write_ends_the_output(tmp_path):
+    # the read end is closed before the child starts, so its first write, or
+    # its flush, meets a broken pipe; a long trace and a short catalog listing
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    for command in (["trace", *_inputs(_write_fixture(tmp_path, "cash-card-norms"))], ["rules"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run([sys.executable, "-m", "normgraph.cli", *command], stdout=write,
+                                   stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (0, b""), command
+
+
 def test_missing_input_file_exits_one(capsys):
     code = main(["reason", "-i", "/nonexistent/nope.ttl"])
     assert code == 1
@@ -269,6 +288,24 @@ def _check_rule(tmp_path, where: str) -> Path:
     path.write_text('soa:a soa:p soa:b.\n[a :InferenceRule; :has-sparql-code """'
                     f'CONSTRUCT{{?x soa:r ?y}} WHERE{{{where}}}"""].\n', encoding="utf-8")
     return path
+
+
+def test_check_applies_a_filter_or_not_exists_to_the_patterns_after_it(tmp_path, capsys):
+    # each guard is written before the pattern that binds its variables; it
+    # sees them, as in SPARQL 1.1, and each rule has one solution
+    path = tmp_path / "guards.ttl"
+    path.write_text("""@prefix ex: <http://example.org/>.
+        ex:a ex:p ex:b. ex:c ex:p ex:c.
+        ex:r1 a :InferenceRule; :has-sparql-code
+            "CONSTRUCT{?x :is-in-conflict-with ?y} WHERE{FILTER(?x != ?y) ?x ex:p ?y}".
+        ex:r2 a :InferenceRule; :has-sparql-code
+            "CONSTRUCT{?y :is-in-conflict-with ?x} WHERE{NOT EXISTS{?y ex:p ?y} ?x ex:p ?y}".
+        """, encoding="utf-8")
+    assert main(["check", "-i", str(path), "--layers", "", "--format", "json"]) == 2
+    found = json.loads(capsys.readouterr().out)["findings"]
+    ex = "http://example.org/"
+    assert [(f["rule"], f["left"]["node"], f["right"]["node"]) for f in found] == [
+        ("r1", ex + "a", ex + "b"), ("r2", ex + "b", ex + "a")]
 
 
 def _assert_one_error_line(capsys, kind: str):

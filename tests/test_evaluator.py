@@ -4,6 +4,7 @@ existence probe, and the graph's two-level indexes."""
 import dataclasses
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -272,58 +273,82 @@ def _steps(g, gp, seeded=()):
     return rules._plan(g, gp, seeded)[0]
 
 
-def test_filter_before_the_pattern_that_binds_its_variable_still_rejects():
+def test_filter_before_the_pattern_that_binds_its_variable_sees_its_value():
     b, c, p, q = (Iri(EX + x) for x in "bcpq")
     g = _fanned_graph(q)
     first = TriplePattern(V("x"), p, V("y"))
     binds_z = TriplePattern(V("x"), q, V("z"))
-    # ?z is unbound where the FILTER is written: its first comparison rejects
-    rejects = Filter(ExprOr((Comparison(V("z"), False, c), Comparison(V("y"), False, b))))
-    gp = GroupPattern((first, rejects, binds_z))
-    assert oracle.evaluate_where(g, gp) == []
-    assert evaluate_where(g, gp) == []
-    assert evaluate_where(g, gp, limit=1) == []
-    steps = _steps(g, gp)
-    assert steps.index(rejects) < steps.index(binds_z)
-    # with the operands swapped the FILTER passes before reaching ?z
-    passes = Filter(ExprOr((Comparison(V("y"), False, b), Comparison(V("z"), False, c))))
-    gp = GroupPattern((first, passes, binds_z))
-    want = oracle.evaluate_where(g, gp)
-    assert want == [{V("x"): Iri(EX + "a"), V("y"): b, V("z"): c}]
-    assert evaluate_where(g, gp) == want
+    found = [{V("x"): Iri(EX + "a"), V("y"): b, V("z"): c}]
+    # ?z is unbound where the FILTER is written, but the FILTER applies to
+    # the whole branch: it sees ?z = :c, bound by the pattern after it
+    z_first = Filter(ExprOr((Comparison(V("z"), False, c), Comparison(V("y"), False, b))))
+    y_first = Filter(ExprOr((Comparison(V("y"), False, b), Comparison(V("z"), False, c))))
+    rejects = Filter(Comparison(V("z"), True, c))
+    for guard, want in ((z_first, found), (y_first, found), (rejects, [])):
+        gp = GroupPattern((first, guard, binds_z))
+        assert oracle.evaluate_where(g, oracle.branch_scoped(gp)) == want
+        assert evaluate_where(g, gp) == want
+        assert evaluate_where(g, gp, limit=1) == want
+        steps = _steps(g, gp)
+        assert steps.index(guard) > steps.index(binds_z)
+    # scoped to where it is written, the first FILTER would reject at ?z
+    assert oracle.evaluate_where(g, GroupPattern((first, z_first, binds_z))) == []
 
 
-def test_not_exists_is_not_moved_after_a_pattern_that_binds_its_inner_variable():
-    b, d, q, r = (Iri(EX + x) for x in "bdqr")
-    g = _fanned_graph(q, Triple(b, r, d))
+def test_a_guard_before_the_pattern_that_binds_its_variables_gives_sparqls_one_solution():
+    a, b, c, p = (Iri(EX + x) for x in "abcp")
+    g = Graph([Triple(a, p, b), Triple(c, p, c)])
+    want = [{V("x"): a, V("y"): b}]
+    for where in ("FILTER(?x != ?y) ?x ex:p ?y", "NOT EXISTS{?y ex:p ?y} ?x ex:p ?y"):
+        gp = parse_rule("r", f"CONSTRUCT{{?x ex:q ?y}} WHERE{{{where}}}", {"ex": EX}).where_clause
+        assert evaluate_where(g, gp) == want, where
+        assert evaluate_where(g, gp, limit=1) == want, where
+        assert oracle.evaluate_where(g, oracle.branch_scoped(gp)) == want, where
+
+
+def test_not_exists_is_probed_with_the_value_a_pattern_after_it_binds():
+    b, c, d, q, r = (Iri(EX + x) for x in "bcdqr")
     first = TriplePattern(V("x"), Iri(EX + "p"), V("y"))
-    # ?w is the group's own where it is written; after `?x q ?w` it is :c
+    # ?w is bound by `?x q ?w`, written after the guard: it is :c in the probe
     guard = NotExists(GroupPattern((TriplePattern(V("y"), r, V("w")),)))
     binds_w = TriplePattern(V("x"), q, V("w"))
     gp = GroupPattern((first, guard, binds_w))
-    # `:b :r :d` rejects the one binding; probed with ?w = :c it would pass
-    assert len(evaluate_where(g, GroupPattern((first, binds_w)))) == 1
-    assert oracle.evaluate_where(g, gp) == []
-    assert evaluate_where(g, gp) == []
-    assert evaluate_where(g, gp, limit=1) == []
-    steps = _steps(g, gp)
-    assert steps.index(guard) < steps.index(binds_w)
-    assert steps.index(first) < steps.index(guard)
-
-
-def test_not_exists_is_not_moved_after_a_pattern_that_binds_its_bind_target():
-    a, b, c, d, q, r = (Iri(EX + x) for x in "abcdqr")
-    common, rare = TriplePattern(V("x"), Iri(EX + "p"), V("z")), TriplePattern(V("x"), r, V("y"))
-    # ?y is unbound where the guard is written: its BIND does not rebind it
-    guard = NotExists(GroupPattern((TriplePattern(V("x"), q, V("z")), Bind(d, V("y")))))
-    gp = GroupPattern((common, guard, rare))
-    for extra, solutions in (((), 1), ((Triple(a, q, b),), 0)):
-        g = _fanned_graph(r, *extra)
-        want = oracle.evaluate_where(g, gp)
+    # `:b :r :d` does not reject the one binding, which has ?w = :c; `:b :r :c` does
+    for extra, solutions in ((Triple(b, r, d), 1), (Triple(b, r, c), 0)):
+        g = _fanned_graph(q, extra)
+        assert len(evaluate_where(g, GroupPattern((first, binds_w)))) == 1
+        want = oracle.evaluate_where(g, oracle.branch_scoped(gp))
         assert len(want) == solutions
         assert evaluate_where(g, gp) == want
+        assert evaluate_where(g, gp, limit=1) == want
         steps = _steps(g, gp)
-        assert steps.index(guard) < steps.index(rare)
+        assert steps.index(first) < steps.index(guard)
+        assert steps.index(binds_w) < steps.index(guard)
+    # scoped to where it is written, `:b :r :d` would reject it
+    assert oracle.evaluate_where(_fanned_graph(q, Triple(b, r, d)), gp) == []
+
+
+def test_a_not_exists_bind_of_a_variable_a_pattern_after_it_binds_conflicts():
+    a, b, d, q, r = (Iri(EX + x) for x in "abdqr")
+    common, rare = TriplePattern(V("x"), Iri(EX + "p"), V("z")), TriplePattern(V("x"), r, V("y"))
+    # ?y is unbound where the guard is written, but the guard is probed under
+    # the branch's solution, which binds ?y: its BIND rebinds it
+    bind = Bind(d, V("y"))
+    guard = NotExists(GroupPattern((TriplePattern(V("x"), q, V("z")), bind)))
+    gp = GroupPattern((common, guard, rare))
+    assert rebinds(gp) == [bind]
+    conflict = ("raised", "BindConflict", "variable ?y is already bound")
+    # the frozen evaluator raises once a binding reaches the BIND, which
+    # needs `:a :q :b`; the engine raises before any search, whatever the
+    # graph holds
+    unreached, reached = _fanned_graph(r), _fanned_graph(r, Triple(a, q, b))
+    assert len(oracle.evaluate_where(unreached, oracle.branch_scoped(gp))) == 1
+    assert _outcome(oracle.evaluate_where, reached, oracle.branch_scoped(gp)) == conflict
+    for g in (unreached, reached):
+        assert _outcome(evaluate_where, g, gp) == conflict
+        assert _outcome(evaluate_where, g, gp, limit=1) == conflict
+    _assert_rebinds_at("?x ex:p ?z NOT EXISTS{?x ex:q ?z BIND(ex:d AS ?y)} ?x ex:r ?y",
+                       "y", "BIND")
 
 
 def test_a_variable_one_union_branch_binds_is_unbound_for_the_other():
@@ -333,14 +358,26 @@ def test_a_variable_one_union_branch_binds_is_unbound_for_the_other():
         g.insert(Triple(a, Iri(EX + "p"), Iri(f"{EX}o{k}")))
     union = Union(GroupPattern((TriplePattern(V("x"), t, V("y")),)),
                   GroupPattern((TriplePattern(V("x"), s, V("v")),)))
+    y2 = TriplePattern(V("x"), Iri(EX + "p"), V("y2"))
+    # only the right branch binds ?v, to :d: the left one's solutions have no
+    # ?v, so the FILTER rejects them
+    other = Filter(ExprAnd((Comparison(V("y2"), False, b), Comparison(V("v"), True, c))))
+    gp = GroupPattern((union, y2, other))
+    want = [{V("x"): a, V("v"): d, V("y2"): b}]
+    assert oracle.evaluate_where(g, gp) == oracle.evaluate_where(g, oracle.branch_scoped(gp))
+    assert oracle.evaluate_where(g, gp) == want
+    assert evaluate_where(g, gp) == want
+    # with `?x q ?v` after the FILTER, the left branch binds ?v to :c there,
+    # and its FILTER sees that value; the right one's :d does not join
     guard = Filter(ExprAnd((Comparison(V("y2"), False, b), Comparison(V("v"), False, c))))
     binds_v = TriplePattern(V("x"), q, V("v"))
-    gp = GroupPattern((union, TriplePattern(V("x"), Iri(EX + "p"), V("y2")), guard, binds_v))
-    # the left branch leaves ?v unbound at the FILTER; after `?x q ?v` it is :c
-    assert oracle.evaluate_where(g, gp) == []
-    assert evaluate_where(g, gp) == []
+    gp = GroupPattern((union, y2, guard, binds_v))
+    want = [{V("x"): a, V("y"): b, V("v"): c, V("y2"): b}]
+    assert oracle.evaluate_where(g, gp) == []  # scoped to where it is written
+    assert oracle.evaluate_where(g, oracle.branch_scoped(gp)) == want
+    assert evaluate_where(g, gp) == want
     steps = _steps(g, gp)
-    assert steps.index(guard) < steps.index(binds_v)
+    assert steps.index(guard) > steps.index(binds_v)
 
 
 def test_a_bind_planned_after_the_pattern_that_binds_its_variable_joins_with_its_constant():
@@ -409,15 +446,19 @@ def test_evaluator_matches_oracle_with_guards_anywhere_in_the_group():
     moved = nonempty = 0
     for case in range(1000):
         g, gp, seed = groups.graph(), groups.group(0), groups.seed()
-        want = oracle.evaluate_where(g, gp, seed)
+        # every guard applies to its whole branch: moved to the end of the
+        # branch, it gives the same solutions
+        scoped = oracle.branch_scoped(gp)
+        want = oracle.evaluate_where(g, scoped, seed)
         assert evaluate_where(g, gp, seed) == want, f"case {case}: {gp} seed={seed}"
+        assert evaluate_where(g, scoped, seed) == want, f"case {case}: {gp} seed={seed}"
         _assert_probe_agrees(g, gp, seed, ("ok", want))
         nonempty += bool(want)
         # a planned first branch whose order differs from its written one; a
         # dead branch (None) has no order, so it does not count
         steps = _steps(g, gp, seed or ())
         moved += steps is not None and steps != gp.branches[0]
-    # 320 live plans moved of the 397 live: most random branches are dead
+    # 353 live plans moved: most random branches are dead
     assert nonempty >= 50 and moved >= 200, (nonempty, moved)
 
 
@@ -588,16 +629,18 @@ def test_planned_orders_cost_at_most_the_greedy_and_keep_every_guard_in_place(mo
                 continue
             ids = [id(el) for el in steps]
             assert sorted(ids) == sorted(map(id, branch)), f"case {case}"
-            bound = set(seed)  # bound where the element is written
+            bound = _variables_in(tuple(el for el in branch if isinstance(el, TriplePattern)))
             for el in branch:
                 if isinstance(el, TriplePattern):
-                    bound |= _variables_in(el)
                     continue
-                mentioned = _variables_in(el) - set(seed)
-                earlier = set().union(*(_variables_in(step) for step in steps[:ids.index(id(el))]
-                                        if isinstance(step, TriplePattern)))
-                assert mentioned & bound <= earlier, f"case {case}: {gp} seed={seed}"
-                assert not mentioned - bound & earlier, f"case {case}: {gp} seed={seed}"
+                # the guard runs right after the binder that binds the last
+                # of the variables it mentions that the branch binds
+                needed = _variables_in(el) & bound - set(seed)
+                earlier = [step for step in steps[:ids.index(id(el))]
+                           if isinstance(step, TriplePattern)]
+                assert needed <= _variables_in(tuple(earlier)), f"case {case}: {gp} seed={seed}"
+                assert not earlier or not needed <= _variables_in(tuple(earlier[:-1])), \
+                    f"case {case}: {gp} seed={seed}"
                 guards += 1
     # most random branches have a pattern with no match and are never
     # planned: the cases are enough to check as many live guards as ever
@@ -838,13 +881,20 @@ def test_a_warm_pass_over_every_fixture_orders_at_most_the_recorded_branches(mon
 # --- the frozen planner -----------------------------------------------------------
 
 
+def _frozen(segment):
+    """The segment as the frozen planner reads it: with the all-zero `after`
+    of a branch none of whose guards mentions a variable a binder after it
+    binds, as every catalog branch."""
+    return SimpleNamespace(**segment._asdict(), after=(0,) * len(segment.binders))
+
+
 def test_every_order_of_a_warm_fixture_pass_is_the_frozen_planners(monkeypatch):
     _fixture_pass()
     order, ordered = rules._order, []
 
     def compared(segment, estimates=None):
         steps = order(segment, estimates)
-        assert list(map(id, steps)) == list(map(id, oracle._order(segment, estimates)))
+        assert list(map(id, steps)) == list(map(id, oracle._order(_frozen(segment), estimates)))
         ordered.append(estimates is not None)
         return steps
 
@@ -869,8 +919,8 @@ _SEGMENT_GUARDS = st.one_of(
 def _segments(draw):
     """A branch's segment, built by `_segment` from random elements, with
     estimates for its shapes or None. Binders share variables, estimates tie,
-    and guards stand anywhere, so their `needed` and the binders' `after`
-    vary; big counts make the multi-start search run and cut runs short."""
+    and guards stand anywhere, so their `needed` vary; big counts make the
+    multi-start search run and cut runs short."""
     binder = st.one_of(_SEGMENT_PATTERNS, _SEGMENT_PATTERNS,
                        st.builds(Bind, st.just(Iri(EX + "a")), st.sampled_from(_SEGMENT_VARIABLES)))
     elements = draw(st.lists(binder, min_size=1, max_size=7))
@@ -901,7 +951,8 @@ _UNCONNECTED = (rules._segment(tuple(TriplePattern(V(x), Iri(EX + "p"), Iri(EX +
 @given(_segments())
 @example(_UNCONNECTED)
 def test_order_is_the_frozen_planners_on_random_segments(case):
-    got, want = rules._order(*case), oracle._order(*case)
+    segment, estimates = case
+    got, want = rules._order(segment, estimates), oracle._order(_frozen(segment), estimates)
     assert list(map(id, got)) == list(map(id, want))
 
 
@@ -913,7 +964,8 @@ def test_the_frozen_planner_searches_and_cuts_a_run_on_three_unconnected_pattern
         return greedy(segment, factors, cost, first, limit, work)
 
     monkeypatch.setattr(oracle, "_greedy", recorded_greedy)
-    oracle._order(*_UNCONNECTED)
+    segment, estimates = _UNCONNECTED
+    oracle._order(_frozen(segment), estimates)
     assert runs == [(0, None, [0, 1, 2]), (1, 32.0, None), (2, 32.0, None)]
 
 

@@ -758,6 +758,31 @@ def test_filter_short_circuits_left_to_right_over_unbound_variables():
         assert oracle.evaluate_where(g, rq.where_clause) == want, expr
 
 
+def test_dialect_an_unbound_variable_in_the_first_item_of_an_or_rejects_the_solution():
+    g = _graph(Triple(soa("a"), soa("p"), soa("b")))
+    rq = parse_rule("f", "CONSTRUCT{?x a :Rexist}"
+                         "WHERE{?x soa:p ?y FILTER(?z = soa:c || ?y = soa:b)}")
+    # SPARQL 1.1 (section 17.2) passes the solution ?x = :a, ?y = :b: its
+    # `?z = :c` is an error with ?z unbound, and an error || true is true
+    assert evaluate_where(g, rq.where_clause) == []
+    assert evaluate_where(g, rq.where_clause, limit=1) == []
+
+
+def test_dialect_a_guard_in_a_union_alternative_or_a_bare_group_applies_to_its_whole_branch():
+    g = _graph(Triple(soa("a"), soa("p"), soa("b")), Triple(soa("a"), soa("q"), soa("c")))
+    want = [{V("x"): soa("a"), V("y"): soa("b"), V("z"): soa("c")}]
+    for guard in ("FILTER(?z = soa:c)", "NOT EXISTS{?z soa:p ?y}"):
+        for where in (f"?x soa:q ?z {{?x soa:p ?y {guard}}} UNION {{?x soa:r ?y}}",
+                      f"?x soa:q ?z {{?x soa:p ?y {guard}}}"):
+            rq = parse_rule("g", f"CONSTRUCT{{?x a :Rexist}}WHERE{{{where}}}")
+            # SPARQL 1.1 (section 18.2.2) scopes the guard to its group, where
+            # ?z is unbound: the FILTER rejects every solution of the group,
+            # and so does the NOT EXISTS, as `?z soa:p ?y` matches `:a :p :b`;
+            # the query has no solution. Here the guard sees ?z = :c, which
+            # the pattern outside its group binds
+            assert evaluate_where(g, rq.where_clause) == want, where
+
+
 def test_nesting_deeper_than_the_limit_is_a_syntax_error_with_an_offset():
     from normgraph.turtle import MAX_NESTING
 

@@ -1,7 +1,9 @@
 import ast
+import importlib
 from pathlib import Path
 
 import normgraph
+import spans
 
 PACKAGE = Path(normgraph.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +50,16 @@ def test_no_function_repeats_an_import_of_its_module():
                              for key, line in _imports(ast.walk(function)).items()
                              if key in top]
     assert MODULES and not repeated, repeated
+
+
+def test_every_benchmark_hook_names_a_function_that_exists():
+    # benchmarks/spans.py passes over a hook whose attribute is gone, so a
+    # renamed function would show only as a per-layer metric gone missing
+    missing = []
+    for module_name, attribute, _ in spans.HOOKS:
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attribute}")
+    assert spans.HOOKS and not missing, missing
