@@ -40,10 +40,15 @@ into (see `GroupPattern.branches`), whose solutions are the rule's:
     ones, as `{?e :not ?ne} UNION {?ne :not ?e}` does, a rule with solutions
     whose guard an added triple matches is evaluated in full instead.
 
-Every rule can be skipped this way. A skipped rule is instantiated like any
-other, with the same solutions in the same order and the same salt, so the
-graph, the skolem labels, the provenance and the trace are the ones full
-evaluation gives.
+Every rule can be skipped this way. A skipped rule whose template has a
+blank node is instantiated like any other, with the same solutions in the
+same order and the same salt. One whose template has none is not
+instantiated again: its solutions are some of the last iteration's, whose
+triples the graph holds by now, so it adds nothing, and its trace record
+says so. Either way the graph, the skolem labels, the provenance and the
+trace are the ones full evaluation gives. Instantiation looks each triple
+up by its terms, in the graph and among the iteration's new triples, and
+builds only a new one.
 
 The engine is conflict-blind by construction: nothing branches on the
 abnormality predicates, so contradictions and conflicts accumulate in the
@@ -399,22 +404,20 @@ def run_fixpoint(data: Graph, rules: RuleSet, cfg: Optional[EngineConfig] = None
     delta: Optional[_Added] = None  # what the last iteration added
     for iteration in range(1, cfg.max_iterations + 1):
         pending: list[Triple] = []
+        seen: set[tuple] = set()  # this pass's new triples, as (s, p, o)
         for position, entry in enumerate(rules):
-            solutions = None
+            solutions = kept = None
             if delta is not None and not _matches(entry.wake.anchors, delta):
-                solutions = entry.wake.kept(graph, last[position], delta)
+                solutions = kept = entry.wake.kept(graph, last[position], delta)
             if solutions is None:
                 solutions = evaluate_where(graph, entry.query.where_clause)
             last[position] = solutions
-            produced = instantiate(entry.query, solutions, f"i{iteration}")
-            added = 0
-            for t in produced:
-                if t in graph or t in provenance:  # provenance holds this pass's triples too
-                    continue
-                pending.append(t)
-                provenance[t] = (entry.rule_id, iteration)
-                added += 1
-            trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), added))
+            # kept solutions gave their triples last iteration, save fresh blank nodes
+            added = (instantiate(entry.query, solutions, f"i{iteration}", graph, seen)
+                     if kept is None or entry.query.template.blanks else [])
+            pending += added
+            provenance.update(dict.fromkeys(added, (entry.rule_id, iteration)))
+            trace.append(TraceRecord(iteration, entry.rule_id, len(solutions), len(added)))
         if not pending:
             return RunResult(graph, iteration, provenance, trace)
         graph.update(pending)

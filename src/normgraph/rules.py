@@ -134,7 +134,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, is_
+from operator import attrgetter, is_, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
@@ -170,7 +170,6 @@ class TemplateBlank:
 
 
 PatternTerm = Term | Variable
-TemplateTerm = Term | Variable | TemplateBlank
 
 
 @dataclass(frozen=True)
@@ -254,6 +253,11 @@ class RuleQuery:
     rule_id: str
     construct_template: tuple  # of TriplePattern, whose terms may be TemplateBlank
     where_clause: GroupPattern
+
+    @cached_property
+    def template(self) -> _Template:
+        """The CONSTRUCT template compiled for `instantiate`, once, and kept."""
+        return _compile_template(self.construct_template)
 
 
 # --- Parser ------------------------------------------------------------------
@@ -1039,38 +1043,67 @@ def _solution_signature(binding: Binding) -> str:
                     for v, t in sorted(binding.items(), key=lambda kv: kv[0].name))
 
 
-def instantiate(rq: RuleQuery, solutions: Iterable[Binding], salt: str = "") -> list[Triple]:
+class _Template(NamedTuple):
+    """A CONSTRUCT template as `instantiate` runs it. Each solution fills a
+    row with the `constants`, the values of the `variables` (None where
+    unbound) and a skolem node per index of `blanks`, each kind in order of
+    first appearance; each getter of `triples` reads one template triple's
+    (s, p, o) off the row."""
+    constants: tuple
+    variables: tuple[Variable, ...]
+    blanks: tuple[int, ...]
+    triples: tuple
+
+
+def _compile_template(template: tuple) -> _Template:
+    kinds: tuple[list, list, list] = ([], [], [])  # constants, variables, blanks
+    for part in dict.fromkeys(part for tt in template
+                              for part in (tt.subject, tt.predicate, tt.object)):
+        kinds[isinstance(part, Variable) + 2 * isinstance(part, TemplateBlank)].append(part)
+    constants, variables, blanks = kinds
+    at = {part: i for i, part in enumerate(constants + variables + blanks)}
+    return _Template(tuple(constants), tuple(variables), tuple(b.index for b in blanks),
+                     tuple(itemgetter(at[tt.subject], at[tt.predicate], at[tt.object])
+                           for tt in template))
+
+
+def instantiate(rq: RuleQuery, solutions: Iterable[Binding], salt: str = "",
+                graph: Optional[Graph] = None, seen: Optional[set] = None) -> list[Triple]:
     """Expand the CONSTRUCT template once per solution: the distinct
     triples, in solution order and then template order. A template blank's
     label is a pure function of rule id, blank position, salt and solution,
     so reruns in any process give identical triples. The fixpoint salts with
     its iteration: an unguarded rule mints a new individual on every pass,
-    as a fresh anonymous node would, and only NOT EXISTS guards stop it."""
-    out: dict[Triple, None] = {}  # an ordered set
+    as a fresh anonymous node would, and only NOT EXISTS guards stop it.
+
+    The fixpoint also passes its graph and the (s, p, o) tuples of the
+    triples its pass has made so far, `seen`: then only the triples in
+    neither are given, and `seen` gains them. A triple is looked up by its
+    terms and built only when it is new. The fixpoint does not call it for a
+    kept rule whose template has no blank node (see `engine`): such a rule's
+    solutions are some of the last iteration's, so it would give nothing."""
+    constants, variables, blanks, triples = rq.template
+    seen = set() if seen is None else seen
+    out = []
     try:
         for binding in solutions:
-            blanks: dict[int, BlankNode] = {}
-            signature = ""  # the solution's, worked out when its first blank is minted
-
-            def resolve(part: TemplateTerm) -> Term:
-                nonlocal signature
-                if isinstance(part, Variable):
-                    if part not in binding:
-                        raise UnboundTemplateVariable(
-                            f"rule '{rq.rule_id}': ?{part.name} unbound at instantiation")
-                    return binding[part]
-                if isinstance(part, TemplateBlank):
-                    if part.index not in blanks:
-                        signature = signature or _solution_signature(binding)
-                        digest = hashlib.sha1(f"{rq.rule_id}\x00{part.index}\x00{salt}"
-                                              f"\x00{signature}".encode()).hexdigest()[:12]
-                        blanks[part.index] = BlankNode(
-                            f"skolem:{rq.rule_id}:{part.index}:{digest}")
-                    return blanks[part.index]
-                return part
-
-            for tt in rq.construct_template:
-                out[Triple(resolve(tt.subject), resolve(tt.predicate), resolve(tt.object))] = None
+            row = [*constants, *map(binding.get, variables)]
+            if blanks:
+                signature = _solution_signature(binding)
+                for index in blanks:
+                    digest = hashlib.sha1(f"{rq.rule_id}\x00{index}\x00{salt}"
+                                          f"\x00{signature}".encode()).hexdigest()[:12]
+                    row.append(BlankNode(f"skolem:{rq.rule_id}:{index}:{digest}"))
+            for read in triples:
+                s, p, o = key = read(row)
+                if key in seen or graph is not None and o in graph.objects(s, p):
+                    continue
+                if None in key:  # the first unbound variable is in this triple
+                    unbound = next(v for v in variables if v not in binding)
+                    raise UnboundTemplateVariable(
+                        f"rule '{rq.rule_id}': ?{unbound.name} unbound at instantiation")
+                out.append(Triple(*key))
+                seen.add(key)
     except ValueError as err:  # a literal subject, or a predicate that is no IRI
         raise ValueError(f"rule '{rq.rule_id}': {err}") from err
-    return list(out)
+    return out

@@ -23,11 +23,8 @@ prefix map and errors (message, line and column) against it.
 
 `_order` and `_greedy` are the join planner's branch ordering as it stood
 before its per-call work was trimmed: every call sorts all its starts and
-places the guards by filtering the waiting ones at each binder. They read a
-segment's `after`, the variables each binder had to wait for when a guard
-saw only the variables bound where it is written; the tests hand them
-segments with an all-zero `after`, and compare `rules._order` against them,
-step for step and by identity.
+places the guards by filtering the waiting ones at each binder. The tests
+compare `rules._order` against them, step for step and by identity.
 
 `branch_scoped` is not frozen: it rewrites a group so that the frozen
 left-to-right `evaluate_where` applies each FILTER and NOT EXISTS to the
@@ -144,7 +141,7 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
     `estimates` holds each binder's expected matches with nothing bound and
     the factor that binding each of its variables divides them by (see
     `_estimate`); without them the binders keep their written order. The
-    search runs `_greedy` from each allowed first binder, cheapest first:
+    search runs `_greedy` from each first binder, cheapest first:
     the plain greedy's run in full, then, if its plan's bindings exceed 8
     times the binders it looked at, runs cut once they cost as much as the
     best, until a start alone does or all runs have looked at that many."""
@@ -156,7 +153,7 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
             for bit, factor in pairs:
                 if segment.entry & bit:
                     cost[i] /= factor
-        starts = sorted((i for i in order if not segment.after[i]), key=cost.__getitem__)
+        starts = sorted(order, key=cost.__getitem__)
         order, best, work = _greedy(segment, factors, cost, starts[0], None, 0)
         budget = 8 * work
         for first in starts[1:] if budget < best else ():
@@ -177,12 +174,12 @@ def _order(segment: _Segment, estimates: Optional[list] = None) -> list:
 
 def _greedy(segment: _Segment, factors: list, cost: list, first: int,
             limit: Optional[float], work: int) -> tuple[Optional[list], float, int]:
-    """The order that takes binder `first`, then each time the allowed one
+    """The order that takes binder `first`, then each time the remaining one
     with the fewest expected matches per binding, the first written on a
     tie; its estimated total bindings, the sum of the rows after each step;
     and `work` plus the binders looked at. The order is None if the total
-    reaches `limit` first. The first written binder left is always allowed."""
-    cost, remaining, masks, after = list(cost), list(range(len(cost))), segment.masks, segment.after
+    reaches `limit` first."""
+    cost, remaining, masks = list(cost), list(range(len(cost))), segment.masks
     bound, rows, total, order, allowed = segment.entry, 1.0, 0.0, [], [first]
     while allowed:
         best = min(allowed, key=cost.__getitem__)
@@ -199,7 +196,7 @@ def _greedy(segment: _Segment, factors: list, cost: list, first: int,
                     if fresh & bit:
                         cost[i] /= factor
         work += len(remaining)
-        allowed = [i for i in remaining if not after[i] & ~bound] if any(after) else remaining
+        allowed = remaining
     return order, total, work
 
 

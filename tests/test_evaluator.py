@@ -4,7 +4,6 @@ existence probe, and the graph's two-level indexes."""
 import dataclasses
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -881,20 +880,13 @@ def test_a_warm_pass_over_every_fixture_orders_at_most_the_recorded_branches(mon
 # --- the frozen planner -----------------------------------------------------------
 
 
-def _frozen(segment):
-    """The segment as the frozen planner reads it: with the all-zero `after`
-    of a branch none of whose guards mentions a variable a binder after it
-    binds, as every catalog branch."""
-    return SimpleNamespace(**segment._asdict(), after=(0,) * len(segment.binders))
-
-
 def test_every_order_of_a_warm_fixture_pass_is_the_frozen_planners(monkeypatch):
     _fixture_pass()
     order, ordered = rules._order, []
 
     def compared(segment, estimates=None):
         steps = order(segment, estimates)
-        assert list(map(id, steps)) == list(map(id, oracle._order(_frozen(segment), estimates)))
+        assert list(map(id, steps)) == list(map(id, oracle._order(segment, estimates)))
         ordered.append(estimates is not None)
         return steps
 
@@ -952,7 +944,7 @@ _UNCONNECTED = (rules._segment(tuple(TriplePattern(V(x), Iri(EX + "p"), Iri(EX +
 @example(_UNCONNECTED)
 def test_order_is_the_frozen_planners_on_random_segments(case):
     segment, estimates = case
-    got, want = rules._order(segment, estimates), oracle._order(_frozen(segment), estimates)
+    got, want = rules._order(segment, estimates), oracle._order(segment, estimates)
     assert list(map(id, got)) == list(map(id, want))
 
 
@@ -965,7 +957,7 @@ def test_the_frozen_planner_searches_and_cuts_a_run_on_three_unconnected_pattern
 
     monkeypatch.setattr(oracle, "_greedy", recorded_greedy)
     segment, estimates = _UNCONNECTED
-    oracle._order(_frozen(segment), estimates)
+    oracle._order(segment, estimates)
     assert runs == [(0, None, [0, 1, 2]), (1, 32.0, None), (2, 32.0, None)]
 
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from normgraph.model import (
-    Graph, HOLD, Iri, Literal, OBLIGATORY, ONT_NS, RDF_OBJECT, RDF_PREDICATE,
+    BlankNode, Graph, HOLD, Iri, Literal, OBLIGATORY, ONT_NS, RDF_OBJECT, RDF_PREDICATE,
     RDF_SUBJECT, RDF_TYPE, REXIST, TRUE, Triple, term_key,
 )
 from normgraph.ontology import fixture
 from normgraph.rules import (
-    Bind, BindConflict, Comparison, Filter, GroupPattern, NotExists, RuleSyntaxError,
+    Bind, BindConflict, Comparison, Filter, GroupPattern, NotExists, RuleQuery, RuleSyntaxError,
     TemplateBlank, TriplePattern, UnboundTemplateVariable, Union, Variable,
     _expr_variables, bindable_variables, evaluate_where, instantiate, parse_rule,
 )
@@ -745,6 +745,49 @@ def test_instantiate_checks_bound_variables():
     rq = parse_rule("ok", "CONSTRUCT{?x a :Rexist}WHERE{?x a :Rexist}")
     with pytest.raises(UnboundTemplateVariable):
         instantiate(rq, [{}])
+
+
+_TEMPLATE_VARIABLES = [V("x"), V("y"), V("z")]
+_VALUES = [soa("a"), soa("b"), Literal("l"), BlankNode("parse:n")]
+_BLANKS = [TemplateBlank(0), TemplateBlank(1)]
+_TEMPLATE_TRIPLES = st.builds(
+    TriplePattern,
+    st.sampled_from(_TEMPLATE_VARIABLES + _BLANKS + [soa("a")]),
+    st.sampled_from(_TEMPLATE_VARIABLES[:1] + [soa("p"), soa("q")]) | st.just(TemplateBlank(0)),
+    st.sampled_from(_TEMPLATE_VARIABLES + _BLANKS + [soa("b"), Literal("l")]))
+
+
+def _instantiated(instantiate_with, *args):
+    """What `instantiate_with(*args)` returns, or the type and text of its error."""
+    try:
+        return instantiate_with(*args)
+    except (UnboundTemplateVariable, ValueError) as err:
+        return type(err), str(err)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(_TEMPLATE_TRIPLES, min_size=1, max_size=4),
+       st.lists(st.dictionaries(st.sampled_from(_TEMPLATE_VARIABLES), st.sampled_from(_VALUES)),
+                max_size=4),
+       st.integers(0, 8))
+def test_instantiate_gives_the_oracles_triples_and_errors(template, solutions, held):
+    # template blanks (none, one or two, also as a predicate), a variable
+    # predicate, triples repeated within and across solutions, unbound
+    # variables, literal subjects and blank or literal predicates
+    rq = RuleQuery("r", tuple(template), GroupPattern(()))
+    got, want = _instantiated(instantiate, rq, solutions, "i1"), \
+        _instantiated(oracle.instantiate, rq, solutions, "i1")
+    if isinstance(want, Graph):
+        assert len(got) == len(want) and list(Graph(got).match_iter()) == list(want.match_iter())
+        # as the fixpoint calls it: only the triples neither the graph nor `seen` holds
+        keys = [(t.subject, t.predicate, t.object) for t in got]
+        graph, seen = Graph(got[:held:2]), set(keys[1:held:2])
+        assert instantiate(rq, solutions, "i1", graph, seen) == got[held:]
+        assert seen == set(keys[1:held:2] + keys[held:])
+    elif want[0] is ValueError:
+        assert got == (ValueError, f"rule 'r': {want[1]}")
+    else:
+        assert got == want
 
 
 def test_filter_short_circuits_left_to_right_over_unbound_variables():
