@@ -1,10 +1,10 @@
 """Command-line entry point: parse inputs, run the fixpoint, report findings.
 
-Exit codes: 0 clean, 1 error (syntax, missing rule body, no fixpoint), 2
-findings of a --fail-on kind present (check only). Reports go to stdout,
-diagnostics to stderr. A stdout whose reader has closed it ends the output:
-the command exits 0 and writes nothing to stderr. A user rule's type and
-body are read from one input file, with that file's prefixes.
+Exit codes: 0 clean, 1 error (usage, syntax, missing rule body, no
+fixpoint), 2 findings of a --fail-on kind present (check only). Reports go
+to stdout, diagnostics to stderr. A stdout whose reader has closed it ends
+the output: the command exits 0 and writes nothing to stderr. A user rule's
+type and body are read from one input file, with that file's prefixes.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def cmd_reason(args) -> int:
 
 def cmd_check(args) -> int:
     kinds = set()
-    for name in _items(args.fail_on) if args.fail_on else _FAIL_ON_KINDS:
+    for name in _FAIL_ON_KINDS if args.fail_on is None else _items(args.fail_on):
         if name not in _FAIL_ON_KINDS:
             raise ValueError(f"unknown --fail-on kind {name!r}")
         kinds.add(_FAIL_ON_KINDS[name])
@@ -138,6 +138,16 @@ def cmd_trace(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors end as every other error does: one
+    `error:` line and exit 1, since exit 2 means findings. Its subparsers
+    are of its class (`parser_class` defaults to it)."""
+
+    def error(self, message: str):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(1)
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("-i", "--input", action="append",
                         required=True, default=[],
@@ -149,7 +159,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="normgraph",
         description="Conflict-tolerant deontic reasoning over RDF-style graphs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -165,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(check)
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--fail-on", default=None,
-                       help="comma-separated finding kinds that cause exit 2 "
+                       help="comma-separated finding kinds that cause exit 2, "
+                            "none if empty "
                             f"(default: {','.join(_FAIL_ON_KINDS)})")
     check.set_defaults(func=cmd_check)
 

@@ -41,14 +41,13 @@ into (see `GroupPattern.branches`), whose solutions are the rule's:
     whose guard an added triple matches is evaluated in full instead.
 
 Every rule can be skipped this way. A skipped rule whose template has a
-blank node is instantiated like any other, with the same solutions in the
-same order and the same salt. One whose template has none is not
-instantiated again: its solutions are some of the last iteration's, whose
-triples the graph holds by now, so it adds nothing, and its trace record
-says so. Either way the graph, the skolem labels, the provenance and the
-trace are the ones full evaluation gives. Instantiation looks each triple
-up by its terms, in the graph and among the iteration's new triples, and
-builds only a new one.
+blank node is instantiated like any other, with the same solutions and the
+same salt. One whose template has none is not instantiated again: its
+solutions are some of the last iteration's, whose triples the graph holds
+by now, so it adds nothing, and its trace record says so. Either way the
+graph, the skolem labels, the provenance and the trace are the ones full
+evaluation gives. Instantiation looks each triple up by its terms, in the
+graph and among the iteration's new triples, and builds only a new one.
 
 The engine is conflict-blind by construction: nothing branches on the
 abnormality predicates, so contradictions and conflicts accumulate in the

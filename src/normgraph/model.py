@@ -386,29 +386,43 @@ def _map_triple(t: Triple, mapping: dict[BlankNode, BlankNode]) -> Triple:
 
 
 def _extend_mapping(sub: Graph, sup: Graph, blanks: list[tuple[BlankNode, Optional[tuple]]],
-                    candidates: list[tuple[BlankNode, Optional[tuple]]],
-                    mapping: dict[BlankNode, BlankNode], used: set[BlankNode]) -> bool:
-    """Maps `blanks`, sub's blank nodes still unmapped, onto `candidates`,
-    sup's blank nodes in term order. Each comes with its signature, or None
-    where any candidate may take any blank."""
-    if not blanks:
-        return all(_map_triple(t, mapping) in sup for t in sub.match_iter())
-    b, sig = blanks[0]
-    for cand, cand_sig in candidates:
-        if cand in used or cand_sig != sig:
-            continue
-        mapping[b] = cand
-        used.add(cand)
-        # Check only triples whose blanks are all mapped so far.
-        ok = all(_map_triple(t, mapping) in sup
-                 for t in chain(sub.match_iter(s=b), sub.match_iter(o=b))
-                 if not (isinstance(t.subject, BlankNode) and t.subject not in mapping
-                         or isinstance(t.object, BlankNode) and t.object not in mapping))
-        if ok and _extend_mapping(sub, sup, blanks[1:], candidates, mapping, used):
-            return True
-        del mapping[b]
-        used.discard(cand)
-    return False
+                    candidates: list[tuple[BlankNode, Optional[tuple]]]) -> bool:
+    """Maps `blanks`, sub's blank nodes, injectively onto `candidates`, sup's
+    blank nodes in term order, so that every triple of sub lands in sup. Each
+    comes with its signature, or None where any candidate may take any
+    blank. The search goes depth first, blank by blank, and keeps its own
+    stack, so any number of blank nodes costs no Python recursion."""
+    mapping: dict[BlankNode, BlankNode] = {}
+    used: set[BlankNode] = set()
+    stack: list = []  # per mapped blank, the candidates it has not tried yet
+    left = iter(candidates)  # those of blanks[len(stack)]
+    while True:
+        if len(stack) == len(blanks):
+            if all(_map_triple(t, mapping) in sup for t in sub.match_iter()):
+                return True
+        else:
+            b, sig = blanks[len(stack)]
+            # the triples of b whose other blank, if any, is mapped
+            edges = [t for t in chain(sub.match_iter(s=b), sub.match_iter(o=b))
+                     if all(x is b or x in mapping or not isinstance(x, BlankNode)
+                            for x in (t.subject, t.object))]
+            for cand, cand_sig in left:
+                if cand not in used and cand_sig == sig:
+                    mapping[b] = cand
+                    if all(_map_triple(t, mapping) in sup for t in edges):
+                        break
+                    del mapping[b]
+            else:  # no candidate left for b
+                cand = None
+            if cand is not None:
+                used.add(cand)
+                stack.append(left)
+                left = iter(candidates)
+                continue
+        if not stack:
+            return False
+        left = stack.pop()
+        used.discard(mapping.pop(blanks[len(stack)][0]))
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -423,7 +437,7 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
     ordered = sorted(((b, _signature(g1, b)) for b in b1),
                      key=lambda pair: (pair[1], term_key(pair[0])))
     candidates = sorted(((b, _signature(g2, b)) for b in b2), key=lambda pair: term_key(pair[0]))
-    return _extend_mapping(g1, g2, ordered, candidates, {}, set())
+    return _extend_mapping(g1, g2, ordered, candidates)
 
 
 def contains_isomorphic(sub: Graph, sup: Graph) -> bool:
@@ -435,7 +449,7 @@ def contains_isomorphic(sub: Graph, sup: Graph) -> bool:
     if not ordered:
         return True
     candidates = [(b, None) for b in sorted(sup.blank_nodes(), key=term_key)]
-    return _extend_mapping(sub, sup, ordered, candidates, {}, set())
+    return _extend_mapping(sub, sup, ordered, candidates)
 
 
 # --- Well-known vocabulary -------------------------------------------------

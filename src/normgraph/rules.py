@@ -113,9 +113,9 @@ How it runs:
     that gives one. Each call checks the group's kept plan against the
     graph inline, by size and then by the weak reference, and plans only
     when that fails; it searches with the binding it is given, which
-    nothing changes. A full evaluation sorts its solutions once,
-    at the end; one branch never gives a solution twice, so only a group
-    with several branches deduplicates them.
+    nothing changes. A full evaluation leaves its solutions in search order
+    (SPARQL 1.1 orders none without ORDER BY); one branch never gives a
+    solution twice, so only a group with several branches deduplicates them.
 
 Blank nodes written in a WHERE group behave as fresh variables. Blank nodes
 in the template become skolem nodes named from the rule id, the blank's
@@ -138,7 +138,7 @@ from operator import attrgetter, is_, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .model import (
-    BlankNode, Graph, Iri, Literal, RDF_TYPE, Term, Triple, _Interned, render_term, term_key,
+    BlankNode, Graph, Iri, Literal, RDF_TYPE, Term, Triple, _Interned, render_term,
 )
 from .turtle import NAME, _NAME, _Parser
 
@@ -1003,9 +1003,9 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
                    limit: Optional[int] = None) -> list[Binding]:
     """All solution bindings of the group over the graph, seeded with `seed`.
 
-    The result is a set (no duplicate bindings) in a deterministic order.
-    Each branch's guards apply to the whole branch; the search runs each
-    branch in the planned order (see `_plan`), which gives the same solutions.
+    The result is a set (no duplicate bindings) in the order the search
+    finds it, branch by branch, each in the planned order (see `_plan`):
+    the same in every run. Each branch's guards apply to the whole branch.
 
     With `limit`, at most that many solutions come back, in no particular
     order: an existence probe, as NOT EXISTS asks it, which stops at the
@@ -1031,7 +1031,6 @@ def evaluate_where(g: Graph, gp: GroupPattern, seed: Optional[Binding] = None,
         return found[:limit]
     if len(analysis.programs) > 1:
         found = list({frozenset(b.items()): b for b in found}.values())
-    found.sort(key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
     return found
 
 

@@ -13,7 +13,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from normgraph.cli import PipelineResult, run_pipeline
 from normgraph.model import (
     BlankNode, Graph, Iri, Literal, RDF_OBJECT, RDF_PREDICATE,
-    RDF_SUBJECT, RDF_TYPE, Term, Triple,
+    RDF_SUBJECT, RDF_TYPE, Term, Triple, term_key,
 )
 from normgraph.ontology import FIXTURES, fixture
 
@@ -37,6 +37,14 @@ def run_fixture(name: str) -> PipelineResult:
         data, user_rules, _ = fixture(name)
         _PIPELINE_CACHE[name] = run_pipeline([data, user_rules], set(info.layers))
     return _PIPELINE_CACHE[name]
+
+
+def canonical(solutions: list) -> list:
+    """The solutions sorted by their (variable name, term) pairs, duplicates
+    kept. A full evaluation gives its solutions in the order its search finds
+    them, so two lists of solutions are compared as multisets: each side
+    through this."""
+    return sorted(solutions, key=lambda b: sorted((v.name, term_key(t)) for v, t in b.items()))
 
 
 def reified_nodes(g: Graph, s: Term | None = None, p: Term | None = None,

@@ -9,6 +9,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from normgraph.cli import main, run_pipeline
@@ -156,6 +157,31 @@ def test_check_skips_empty_fail_on_items(tmp_path, capsys):
         assert code == want, fail_on
     captured = capsys.readouterr()
     assert captured.err == ""
+
+
+def test_an_empty_fail_on_list_fails_on_no_kind(tmp_path, capsys):
+    # as --layers "" selects no layer, --fail-on "" and "," name no kind
+    paths = _write_fixture(tmp_path, "optional-vs-prohibited-conflict")
+    check = ["check", *_inputs(paths), "--layers", "dts,compliance"]
+    assert main(check) == 2
+    for fail_on in ("", ","):
+        assert main([*check, "--fail-on", fail_on]) == 0, fail_on
+    assert capsys.readouterr().err == ""
+
+
+def test_a_usage_error_is_one_error_line_and_exits_one(capsys):
+    # exit 2 means findings, so a bad option value, a missing input and an
+    # unknown command exit 1, as every other error does
+    for argv in (["check", "-i", "x.ttl", "--max-iterations", "abc"], ["check"], ["bogus"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        err = capsys.readouterr().err
+        assert stop.value.code == 1, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    with pytest.raises(SystemExit) as stop:
+        main(["check", "--help"])
+    assert stop.value.code == 0 and capsys.readouterr().err == ""
+
 
 def test_check_json_format(tmp_path, capsys):
     paths = _write_fixture(tmp_path, "partial-conflict-obligations")

@@ -3,7 +3,12 @@ existence probe, and the graph's two-level indexes."""
 
 import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,16 +27,16 @@ from normgraph.rules import (
     rebinds,
 )
 from normgraph.turtle import parse_turtle
-from conftest import run_fixture
+from conftest import canonical, run_fixture
 
 V = Variable
 EX = "https://example.org/"
 
 
 def _outcome(evaluate, *args, **kwargs):
-    """("ok", solutions) or ("raised", exception type name, message)."""
+    """("ok", solutions in canonical order) or ("raised", exception type name, message)."""
     try:
-        return ("ok", evaluate(*args, **kwargs))
+        return ("ok", canonical(evaluate(*args, **kwargs)))
     except BindConflict as err:
         return ("raised", type(err).__name__, str(err))
 
@@ -160,7 +165,7 @@ def test_bind_after_union_conflicts_exactly_like_oracle():
         assert _outcome(evaluate_where, g, gp) == want
         assert _outcome(evaluate_where, g, gp, limit=1) == want
     fresh = GroupPattern((union, Bind(c, V("w"))))
-    assert evaluate_where(g, fresh) == oracle.evaluate_where(g, fresh)
+    assert canonical(evaluate_where(g, fresh)) == canonical(oracle.evaluate_where(g, fresh))
     assert len(evaluate_where(g, fresh)) == 3
 
 
@@ -171,7 +176,7 @@ def test_union_branches_that_bind_different_variables_give_each_solution_once():
     gp = GroupPattern((Union(GroupPattern((xy, yz)), GroupPattern((xy,))), yz))
     want = [{V("x"): a, V("y"): b, V("z"): c}]
     assert oracle.evaluate_where(g, gp) == want
-    assert evaluate_where(g, gp) == want
+    assert canonical(evaluate_where(g, gp)) == canonical(want)
 
 
 def _assert_rebinds_at(where: str, name: str, at: str):
@@ -215,10 +220,53 @@ def test_every_rule_matches_oracle_on_every_fixture_graph():
         for entry in rules + list(load_rules(user_rules)):
             where = entry.query.where_clause
             want = oracle.evaluate_where(graph, where)
-            assert evaluate_where(graph, where) == want, (name, entry.rule_id)
+            assert canonical(evaluate_where(graph, where)) == canonical(want), (name, entry.rule_id)
             _assert_probe_agrees(graph, where, None, ("ok", want))
             checked += bool(want)
     assert checked >= 40
+
+
+# A warm check of cash-card-norms + 10 agents that prints each full
+# evaluation of `conflict`, its solutions in the order they came back
+_CONFLICT_SOLUTIONS = """
+import json, workloads
+from normgraph import engine
+from normgraph.cli import run_pipeline
+from normgraph.model import render_term
+from normgraph.ontology import builtin_ruleset
+from normgraph.turtle import parse_turtle
+
+(inp,) = workloads.cash_card_scale(1, 10)
+graphs = [parse_turtle(text, scope=f"in{i}") for i, text in enumerate(inp.texts)]
+where = next(e.query.where_clause for e in builtin_ruleset() if e.rule_id == "conflict")
+run_pipeline(graphs, set(inp.layers))
+evaluations, evaluate = [], engine.evaluate_where
+
+def recorded(g, gp, *args):
+    found = evaluate(g, gp, *args)
+    if gp is where:
+        evaluations.append([[(v.name, render_term(t)) for v, t in b.items()] for b in found])
+    return found
+
+engine.evaluate_where = recorded
+run_pipeline(graphs, set(inp.layers))
+print(json.dumps(evaluations))
+"""
+
+
+def test_a_full_evaluation_gives_its_solutions_in_one_order_under_every_hash_seed():
+    # the solutions come back in the order the search finds them, unsorted;
+    # that order must not follow set or dict order of strings
+    root = Path(__file__).resolve().parents[1]
+    runs = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(
+            None, (str(root / "src"), str(root / "benchmarks"), os.environ.get("PYTHONPATH")))))
+        runs.append(json.loads(subprocess.run([sys.executable, "-c", _CONFLICT_SOLUTIONS],
+                                              env=env, capture_output=True, text=True,
+                                              check=True).stdout))
+    assert sum(map(len, runs[0])) >= 20, runs[0]
+    assert runs[0] == runs[1]
 
 
 def test_not_exists_probe_runs_1200_flat_patterns_without_recursion():
@@ -233,7 +281,7 @@ def test_not_exists_probe_runs_1200_flat_patterns_without_recursion():
                                for k in range(1200)))
     gp = GroupPattern((TriplePattern(V("x0"), RDF_TYPE, start), NotExists(chain)))
     # only the start of the chain that is one edge short survives the guard
-    assert evaluate_where(g, gp) == [{V("x0"): Iri(EX + "m0")}]
+    assert canonical(evaluate_where(g, gp)) == canonical([{V("x0"): Iri(EX + "m0")}])
 
 
 def test_plans_are_reused_until_the_graph_changes(monkeypatch):
@@ -250,7 +298,7 @@ def test_plans_are_reused_until_the_graph_changes(monkeypatch):
     evaluate_where(g, gp, {V("x"): Iri(EX + "a")})
     assert len(planned) == 2  # another set of bound variables
     g.insert(Triple(Iri(EX + "b"), p, Iri(EX + "c")))
-    assert evaluate_where(g, gp) == oracle.evaluate_where(g, gp)
+    assert canonical(evaluate_where(g, gp)) == canonical(oracle.evaluate_where(g, gp))
     assert len(planned) == 3
 
 
@@ -286,8 +334,8 @@ def test_filter_before_the_pattern_that_binds_its_variable_sees_its_value():
     for guard, want in ((z_first, found), (y_first, found), (rejects, [])):
         gp = GroupPattern((first, guard, binds_z))
         assert oracle.evaluate_where(g, oracle.branch_scoped(gp)) == want
-        assert evaluate_where(g, gp) == want
-        assert evaluate_where(g, gp, limit=1) == want
+        assert canonical(evaluate_where(g, gp)) == canonical(want)
+        assert canonical(evaluate_where(g, gp, limit=1)) == canonical(want)
         steps = _steps(g, gp)
         assert steps.index(guard) > steps.index(binds_z)
     # scoped to where it is written, the first FILTER would reject at ?z
@@ -300,8 +348,8 @@ def test_a_guard_before_the_pattern_that_binds_its_variables_gives_sparqls_one_s
     want = [{V("x"): a, V("y"): b}]
     for where in ("FILTER(?x != ?y) ?x ex:p ?y", "NOT EXISTS{?y ex:p ?y} ?x ex:p ?y"):
         gp = parse_rule("r", f"CONSTRUCT{{?x ex:q ?y}} WHERE{{{where}}}", {"ex": EX}).where_clause
-        assert evaluate_where(g, gp) == want, where
-        assert evaluate_where(g, gp, limit=1) == want, where
+        assert canonical(evaluate_where(g, gp)) == canonical(want), where
+        assert canonical(evaluate_where(g, gp, limit=1)) == canonical(want), where
         assert oracle.evaluate_where(g, oracle.branch_scoped(gp)) == want, where
 
 
@@ -318,8 +366,8 @@ def test_not_exists_is_probed_with_the_value_a_pattern_after_it_binds():
         assert len(evaluate_where(g, GroupPattern((first, binds_w)))) == 1
         want = oracle.evaluate_where(g, oracle.branch_scoped(gp))
         assert len(want) == solutions
-        assert evaluate_where(g, gp) == want
-        assert evaluate_where(g, gp, limit=1) == want
+        assert canonical(evaluate_where(g, gp)) == canonical(want)
+        assert canonical(evaluate_where(g, gp, limit=1)) == canonical(want)
         steps = _steps(g, gp)
         assert steps.index(first) < steps.index(guard)
         assert steps.index(binds_w) < steps.index(guard)
@@ -365,7 +413,7 @@ def test_a_variable_one_union_branch_binds_is_unbound_for_the_other():
     want = [{V("x"): a, V("v"): d, V("y2"): b}]
     assert oracle.evaluate_where(g, gp) == oracle.evaluate_where(g, oracle.branch_scoped(gp))
     assert oracle.evaluate_where(g, gp) == want
-    assert evaluate_where(g, gp) == want
+    assert canonical(evaluate_where(g, gp)) == canonical(want)
     # with `?x q ?v` after the FILTER, the left branch binds ?v to :c there,
     # and its FILTER sees that value; the right one's :d does not join
     guard = Filter(ExprAnd((Comparison(V("y2"), False, b), Comparison(V("v"), False, c))))
@@ -374,7 +422,7 @@ def test_a_variable_one_union_branch_binds_is_unbound_for_the_other():
     want = [{V("x"): a, V("y"): b, V("v"): c, V("y2"): b}]
     assert oracle.evaluate_where(g, gp) == []  # scoped to where it is written
     assert oracle.evaluate_where(g, oracle.branch_scoped(gp)) == want
-    assert evaluate_where(g, gp) == want
+    assert canonical(evaluate_where(g, gp)) == canonical(want)
     steps = _steps(g, gp)
     assert steps.index(guard) > steps.index(binds_v)
 
@@ -391,8 +439,8 @@ def test_a_bind_planned_after_the_pattern_that_binds_its_variable_joins_with_its
     assert _steps(g, gp)[-2:] == (last, bind)
     want = [{V("a"): a0, V("b"): p0, V("x"): c}]
     assert oracle.evaluate_where(g, gp) == want
-    assert evaluate_where(g, gp) == want
-    assert evaluate_where(g, gp, limit=1) == want
+    assert canonical(evaluate_where(g, gp)) == canonical(want)
+    assert canonical(evaluate_where(g, gp, limit=1)) == canonical(want)
 
 
 def test_group_with_a_bind_keeps_its_guards_in_written_order():
@@ -448,9 +496,9 @@ def test_evaluator_matches_oracle_with_guards_anywhere_in_the_group():
         # every guard applies to its whole branch: moved to the end of the
         # branch, it gives the same solutions
         scoped = oracle.branch_scoped(gp)
-        want = oracle.evaluate_where(g, scoped, seed)
-        assert evaluate_where(g, gp, seed) == want, f"case {case}: {gp} seed={seed}"
-        assert evaluate_where(g, scoped, seed) == want, f"case {case}: {gp} seed={seed}"
+        want = canonical(oracle.evaluate_where(g, scoped, seed))
+        assert canonical(evaluate_where(g, gp, seed)) == want, f"case {case}: {gp} seed={seed}"
+        assert canonical(evaluate_where(g, scoped, seed)) == want, f"case {case}: {gp} seed={seed}"
         _assert_probe_agrees(g, gp, seed, ("ok", want))
         nonempty += bool(want)
         # a planned first branch whose order differs from its written one; a
@@ -697,7 +745,7 @@ def test_not_exists_whose_estimated_rows_overflow_is_planned_and_probed(monkeypa
         want = oracle.evaluate_where(g, gp)
         assert want == [{V("x"): s} for s in kept]
         works.clear()
-        assert evaluate_where(g, gp) == want
+        assert canonical(evaluate_where(g, gp)) == canonical(want)
         if group is inner:
             assert works[-1] <= 9 * works[0], works
         else:
@@ -739,7 +787,7 @@ def test_a_union_with_one_dead_branch_gives_the_live_branch_solutions():
     for gp in (GroupPattern((Union(dead, live),)), GroupPattern((Union(live, dead),))):
         want = oracle.evaluate_where(g, gp)
         assert want == [{V("x"): a, V("y"): b, V("z"): c}]
-        assert evaluate_where(g, gp) == want
+        assert canonical(evaluate_where(g, gp)) == canonical(want)
         _assert_probe_agrees(g, gp, None, ("ok", want))
         plans = rules._plan(g, gp, ())
         assert [steps is None for steps in plans] == [
@@ -757,8 +805,8 @@ def test_a_dead_branch_is_planned_again_once_its_pattern_has_a_match():
     assert sorted(map(id, steps)) == sorted(map(id, gp.elements))
     want = oracle.evaluate_where(g, gp)
     assert want == [{V("x"): a, V("y"): b, V("z"): c}]
-    assert evaluate_where(g, gp) == want
-    assert evaluate_where(g, gp, limit=1) == want
+    assert canonical(evaluate_where(g, gp)) == canonical(want)
+    assert canonical(evaluate_where(g, gp, limit=1)) == canonical(want)
 
 
 def test_not_exists_over_an_all_dead_group_passes_without_ordering_it(monkeypatch):
@@ -776,7 +824,7 @@ def test_not_exists_over_an_all_dead_group_passes_without_ordering_it(monkeypatc
                         order(segment, *args))
     want = oracle.evaluate_where(g, gp)
     assert len(want) == 2
-    assert evaluate_where(g, gp) == want
+    assert canonical(evaluate_where(g, gp)) == canonical(want)
     # only the outer branch, one pattern, is put in its fixed order, once
     assert ordered == [(xy,)]
     assert rules._plan(g, inner, (V("x"), V("y"))) == [None, None]
@@ -816,16 +864,17 @@ def test_a_probe_of_a_group_dead_at_one_graph_state_sees_a_match_added_later():
     assert evaluate_where(other, inner, seed, limit=1) == []
     g.insert(Triple(b, q, c))  # `?y q ?z` has a match now
     assert len(g) == len(other)
-    assert evaluate_where(g, inner, seed, limit=1) == found
-    assert evaluate_where(g, gp) == oracle.evaluate_where(g, gp) == [{V("x"): c, V("y"): a}]
+    assert canonical(evaluate_where(g, inner, seed, limit=1)) == canonical(found)
+    assert canonical(evaluate_where(g, gp)) == canonical(oracle.evaluate_where(g, gp)) \
+        == [{V("x"): c, V("y"): a}]
     # a graph of the same size at the address of a freed one where it was dead
     for _ in range(3):
         dead = unmatched()
         assert evaluate_where(dead, inner, seed, limit=1) == []
         del dead
         live = matched()
-        assert evaluate_where(live, inner, seed, limit=1) == found
-        assert evaluate_where(live, gp) == oracle.evaluate_where(live, gp)
+        assert canonical(evaluate_where(live, inner, seed, limit=1)) == canonical(found)
+        assert canonical(evaluate_where(live, gp)) == canonical(oracle.evaluate_where(live, gp))
 
 
 def test_a_probe_of_a_rebinding_group_raises_the_conflict_of_its_full_evaluation():
@@ -1125,7 +1174,7 @@ def test_every_access_path_of_a_pattern_agrees_with_the_oracle():
                 for seeded in itertools.product(values, repeat=size):
                     seed = dict(zip(chosen, seeded))
                     want = oracle.evaluate_where(g, gp, seed)
-                    assert evaluate_where(g, gp, seed) == want, (tp, seed)
+                    assert canonical(evaluate_where(g, gp, seed)) == canonical(want), (tp, seed)
                     _assert_probe_agrees(g, gp, seed, ("ok", want))
                     checked += 1
                     nonempty += bool(want)
@@ -1241,7 +1290,7 @@ def _stars(draw):
 def test_a_star_s_membership_tests_fold_into_the_bucket_read_that_binds_its_variable(case):
     g, gp, seed = case
     want = oracle.evaluate_where(g, gp, seed)
-    assert evaluate_where(g, gp, seed) == want
+    assert canonical(evaluate_where(g, gp, seed)) == canonical(want)
     _assert_probe_agrees(g, gp, seed, ("ok", want))
     analysis = gp.analyses[frozenset(seed)]
     reads = (rules._subjects, rules._objects)
@@ -1329,7 +1378,7 @@ def test_a_program_is_compiled_once_per_order_and_shares_its_pattern_steps(monke
     orders = set()
     for k in range(16):  # q from fewer triples than p to more: the first two patterns swap
         g.insert(Triple(Iri(f"{EX}y{k}"), q, Iri(f"{EX}z{k % 2}")))
-        assert evaluate_where(g, gp) == oracle.evaluate_where(g, gp)
+        assert canonical(evaluate_where(g, gp)) == canonical(oracle.evaluate_where(g, gp))
         orders.add(tuple(map(id, rules._plan(g, gp, ())[0])))
     (analysis,) = gp.analyses.values()
     (segment,) = analysis.parts
@@ -1414,7 +1463,7 @@ def test_role_star_generator_matches_oracle_on_random_role_graphs(monkeypatch):
             solutions += len(want)
             for seed in [None] + seeds:
                 agree = [b for b in want if all(b[v] == t for v, t in (seed or {}).items())]
-                assert evaluate_where(g, gp, seed) == agree, (case, seed)
+                assert canonical(evaluate_where(g, gp, seed)) == canonical(agree), (case, seed)
                 _assert_probe_agrees(g, gp, seed, ("ok", agree))
     assert generated >= 10000 and solutions >= 2500, (generated, solutions)
 
@@ -1430,8 +1479,8 @@ def test_role_star_generator_compiles_only_for_both_guards_of_a_role_star():
         ex:b5 a ex:K ; ex:r1 ex:v1 ; ex:r2 "l" ; ex:p3 ex:v1 .  # differs off the roles
         """)
     seed = {V("a"): Iri(EX + "a"), V("x"): Iri(EX + "r0")}
-    solutions = [b[V("b")] for b in evaluate_where(g, _where("?a a ?c. ?b a ?c." + _ROLE_GUARDS),
-                                                    seed)]
+    solutions = [b[V("b")] for b in canonical(
+        evaluate_where(g, _where("?a a ?c. ?b a ?c." + _ROLE_GUARDS), seed))]
     assert solutions == [Iri(EX + name) for name in ("a", "b1", "b5")]
     outer = "?a a ?c. ?b a ?c. ?x a ex:Role."
     cases = {

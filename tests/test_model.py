@@ -291,6 +291,23 @@ def test_contains_isomorphic_requires_injective_mapping():
     assert not contains_isomorphic(sub, g)
 
 
+def _blank_chain(label: str, n: int) -> list[Triple]:
+    """n blank nodes, each with its own object, linked in a chain."""
+    nodes = [BlankNode(f"{label}{i:04d}") for i in range(n)]
+    return [t(b, P, Iri(f"https://example.org/o{i}")) for i, b in enumerate(nodes)] \
+        + [t(a, Q, b) for a, b in zip(nodes, nodes[1:])]
+
+
+def test_isomorphism_of_1200_blank_nodes_needs_no_recursion():
+    # the search maps one blank node after another, as deep as there are
+    # blank nodes, so it keeps its own stack
+    g1, g2 = Graph(_blank_chain("a", 1200)), Graph(_blank_chain("b", 1200))
+    assert isomorphic(g1, g2) and contains_isomorphic(g1, g2)
+    flipped = _blank_chain("b", 1200)
+    flipped[-1] = t(flipped[-1].object, Q, flipped[-1].subject)
+    assert not isomorphic(g1, Graph(flipped))
+
+
 def test_graph_union_and_difference():
     g1 = Graph([t(A, P, B)])
     g2 = Graph([t(A, P, B), t(B, P, A)])
